@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.simulator.params import Timings
+from repro.simulator.run import Machine
 
 __all__ = ["CalibrationFit", "fit_timings", "measure_unicast_samples"]
 
@@ -105,31 +106,12 @@ def measure_unicast_samples(
     One isolated unicast per (size, hops) combination from node 0 to
     the all-ones node of the first ``hops`` dimensions.
     """
-    from repro.simulator.engine import Simulator
-    from repro.simulator.network import WormholeNetwork
-
     out: list[tuple[int, int, float]] = []
-    hop_range = range(1, (max_hops or n) + 1)
     for size in sizes:
-        for h in hop_range:
-            dst = (1 << h) - 1
-            sim = Simulator()
-            received = []
-            net = WormholeNetwork(sim, n, timings=timings)
-            from repro.simulator.node import HostNode
-
-            def on_recv(host, worm):
-                received.append(sim.now)
-
-            nodes = {}
-
-            def get_node(addr):
-                if addr not in nodes:
-                    nodes[addr] = HostNode(net, addr, 1, on_recv)
-                return nodes[addr]
-
-            net.on_delivered = lambda w: (get_node(w.src).release_port(), get_node(w.dst).deliver(w))
-            get_node(0).submit_sends([(dst, size, None)], 0.0)
-            sim.run()
+        for h in range(1, (max_hops or n) + 1):
+            received: list[float] = []
+            machine = Machine(n, timings, 1, lambda host, worm: received.append(host.sim.now))
+            machine.send(0, [((1 << h) - 1, size, None)])
+            machine.sim.run()
             out.append((size, h, received[0]))
     return out

@@ -14,21 +14,17 @@ delivery.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from statistics import mean
-from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.paths import ResolutionOrder
 from repro.multicast.ports import ALL_PORT, PortModel
-from repro.obs import sink as _telemetry_sink
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import RunRecord, new_run_id
-from repro.simulator.engine import Simulator
 from repro.simulator.message import Worm
-from repro.simulator.network import WormholeNetwork
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
+from repro.simulator.run import Machine
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.obs.probes import Probe
@@ -195,11 +191,6 @@ def simulate_comm(
     :func:`repro.simulator.run.simulate_multicast`; with a telemetry
     sink active one ``kind="comm"`` record is emitted per call.
     """
-    wall_start = perf_counter()
-    sim = Simulator(probes)
-    limit = ports.limit(graph.n)
-
-    nodes: dict[int, HostNode] = {}
     received_at: dict[int, float] = {}
     node_done: dict[int, float] = {}
     blocks: dict[int, set[int]] = {u: set(b) for u, b in graph.initial_blocks.items()}
@@ -225,30 +216,26 @@ def simulate_comm(
         if ready:
             _submit(ready, sim.now)
 
-    def get_node(address: int) -> HostNode:
-        node = nodes.get(address)
-        if node is None:
-            node = nodes[address] = HostNode(network, address, limit, on_receive)
-        return node
-
-    def on_delivered(worm: Worm) -> None:
-        get_node(worm.src).release_port()
-        get_node(worm.dst).deliver(worm)
-
-    network = WormholeNetwork(
-        sim, graph.n, timings=timings, order=graph.order, trace=trace, on_delivered=on_delivered
-    )
-
     def _submit(sids: Sequence[int], when: float) -> None:
         by_src: dict[int, list[int]] = {}
         for sid in sids:
             by_src.setdefault(graph.sends[sid].src, []).append(sid)
         for src, group in by_src.items():
-            get_node(src).submit_sends(
+            machine.node(src).submit_sends(
                 [(graph.sends[sid].dst, graph.sends[sid].size, sid) for sid in group],
                 when,
             )
 
+    machine = Machine(
+        graph.n,
+        timings,
+        ports.limit(graph.n),
+        on_receive,
+        order=graph.order,
+        trace=trace,
+        probes=probes,
+    )
+    sim, network = machine.sim, machine.network
     _submit([s.sid for s in graph.sends if not s.deps], 0.0)
     sim.run(max_events=max_events)
     network.assert_quiescent()
@@ -269,43 +256,21 @@ def simulate_comm(
         total_blocked_time=network.total_blocked_time,
         events=sim.events_processed,
     )
-
-    wall_seconds = perf_counter() - wall_start
-    if metrics is not None:
-        from repro.simulator.run import record_sim_metrics
-
-        record_sim_metrics(
-            metrics,
-            events=result.events,
-            worms=network.worms,
-            delays=node_done,
-            completion_us=result.completion_time,
-            blocked_us=result.total_blocked_time,
-            wall_seconds=wall_seconds,
-        )
-    telemetry = _telemetry_sink.get_sink()
-    if telemetry is not None:
-        telemetry.write(
-            RunRecord(
-                run_id=new_run_id(),
-                kind="comm",
-                n=graph.n,
-                algorithm=label,
-                ports=ports.name,
-                size=None,
-                timings=asdict(timings),
-                wall_seconds=wall_seconds,
-                sim_time_us=sim.now,
-                events=result.events,
-                metrics=metrics.snapshot() if metrics is not None else {},
-                extra={
-                    "sends": len(graph.sends),
-                    "total_bytes": graph.total_bytes,
-                    "completion_us": result.completion_time,
-                    "avg_node_us": result.avg_node_time,
-                    "total_blocked_us": result.total_blocked_time,
-                    "nodes": len(node_done),
-                },
-            )
-        )
+    machine.record(
+        metrics,
+        kind="comm",
+        label=label,
+        ports=ports,
+        size=None,
+        delays=node_done.values(),
+        completion_us=result.completion_time,
+        extra=lambda: {
+            "sends": len(graph.sends),
+            "total_bytes": graph.total_bytes,
+            "completion_us": result.completion_time,
+            "avg_node_us": result.avg_node_time,
+            "total_blocked_us": result.total_blocked_time,
+            "nodes": len(node_done),
+        },
+    )
     return result

@@ -31,9 +31,8 @@ delays and event counts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from statistics import mean
-from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.paths import Arc, ecube_arcs
@@ -41,16 +40,13 @@ from repro.faults.degraded import DegradedHypercube, detour_path
 from repro.faults.model import FaultScenario
 from repro.multicast.base import MulticastTree
 from repro.multicast.ports import ALL_PORT, PortModel
-from repro.obs import sink as _telemetry_sink
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import RunRecord, new_run_id
 from repro.simulator.deadlock import stall_report
-from repro.simulator.engine import Simulator
 from repro.simulator.message import Worm
 from repro.simulator.network import WormholeNetwork
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
-from repro.simulator.run import record_sim_metrics
+from repro.simulator.run import Machine
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.obs.probes import Probe
@@ -158,12 +154,8 @@ def simulate_degraded_multicast(
     if scenario.n != tree.n:
         raise ValueError(f"scenario is for a {scenario.n}-cube, not a {tree.n}-cube")
 
-    wall_start = perf_counter()
-    sim = Simulator(probes)
-    limit = ports.limit(tree.n)
     static_view = DegradedHypercube(tree.n, scenario, tree.order, at=0.0)
 
-    nodes: dict[int, HostNode] = {}
     delays: dict[int, float] = {}
     forwarded: set[int] = set()
     attempts: dict[tuple[int, int], int] = {}
@@ -179,27 +171,12 @@ def simulate_degraded_multicast(
         if host.address in forwarded:
             return  # duplicate receipt (detour overlap): forward once
         forwarded.add(host.address)
-        payload_sends = [
-            (s.dst, size, None) for s in tree.sends_from(host.address)
-        ]
-        if payload_sends:
-            host.submit_sends(payload_sends, sim.now)
-
-    def get_node(address: int) -> HostNode:
-        node = nodes.get(address)
-        if node is None:
-            node = nodes[address] = HostNode(network, address, limit, on_receive)
-        return node
-
-    def on_delivered(worm: Worm) -> None:
-        get_node(worm.src).release_port()
-        get_node(worm.dst).deliver(worm)
-
-    def resubmit(src: int, dst: int) -> None:
-        get_node(src).submit_sends([(dst, size, None)], sim.now)
+        sends = [(s.dst, size, None) for s in tree.sends_from(host.address)]
+        if sends:
+            host.submit_sends(sends, sim.now)
 
     def on_aborted(worm: Worm) -> None:
-        get_node(worm.src).release_port()
+        machine.node(worm.src).release_port()
         key = (worm.src, worm.dst)
         attempt = attempts.get(key, 0) + 1
         attempts[key] = attempt
@@ -217,27 +194,26 @@ def simulate_degraded_multicast(
             (a, (a ^ b).bit_length() - 1) for a, b in zip(path, path[1:])
         ]
         backoff = min(backoff_us * (2 ** (attempt - 1)), backoff_cap_us)
-        sim.schedule(backoff, resubmit, worm.src, worm.dst)
+        sim.schedule(backoff, machine.send, worm.src, [(worm.dst, size, None)])
 
-    network = WormholeNetwork(
-        sim,
+    machine = Machine(
         tree.n,
-        timings=timings,
+        timings,
+        ports.limit(tree.n),
+        on_receive,
         order=tree.order,
         trace=trace,
-        on_delivered=on_delivered,
+        probes=probes,
         route=route,
         on_aborted=on_aborted,
     )
+    sim, network = machine.sim, machine.network
     for arc in sorted(scenario.dead_arcs(at=0.0)):
         network.fail_arc(arc)
     for t_fail, arc in scenario.timed_events():
         sim.schedule_at(t_fail, network.fail_arc, arc)
 
-    source = get_node(tree.source)
-    source.submit_sends(
-        [(s.dst, size, None) for s in tree.sends_from(tree.source)], ready_time=0.0
-    )
+    machine.send(tree.source, [(s.dst, size, None) for s in tree.sends_from(tree.source)])
     forwarded.add(tree.source)
     sim.run(until=deadline_us, max_events=max_events)
 
@@ -273,59 +249,41 @@ def simulate_degraded_multicast(
         network=network,
     )
 
-    wall_seconds = perf_counter() - wall_start
     if metrics is not None:
-        record_sim_metrics(
-            metrics,
-            events=result.events,
-            worms=network.worms,
-            delays=delays,
-            completion_us=result.completion_time,
-            blocked_us=result.total_blocked_time,
-            wall_seconds=wall_seconds,
-        )
         metrics.counter("sim.faults.dead_arcs").inc(len(scenario.dead_arcs()))
         metrics.counter("sim.faults.aborted_worms").inc(result.aborted_worms)
         metrics.counter("sim.faults.retries").inc(result.retries)
         metrics.counter("sim.faults.gave_up").inc(result.gave_up)
         metrics.counter("sim.faults.undelivered").inc(len(result.undelivered))
-    telemetry = _telemetry_sink.get_sink()
-    if telemetry is not None:
-        telemetry.write(
-            RunRecord(
-                run_id=new_run_id(),
-                kind="degraded-multicast",
-                n=tree.n,
-                algorithm=label,
-                ports=ports.name,
-                size=size,
-                timings=asdict(timings),
-                wall_seconds=wall_seconds,
-                sim_time_us=sim.now,
-                events=result.events,
-                metrics=metrics.snapshot() if metrics is not None else {},
-                extra={
-                    "scenario": scenario.describe(),
-                    "seed": scenario.seed,
-                    "failed_links": len(scenario.links),
-                    "failed_nodes": len(scenario.nodes),
-                    "dead_arcs": len(scenario.dead_arcs()),
-                    "destinations": len(tree.destinations) + len(unreachable_hint),
-                    "delivered": len(result.delivered),
-                    "delivery_ratio": result.delivery_ratio,
-                    "undelivered": list(result.undelivered),
-                    "unreachable": list(result.unreachable),
-                    "aborted_worms": result.aborted_worms,
-                    "retries": result.retries,
-                    "gave_up": result.gave_up,
-                    "deadline_us": deadline_us,
-                    "deadlock": deadlock,
-                    "avg_delay_us": result.avg_delay,
-                    "max_delay_us": result.max_delay,
-                    "completion_us": result.completion_time,
-                    "total_blocked_us": result.total_blocked_time,
-                    "worms": len(network.worms),
-                },
-            )
-        )
+    machine.record(
+        metrics,
+        kind="degraded-multicast",
+        label=label,
+        ports=ports,
+        size=size,
+        delays=delays.values(),
+        completion_us=result.completion_time,
+        extra=lambda: {
+            "scenario": scenario.describe(),
+            "seed": scenario.seed,
+            "failed_links": len(scenario.links),
+            "failed_nodes": len(scenario.nodes),
+            "dead_arcs": len(scenario.dead_arcs()),
+            "destinations": len(tree.destinations) + len(unreachable_hint),
+            "delivered": len(result.delivered),
+            "delivery_ratio": result.delivery_ratio,
+            "undelivered": list(result.undelivered),
+            "unreachable": list(result.unreachable),
+            "aborted_worms": result.aborted_worms,
+            "retries": result.retries,
+            "gave_up": result.gave_up,
+            "deadline_us": deadline_us,
+            "deadlock": deadlock,
+            "avg_delay_us": result.avg_delay,
+            "max_delay_us": result.max_delay,
+            "completion_us": result.completion_time,
+            "total_blocked_us": result.total_blocked_time,
+            "worms": len(network.worms),
+        },
+    )
     return result

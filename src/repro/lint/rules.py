@@ -407,23 +407,21 @@ def _check_telemetry_names(node: ast.AST, ctx: FileContext) -> Iterator[Finding]
                         f"dynamic metric name prefix {first.value!r} is not in a "
                         f"registered family ({families})",
                     )
-    # RunRecord(kind="...") literals must be registered kinds
-    is_runrecord = (isinstance(func, ast.Name) and func.id == "RunRecord") or (
-        isinstance(func, ast.Attribute) and func.attr == "RunRecord"
-    )
-    if is_runrecord:
-        for kw in node.keywords:
-            if (
-                kw.arg == "kind"
-                and isinstance(kw.value, ast.Constant)
-                and isinstance(kw.value.value, str)
-                and kw.value.value not in KNOWN_KINDS
-            ):
-                kinds = ", ".join(sorted(KNOWN_KINDS))
-                yield ctx.finding(
-                    "REP006",
-                    kw.value,
-                    f"RunRecord kind {kw.value.value!r} is not registered "
-                    f"({kinds}) -- add it to repro.obs.telemetry.KNOWN_KINDS "
-                    "first",
-                )
+    # every kind="..." literal must be a registered RunRecord kind: records
+    # are built at RunRecord(...) calls and also through helpers that pass
+    # the kind on (Machine.record, emit_event)
+    for kw in node.keywords:
+        if (
+            kw.arg == "kind"
+            and isinstance(kw.value, ast.Constant)
+            and isinstance(kw.value.value, str)
+            and kw.value.value not in KNOWN_KINDS
+        ):
+            kinds = ", ".join(sorted(KNOWN_KINDS))
+            yield ctx.finding(
+                "REP006",
+                kw.value,
+                f"RunRecord kind {kw.value.value!r} is not registered "
+                f"({kinds}) -- add it to repro.obs.telemetry.KNOWN_KINDS "
+                "first",
+            )

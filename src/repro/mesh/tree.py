@@ -22,6 +22,7 @@ from repro.simulator.message import Worm
 from repro.simulator.network import WormholeNetwork
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
+from repro.simulator.run import Machine
 
 __all__ = ["MeshNetwork", "MeshResult", "MeshSchedule", "MeshTree", "simulate_mesh_multicast"]
 
@@ -157,9 +158,6 @@ def simulate_mesh_multicast(
     max_events: int | None = 10_000_000,
 ) -> MeshResult:
     """Run a mesh multicast tree through the wormhole model."""
-    sim = Simulator()
-    limit = 4 if ports.is_all_port else ports.limit(4)
-    nodes: dict[int, HostNode] = {}
     delays: dict[int, float] = {}
 
     def on_receive(host: HostNode, worm: Worm) -> None:
@@ -168,20 +166,10 @@ def simulate_mesh_multicast(
         if sends:
             host.submit_sends(sends, sim.now)
 
-    def get_node(address: int) -> HostNode:
-        node = nodes.get(address)
-        if node is None:
-            node = nodes[address] = HostNode(network, address, limit, on_receive)
-        return node
-
-    def on_delivered(worm: Worm) -> None:
-        get_node(worm.src).release_port()
-        get_node(worm.dst).deliver(worm)
-
-    network = MeshNetwork(sim, tree.mesh, timings=timings, on_delivered=on_delivered)
-    get_node(tree.source).submit_sends(
-        [(s.dst, size, None) for s in tree.sends_from(tree.source)], 0.0
-    )
+    limit = 4 if ports.is_all_port else ports.limit(4)
+    machine = Machine(tree.mesh, timings, limit, on_receive, network=MeshNetwork)
+    sim, network = machine.sim, machine.network
+    machine.send(tree.source, [(s.dst, size, None) for s in tree.sends_from(tree.source)])
     sim.run(max_events=max_events)
     network.assert_quiescent()
 

@@ -75,7 +75,15 @@ from repro.obs.ledger import (
     run_benchmark_suite,
     save_ledger,
 )
-from repro.obs.sink import JsonlSink, MemorySink, TelemetrySink, capture, configure, get_sink
+from repro.obs.sink import (
+    JsonlSink,
+    MemorySink,
+    TelemetrySink,
+    capture,
+    configure,
+    emit_event,
+    get_sink,
+)
 from repro.obs.telemetry import KNOWN_KINDS, RunRecord, new_run_id, summarize_delays
 from repro.obs.trace_spans import (
     Span,
@@ -121,6 +129,7 @@ __all__ = [
     "current_trace_id",
     "default_probes",
     "derive_trace_id",
+    "emit_event",
     "env_fingerprint",
     "get_sink",
     "get_tracer",

@@ -24,7 +24,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Protocol
 
-from repro.obs.telemetry import RunRecord
+from repro.obs import trace_spans
+from repro.obs.telemetry import RunRecord, new_run_id
 
 __all__ = [
     "ENV_VAR",
@@ -35,6 +36,7 @@ __all__ = [
     "capture",
     "configure",
     "emit",
+    "emit_event",
     "get_sink",
     "read_jsonl",
 ]
@@ -218,6 +220,40 @@ def emit(record: RunRecord) -> None:
     sink = get_sink()
     if sink is not None:
         sink.write(record)
+
+
+def emit_event(event: str, *, kind: str, **details: object) -> None:
+    """Emit one operational event: a ``kind`` record to the active sink
+    and, while a tracer is installed, a zero-duration instant span.
+
+    ``event`` names what happened (``"point-quarantined"``,
+    ``"host-lost"``, ...) and becomes the record's ``algorithm`` and
+    ``extra["event"]``; ``details`` is the free-form payload.  The
+    instant is named ``<prefix>.<event>``, the prefix being ``kind``
+    without its ``-event`` suffix (``resilience-event`` ->
+    ``resilience.point-quarantined``), so watchdog kills, failovers,
+    and resumes show up on the traced sweep timeline.  No-op when
+    neither a sink nor a tracer is active.
+    """
+    if trace_spans.get_tracer() is not None:
+        attrs = {
+            k: v if isinstance(v, (bool, int, float, str, type(None))) else str(v)
+            for k, v in details.items()
+        }
+        trace_spans.instant(f"{kind.removesuffix('-event')}.{event}", **attrs)
+    sink = get_sink()
+    if sink is None:
+        return
+    sink.write(
+        RunRecord(
+            run_id=new_run_id(),
+            kind=kind,
+            n=0,
+            algorithm=event,
+            extra={"event": event, **details},
+            trace_id=trace_spans.current_trace_id(),
+        )
+    )
 
 
 @contextmanager

@@ -27,8 +27,8 @@ __all__ = ["KNOWN_KINDS", "RunRecord", "new_run_id", "summarize_delays"]
 #: The registered ``RunRecord.kind`` values.  Consumers (``stats
 #: --from``, the CI telemetry checks, dashboards) switch on these
 #: literals, and the ``repro.lint`` REP006 rule rejects any other
-#: ``kind="..."`` literal at the construction site -- register new
-#: kinds here first.
+#: ``kind="..."`` literal at any call (``RunRecord``, the simulation
+#: driver's ``record``, ``emit_event``) -- register new kinds here first.
 KNOWN_KINDS: frozenset[str] = frozenset(
     {
         "multicast",

@@ -56,7 +56,6 @@ from repro.parallel.fabric import (
     FabricConfig,
     LocalCommunicator,
     TcpCoordinator,
-    emit_fabric_event,
 )
 from repro.parallel.fabric_cache import RemoteCacheClient, TieredCache
 from repro.parallel.journal import (
@@ -85,7 +84,6 @@ __all__ = [
     "TieredCache",
     "WatchdogConfig",
     "cache_key",
-    "emit_fabric_event",
     "cached_delay_stats",
     "cached_schedule_table",
     "default_jobs",

@@ -65,6 +65,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 from repro.obs import sink as _sink_mod
 from repro.obs import trace_spans
 from repro.obs.metrics import MetricsRegistry, merge_snapshot
+from repro.obs.sink import emit_event
 from repro.obs.telemetry import RunRecord
 from repro.parallel.cache import ScheduleCache, activate_cache
 from repro.parallel.fabric import (
@@ -72,14 +73,9 @@ from repro.parallel.fabric import (
     FabricConfig,
     LocalCommunicator,
     TcpCoordinator,
-    emit_fabric_event,
 )
 from repro.parallel.journal import SweepJournal, point_fingerprint
-from repro.parallel.resilience import (
-    PointTracker,
-    WatchdogConfig,
-    emit_resilience_event,
-)
+from repro.parallel.resilience import PointTracker, WatchdogConfig
 
 __all__ = [
     "SweepConfig",
@@ -275,8 +271,9 @@ def _run_journaled(
     if skipped:
         if metrics is not None:
             metrics.counter("sim.resilience.journal_hits").inc(skipped)
-        emit_resilience_event(
+        emit_event(
             "sweep-resumed",
+            kind="resilience-event",
             run_id=journal.run_id,
             label=label,
             skipped=skipped,
@@ -392,7 +389,7 @@ def _dispatch(
             # the local pool, with a fresh loss budget -- from here on
             # this is an ordinary single-host sweep
             count("sim.fabric.degraded_to_local")
-            emit_fabric_event("fabric-degraded-local", **comm.describe())
+            emit_event("fabric-degraded-local", kind="fabric-event", **comm.describe())
             comm = local = LocalCommunicator(jobs, config.cache_dir, wd, metrics)
             pool_losses = 0
         outstanding = []
@@ -408,8 +405,9 @@ def _dispatch(
                     continue
                 if tracker.record_failure(index):
                     count("sim.resilience.quarantined_points")
-                    emit_resilience_event(
+                    emit_event(
                         "point-quarantined",
+                        kind="resilience-event",
                         point=index,
                         failures=tracker.failures[index],
                     )
@@ -420,8 +418,9 @@ def _dispatch(
             exhausted = round_no > wd.retry.max_retries
             if pool_losses >= wd.pool_loss_limit or exhausted:
                 count("sim.resilience.degraded_points", float(len(requeue)))
-                emit_resilience_event(
+                emit_event(
                     "pool-degraded",
+                    kind="resilience-event",
                     points=len(requeue),
                     pool_losses=pool_losses,
                     rounds=round_no,

@@ -44,10 +44,9 @@ the next level up:
   process pool, bit-identically.
 - **Observability.**  Every failover decision is a ``sim.fabric.*``
   metric, a ``kind="fabric-event"`` telemetry record, and (while
-  tracing) a ``fabric.<event>`` instant span --
-  :func:`emit_fabric_event` mirrors
-  :func:`~repro.parallel.resilience.emit_resilience_event` one level
-  up the stack.
+  tracing) a ``fabric.<event>`` instant span, all through
+  :func:`repro.obs.sink.emit_event` -- the same emitter as the
+  engine's ``kind="resilience-event"`` decisions one level down.
 
 The wire protocol (:func:`send_frame` / :func:`recv_frame`) is
 length-prefixed pickle over a trusted network -- the same trust model
@@ -77,10 +76,9 @@ from typing import Callable, Sequence
 from repro.obs import sink as _sink_mod
 from repro.obs import trace_spans
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sink import MemorySink
-from repro.obs.telemetry import RunRecord, new_run_id
+from repro.obs.sink import MemorySink, emit_event
 from repro.parallel.cache import ScheduleCache, activate_cache, get_active_cache
-from repro.parallel.resilience import WatchdogConfig, emit_resilience_event
+from repro.parallel.resilience import WatchdogConfig
 
 __all__ = [
     "Communicator",
@@ -88,7 +86,6 @@ __all__ = [
     "LocalCommunicator",
     "RoundOutcome",
     "TcpCoordinator",
-    "emit_fabric_event",
     "recv_frame",
     "send_frame",
 ]
@@ -140,36 +137,6 @@ def recv_frame(sock: socket.socket) -> object | None:
     if blob is None:
         return None
     return pickle.loads(blob)
-
-
-def emit_fabric_event(event: str, **details: object) -> None:
-    """One ``kind="fabric-event"`` record (and, while tracing, a
-    ``fabric.<event>`` instant) per fleet-level decision.
-
-    ``event`` names what happened (``"worker-joined"``,
-    ``"host-lost"``, ``"host-timeout"``, ``"fabric-degraded-local"``,
-    ``"fabric-started"``, ``"fabric-stopped"``); ``details`` is the
-    free-form payload.  No-op when telemetry is disabled.
-    """
-    if trace_spans.get_tracer() is not None:
-        attrs = {
-            k: v if isinstance(v, (bool, int, float, str, type(None))) else str(v)
-            for k, v in details.items()
-        }
-        trace_spans.instant(f"fabric.{event}", **attrs)
-    sink = _sink_mod.get_sink()
-    if sink is None:
-        return
-    sink.write(
-        RunRecord(
-            run_id=new_run_id(),
-            kind="fabric-event",
-            n=0,
-            algorithm=event,
-            extra={"event": event, **details},
-            trace_id=trace_spans.current_trace_id(),
-        )
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -470,8 +437,9 @@ class LocalCommunicator(Communicator):
                                 hung = True
                         if hung:
                             self._count("sim.resilience.hung_chunks", float(len(pending)))
-                            emit_resilience_event(
+                            emit_event(
                                 "hung-pool-killed",
+                                kind="resilience-event",
                                 pending_chunks=len(pending),
                                 hard_timeout_s=wd.hard_timeout_s,
                             )
@@ -590,8 +558,11 @@ class TcpCoordinator(Communicator):
             target=self._accept_loop, name="fabric-accept", daemon=True
         )
         self._accept_thread.start()
-        emit_fabric_event(
-            "fabric-started", host=self.config.bind_host, port=self.port
+        emit_event(
+            "fabric-started",
+            kind="fabric-event",
+            host=self.config.bind_host,
+            port=self.port,
         )
 
     def stop(self) -> None:
@@ -617,7 +588,7 @@ class TcpCoordinator(Communicator):
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None
-        emit_fabric_event("fabric-stopped", workers=len(links))
+        emit_event("fabric-stopped", kind="fabric-event", workers=len(links))
         with self._links_lock:
             self._links.clear()
         self._gauge_workers()
@@ -673,8 +644,9 @@ class TcpCoordinator(Communicator):
             return
         self._count("sim.fabric.workers_joined")
         self._gauge_workers()
-        emit_fabric_event(
+        emit_event(
             "worker-joined",
+            kind="fabric-event",
             worker=worker_id,
             host=hello.get("host"),
             pid=hello.get("pid"),
@@ -750,8 +722,9 @@ class TcpCoordinator(Communicator):
         orphan, link.chunk, link.chunk_id = link.chunk, None, None
         self._count("sim.fabric.hosts_lost")
         self._gauge_workers()
-        emit_fabric_event(
+        emit_event(
             "host-lost",
+            kind="fabric-event",
             worker=link.worker_id,
             reason=reason,
             orphaned_points=len(orphan) if orphan else 0,
@@ -817,13 +790,19 @@ class TcpCoordinator(Communicator):
                 if age > wd.soft_timeout_s and not link.soft_flagged:
                     link.soft_flagged = True
                     self._count("sim.fabric.soft_timeouts")
-                    emit_fabric_event(
-                        "host-slow", worker=worker_id, beat_age_s=round(age, 3)
+                    emit_event(
+                        "host-slow",
+                        kind="fabric-event",
+                        worker=worker_id,
+                        beat_age_s=round(age, 3),
                     )
                 if age > wd.hard_timeout_s:
                     self._count("sim.fabric.hard_timeouts")
-                    emit_fabric_event(
-                        "host-timeout", worker=worker_id, beat_age_s=round(age, 3)
+                    emit_event(
+                        "host-timeout",
+                        kind="fabric-event",
+                        worker=worker_id,
+                        beat_age_s=round(age, 3),
                     )
                     orphan = self._drop_link(link, "heartbeat-timeout")
                     busy.pop(worker_id, None)
@@ -870,8 +849,11 @@ class TcpCoordinator(Communicator):
                 busy.pop(worker_id, None)
                 self._count("sim.parallel.worker_failures")
                 self._count("sim.fabric.chunk_errors")
-                emit_fabric_event(
-                    "chunk-error", worker=worker_id, error=str(msg.get("error"))[:200]
+                emit_event(
+                    "chunk-error",
+                    kind="fabric-event",
+                    worker=worker_id,
+                    error=str(msg.get("error"))[:200],
                 )
                 fatal.append(chunk)  # type: ignore[arg-type]
             check_heartbeats()

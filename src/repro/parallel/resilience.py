@@ -22,8 +22,9 @@ engine uses to do better:
   it would serially.
 
 Every decision these objects drive is observable: the engine emits
-``sim.resilience.*`` metrics and ``kind="resilience-event"`` telemetry
-records (see docs/RESILIENCE.md and docs/OBSERVABILITY.md).
+``sim.resilience.*`` metrics and, through :func:`repro.obs.sink.emit_event`,
+``kind="resilience-event"`` telemetry records and ``resilience.<event>``
+trace instants (see docs/RESILIENCE.md and docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -31,16 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.obs import sink as _telemetry_sink
-from repro.obs import trace_spans
-from repro.obs.telemetry import RunRecord, new_run_id
-
-__all__ = [
-    "PointTracker",
-    "RetryPolicy",
-    "WatchdogConfig",
-    "emit_resilience_event",
-]
+__all__ = ["PointTracker", "RetryPolicy", "WatchdogConfig"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,35 +142,3 @@ class PointTracker:
     @property
     def total_failures(self) -> int:
         return sum(self.failures.values())
-
-
-def emit_resilience_event(event: str, **details: object) -> None:
-    """Write one ``kind="resilience-event"`` record to the active sink.
-
-    ``event`` names what happened (``"hung-pool-killed"``,
-    ``"point-quarantined"``, ``"pool-degraded"``, ``"sweep-resumed"``,
-    ``"cache-quarantined"``); ``details`` is the free-form payload.
-    No-op when telemetry is disabled.  While a tracer is installed the
-    event additionally lands as a zero-duration ``resilience.<event>``
-    span, so watchdog kills, retries, and resumes show up on the traced
-    sweep timeline.
-    """
-    if trace_spans.get_tracer() is not None:
-        attrs = {
-            k: v if isinstance(v, (bool, int, float, str, type(None))) else str(v)
-            for k, v in details.items()
-        }
-        trace_spans.instant(f"resilience.{event}", **attrs)
-    sink = _telemetry_sink.get_sink()
-    if sink is None:
-        return
-    sink.write(
-        RunRecord(
-            run_id=new_run_id(),
-            kind="resilience-event",
-            n=0,
-            algorithm=event,
-            extra={"event": event, **details},
-            trace_id=trace_spans.current_trace_id(),
-        )
-    )

@@ -13,22 +13,18 @@ contention-aware algorithms.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from statistics import mean
-from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.multicast.base import MulticastTree
 from repro.multicast.ports import ALL_PORT, PortModel
-from repro.obs import sink as _telemetry_sink
 from repro.obs import trace_spans
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import RunRecord, new_run_id
-from repro.simulator.engine import Simulator
 from repro.simulator.message import Worm
-from repro.simulator.network import WormholeNetwork
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
+from repro.simulator.run import Machine
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.obs.probes import Probe
@@ -112,8 +108,57 @@ def simulate_concurrent_multicasts(
     with trace_spans.span(
         "simulate.concurrent", n=n, operations=len(trees), size=size, ports=ports.name
     ) as _span:
-        result = _run_concurrent(
-            trees, size, timings, ports, starts, max_events, metrics, probes, label, n, order
+        delays: list[dict[int, float]] = [{} for _ in trees]
+
+        def on_receive(host: HostNode, worm: Worm) -> None:
+            ti = worm.payload
+            delays[ti][host.address] = sim.now - starts[ti]
+            sends = [(s.dst, size, ti) for s in trees[ti].sends_from(host.address)]
+            if sends:
+                host.submit_sends(sends, sim.now)
+
+        machine = Machine(n, timings, ports.limit(n), on_receive, order=order, probes=probes)
+        sim, network = machine.sim, machine.network
+        for ti, tree in enumerate(trees):
+            sends = [(s.dst, size, ti) for s in tree.sends_from(tree.source)]
+            if sends:
+                sim.schedule(starts[ti], machine.send, tree.source, sends)
+        sim.run(max_events=max_events)
+        with trace_spans.span("verify.delivery", n=n) as vsp:
+            network.assert_quiescent()
+            for ti, tree in enumerate(trees):
+                missing = tree.destinations - delays[ti].keys()
+                if missing:
+                    raise AssertionError(
+                        f"multicast {ti} never reached destinations {sorted(missing)}"
+                    )
+            if vsp is not None:
+                vsp.set(operations=len(trees))
+
+        result = ConcurrentResult(
+            trees=list(trees),
+            delays=delays,
+            start_times=starts,
+            total_blocked_time=network.total_blocked_time,
+            events=sim.events_processed,
+        )
+        machine.record(
+            metrics,
+            kind="concurrent",
+            label=label,
+            ports=ports,
+            size=size,
+            delays=(d for per in delays for d in per.values()),
+            completion_us=result.makespan,
+            extra=lambda: {
+                "operations": len(trees),
+                "start_times": starts,
+                "avg_delays_us": result.avg_delays,
+                "max_delays_us": result.max_delays,
+                "makespan_us": result.makespan,
+                "total_blocked_us": result.total_blocked_time,
+                "worms": len(network.worms),
+            },
         )
         if _span is not None:
             _span.set(
@@ -126,119 +171,3 @@ def simulate_concurrent_multicasts(
 
                 _span.set(probes=probe_summaries(probes))
         return result
-
-
-def _run_concurrent(
-    trees: Sequence[MulticastTree],
-    size: int,
-    timings: Timings,
-    ports: PortModel,
-    starts: list[float],
-    max_events: int | None,
-    metrics: MetricsRegistry | None,
-    probes: "Sequence[Probe] | None",
-    label: str | None,
-    n: int,
-    order,
-) -> ConcurrentResult:
-    wall_start = perf_counter()
-    sim = Simulator(probes)
-    limit = ports.limit(n)
-    nodes: dict[int, HostNode] = {}
-    delays: list[dict[int, float]] = [{} for _ in trees]
-
-    def on_receive(host: HostNode, worm: Worm) -> None:
-        ti = worm.payload
-        delays[ti][host.address] = sim.now - starts[ti]
-        sends = [(s.dst, size, ti) for s in trees[ti].sends_from(host.address)]
-        if sends:
-            host.submit_sends(sends, sim.now)
-
-    def get_node(address: int) -> HostNode:
-        node = nodes.get(address)
-        if node is None:
-            node = nodes[address] = HostNode(network, address, limit, on_receive)
-        return node
-
-    def on_delivered(worm: Worm) -> None:
-        get_node(worm.src).release_port()
-        get_node(worm.dst).deliver(worm)
-
-    network = WormholeNetwork(
-        sim, n, timings=timings, order=order, on_delivered=on_delivered
-    )
-
-    for ti, tree in enumerate(trees):
-        sends = [(s.dst, size, ti) for s in tree.sends_from(tree.source)]
-        if not sends:
-            continue
-
-        def fire(ti=ti, src=tree.source, sends=sends) -> None:
-            get_node(src).submit_sends(sends, sim.now)
-
-        sim.schedule(starts[ti], fire)
-
-    sim.run(max_events=max_events)
-    with trace_spans.span("verify.delivery", n=n) as vsp:
-        network.assert_quiescent()
-        for ti, tree in enumerate(trees):
-            missing = tree.destinations - delays[ti].keys()
-            if missing:
-                raise AssertionError(
-                    f"multicast {ti} never reached destinations {sorted(missing)}"
-                )
-        if vsp is not None:
-            vsp.set(operations=len(trees))
-
-    result = ConcurrentResult(
-        trees=list(trees),
-        delays=delays,
-        start_times=starts,
-        total_blocked_time=network.total_blocked_time,
-        events=sim.events_processed,
-    )
-
-    wall_seconds = perf_counter() - wall_start
-    if metrics is not None:
-        from repro.simulator.run import record_sim_metrics
-
-        merged = {
-            (ti, dst): d for ti, per in enumerate(delays) for dst, d in per.items()
-        }
-        record_sim_metrics(
-            metrics,
-            events=result.events,
-            worms=network.worms,
-            delays=merged,
-            completion_us=result.makespan,
-            blocked_us=result.total_blocked_time,
-            wall_seconds=wall_seconds,
-        )
-    telemetry = _telemetry_sink.get_sink()
-    if telemetry is not None:
-        telemetry.write(
-            RunRecord(
-                run_id=new_run_id(),
-                kind="concurrent",
-                n=n,
-                algorithm=label,
-                ports=ports.name,
-                size=size,
-                timings=asdict(timings),
-                wall_seconds=wall_seconds,
-                sim_time_us=sim.now,
-                events=result.events,
-                metrics=metrics.snapshot() if metrics is not None else {},
-                extra={
-                    "operations": len(trees),
-                    "start_times": starts,
-                    "avg_delays_us": result.avg_delays,
-                    "max_delays_us": result.max_delays,
-                    "makespan_us": result.makespan,
-                    "total_blocked_us": result.total_blocked_time,
-                    "worms": len(network.worms),
-                },
-                trace_id=trace_spans.current_trace_id(),
-            )
-        )
-    return result

@@ -1,9 +1,16 @@
-"""High-level driver: execute a multicast tree on the simulator.
+"""The simulation driver, and the multicast entry point built on it.
 
-This is the bridge between the abstract algorithm layer (a
-:class:`~repro.multicast.base.MulticastTree`) and the timed network
-model, and is what the delay experiments of Figures 11-14 run.
+:class:`Machine` is the one harness every simulate entry point runs on
+(multicast, concurrent multicasts, background traffic, faults, mesh,
+collectives, calibration).  It owns the event kernel, the network, and
+the host nodes, wires deliveries to them, and records each finished
+run once into the ``sim.*`` metrics and a telemetry
+:class:`~repro.obs.telemetry.RunRecord`.  An entry point supplies only
+its receive handler, its first injections, and its result type.
 
+:func:`simulate_multicast` is the bridge between the abstract algorithm
+layer (a :class:`~repro.multicast.base.MulticastTree`) and the timed
+network model, and is what the delay experiments of Figures 11-14 run.
 The source node starts issuing its sends at ``t = 0``.  Every node
 that receives the message looks up its own forwarding responsibilities
 in the tree and issues them; per-destination *delay* is the time at
@@ -17,14 +24,15 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from statistics import mean
 from time import perf_counter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
+from repro.core.paths import ResolutionOrder
 from repro.multicast.base import MulticastTree
 from repro.multicast.ports import ALL_PORT, PortModel
 from repro.obs import sink as _telemetry_sink
 from repro.obs import trace_spans
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import RunRecord, new_run_id, summarize_delays
+from repro.obs.telemetry import RunRecord, new_run_id
 from repro.simulator.engine import Simulator
 from repro.simulator.message import Worm
 from repro.simulator.network import WormholeNetwork
@@ -34,40 +42,134 @@ from repro.simulator.params import NCUBE2, Timings
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.obs.probes import Probe
 
-__all__ = ["MulticastResult", "record_sim_metrics", "simulate_multicast"]
+__all__ = ["Machine", "MulticastResult", "simulate_multicast"]
 
 
-def record_sim_metrics(
-    metrics: MetricsRegistry,
-    *,
-    events: int,
-    worms: Sequence[Worm],
-    delays: dict | None,
-    completion_us: float,
-    blocked_us: float,
-    wall_seconds: float,
-) -> None:
-    """Record one simulated run into a registry (shared metric names).
+class Machine:
+    """One simulated machine: event kernel, network, and host nodes.
 
-    Metric names are documented in docs/OBSERVABILITY.md; every
-    simulation driver funnels through here so that registries attached
-    across many runs (e.g. one per :class:`HypercubeCollectives`)
-    aggregate consistently.
+    Host nodes are built on first use.  When the network delivers a
+    worm, the sender's injection port is freed and the receiver's CPU
+    takes the message, firing ``on_receive`` after ``t_recv``.
+
+    Args:
+        n: cube dimension (the :class:`~repro.mesh.topology.Mesh2D`
+            when ``network`` is :class:`~repro.mesh.tree.MeshNetwork`).
+        timings: cost model.
+        port_limit: concurrent injections per node.
+        on_receive: ``(node, worm)`` callback for every received message.
+        order: E-cube resolution order.
+        trace: record channel occupancies.
+        probes: optional event-kernel profiling probes.
+        network: the network class; further keywords (``route``,
+            ``on_aborted``) go to its constructor.
     """
-    metrics.counter("sim.runs").inc()
-    metrics.counter("sim.events").inc(events)
-    metrics.counter("sim.worms").inc(len(worms))
-    metrics.counter("sim.blocked_us").inc(blocked_us)
-    metrics.gauge("sim.completion_us").set(completion_us)
-    metrics.timer("sim.wall").record(wall_seconds)
-    if delays:
-        delay_hist = metrics.histogram("sim.delay_us")
-        for d in delays.values():
-            delay_hist.observe(d)
-    blocked_hist = metrics.histogram("sim.worm_blocked_us")
-    for w in worms:
-        if w.blocked_time > 0:
-            blocked_hist.observe(w.blocked_time)
+
+    def __init__(
+        self,
+        n: Any,
+        timings: Timings,
+        port_limit: int,
+        on_receive: Callable[[HostNode, Worm], None],
+        *,
+        order: ResolutionOrder = ResolutionOrder.DESCENDING,
+        trace: bool = False,
+        probes: "Sequence[Probe] | None" = None,
+        network: Callable[..., WormholeNetwork] = WormholeNetwork,
+        **network_kw: Any,
+    ) -> None:
+        self._wall_start = perf_counter()
+        self.sim = Simulator(probes)
+        self.port_limit = port_limit
+        self.on_receive = on_receive
+        self.nodes: dict[int, HostNode] = {}
+        self.network = network(
+            self.sim,
+            n,
+            timings=timings,
+            order=order,
+            trace=trace,
+            on_delivered=self._delivered,
+            **network_kw,
+        )
+
+    def node(self, address: int) -> HostNode:
+        """The host at ``address``, built on first use."""
+        node = self.nodes.get(address)
+        if node is None:
+            node = self.nodes[address] = HostNode(
+                self.network, address, self.port_limit, self.on_receive
+            )
+        return node
+
+    def send(self, src: int, sends: list[tuple[int, int, Any]]) -> None:
+        """Queue ``(dst, size, payload)`` sends at ``src``, its CPU ready
+        now; schedulable as an event."""
+        self.node(src).submit_sends(sends, self.sim.now)
+
+    def _delivered(self, worm: Worm) -> None:
+        self.nodes[worm.src].release_port()  # the sender built the worm
+        self.node(worm.dst).deliver(worm)
+
+    def record(
+        self,
+        metrics: MetricsRegistry | None,
+        *,
+        kind: str,
+        label: str | None,
+        ports: PortModel,
+        size: int | None,
+        delays: Iterable[float],
+        completion_us: float,
+        extra: Callable[[], dict[str, object]],
+    ) -> None:
+        """Record the finished run into ``metrics`` and, while a telemetry
+        sink is active, as one ``kind`` RunRecord.
+
+        Metric names are documented in docs/OBSERVABILITY.md; registries
+        shared across runs (e.g. one per :class:`HypercubeCollectives`)
+        aggregate every entry point the same way.  ``delays`` is read
+        only with a registry attached, and ``extra`` is called only when
+        a record is written.
+        """
+        wall_seconds = perf_counter() - self._wall_start
+        network = self.network
+        events = self.sim.events_processed
+        if metrics is not None:
+            metrics.counter("sim.runs").inc()
+            metrics.counter("sim.events").inc(events)
+            metrics.counter("sim.worms").inc(len(network.worms))
+            metrics.counter("sim.blocked_us").inc(network.total_blocked_time)
+            metrics.gauge("sim.completion_us").set(completion_us)
+            metrics.timer("sim.wall").record(wall_seconds)
+            observed = list(delays)
+            if observed:
+                delay_hist = metrics.histogram("sim.delay_us")
+                for d in observed:
+                    delay_hist.observe(d)
+            blocked_hist = metrics.histogram("sim.worm_blocked_us")
+            for w in network.worms:
+                if w.blocked_time > 0:
+                    blocked_hist.observe(w.blocked_time)
+        telemetry = _telemetry_sink.get_sink()
+        if telemetry is not None:
+            telemetry.write(
+                RunRecord(
+                    run_id=new_run_id(),
+                    kind=kind,
+                    n=network.n,
+                    algorithm=label,
+                    ports=ports.name,
+                    size=size,
+                    timings=asdict(network.timings),
+                    wall_seconds=wall_seconds,
+                    sim_time_us=self.sim.now,
+                    events=events,
+                    metrics=metrics.snapshot() if metrics is not None else {},
+                    extra=extra(),
+                    trace_id=trace_spans.current_trace_id(),
+                )
+            )
 
 
 @dataclass(slots=True)
@@ -143,8 +245,62 @@ def simulate_multicast(
     with trace_spans.span(
         "simulate", n=tree.n, algorithm=label, size=size, ports=ports.name
     ) as _span:
-        result = _simulate_multicast(
-            tree, size, timings, ports, trace, max_events, metrics, probes, label
+        delays: dict[int, float] = {}
+
+        def on_receive(host: HostNode, worm: Worm) -> None:
+            delays[host.address] = sim.now
+            sends = [(s.dst, size, None) for s in tree.sends_from(host.address)]
+            if sends:
+                host.submit_sends(sends, sim.now)
+
+        machine = Machine(
+            tree.n,
+            timings,
+            ports.limit(tree.n),
+            on_receive,
+            order=tree.order,
+            trace=trace,
+            probes=probes,
+        )
+        sim, network = machine.sim, machine.network
+        machine.send(tree.source, [(s.dst, size, None) for s in tree.sends_from(tree.source)])
+        sim.run(max_events=max_events)
+        with trace_spans.span("verify.delivery", n=tree.n) as vsp:
+            network.assert_quiescent()
+            missing = tree.destinations - delays.keys()
+            if missing:
+                raise AssertionError(
+                    f"simulation ended with undelivered destinations: {sorted(missing)}"
+                )
+            if vsp is not None:
+                vsp.set(delivered=len(delays))
+
+        result = MulticastResult(
+            tree=tree,
+            size=size,
+            timings=timings,
+            ports=ports,
+            delays=delays,
+            total_blocked_time=network.total_blocked_time,
+            events=sim.events_processed,
+            network=network,
+        )
+        machine.record(
+            metrics,
+            kind="multicast",
+            label=label,
+            ports=ports,
+            size=size,
+            delays=delays.values(),
+            completion_us=result.completion_time,
+            extra=lambda: {
+                "destinations": len(tree.destinations),
+                "avg_delay_us": result.avg_delay,
+                "max_delay_us": result.max_delay,
+                "completion_us": result.completion_time,
+                "total_blocked_us": result.total_blocked_time,
+                "worms": len(network.worms),
+            },
         )
         if _span is not None:
             _span.set(
@@ -152,116 +308,10 @@ def simulate_multicast(
                 completion_us=result.completion_time,
                 avg_delay_us=result.avg_delay,
                 total_blocked_us=result.total_blocked_time,
-                worms=len(result.network.worms),
+                worms=len(network.worms),
             )
             if probes:
                 from repro.obs.probes import probe_summaries
 
                 _span.set(probes=probe_summaries(probes))
         return result
-
-
-def _simulate_multicast(
-    tree: MulticastTree,
-    size: int,
-    timings: Timings,
-    ports: PortModel,
-    trace: bool,
-    max_events: int | None,
-    metrics: MetricsRegistry | None,
-    probes: "Sequence[Probe] | None",
-    label: str | None,
-) -> MulticastResult:
-    wall_start = perf_counter()
-    sim = Simulator(probes)
-    limit = ports.limit(tree.n)
-
-    nodes: dict[int, HostNode] = {}
-    delays: dict[int, float] = {}
-
-    def on_receive(host: HostNode, worm: Worm) -> None:
-        delays[host.address] = sim.now
-        payload_sends = [
-            (s.dst, size, None) for s in tree.sends_from(host.address)
-        ]
-        if payload_sends:
-            host.submit_sends(payload_sends, sim.now)
-
-    def get_node(address: int) -> HostNode:
-        node = nodes.get(address)
-        if node is None:
-            node = nodes[address] = HostNode(network, address, limit, on_receive)
-        return node
-
-    def on_delivered(worm: Worm) -> None:
-        get_node(worm.src).release_port()
-        get_node(worm.dst).deliver(worm)
-
-    network = WormholeNetwork(
-        sim, tree.n, timings=timings, order=tree.order, trace=trace, on_delivered=on_delivered
-    )
-
-    source = get_node(tree.source)
-    source.submit_sends(
-        [(s.dst, size, None) for s in tree.sends_from(tree.source)], ready_time=0.0
-    )
-    sim.run(max_events=max_events)
-    with trace_spans.span("verify.delivery", n=tree.n) as vsp:
-        network.assert_quiescent()
-        missing = tree.destinations - delays.keys()
-        if missing:
-            raise AssertionError(
-                f"simulation ended with undelivered destinations: {sorted(missing)}"
-            )
-        if vsp is not None:
-            vsp.set(delivered=len(delays))
-
-    result = MulticastResult(
-        tree=tree,
-        size=size,
-        timings=timings,
-        ports=ports,
-        delays=delays,
-        total_blocked_time=network.total_blocked_time,
-        events=sim.events_processed,
-        network=network,
-    )
-
-    wall_seconds = perf_counter() - wall_start
-    if metrics is not None:
-        record_sim_metrics(
-            metrics,
-            events=result.events,
-            worms=network.worms,
-            delays=delays,
-            completion_us=result.completion_time,
-            blocked_us=result.total_blocked_time,
-            wall_seconds=wall_seconds,
-        )
-    telemetry = _telemetry_sink.get_sink()
-    if telemetry is not None:
-        telemetry.write(
-            RunRecord(
-                run_id=new_run_id(),
-                kind="multicast",
-                n=tree.n,
-                algorithm=label,
-                ports=ports.name,
-                size=size,
-                timings=asdict(timings),
-                wall_seconds=wall_seconds,
-                sim_time_us=sim.now,
-                events=result.events,
-                metrics=metrics.snapshot() if metrics is not None else {},
-                extra={
-                    "destinations": len(tree.destinations),
-                    "avg_delay_us": result.avg_delay,
-                    "max_delay_us": result.max_delay,
-                    "completion_us": result.completion_time,
-                    "total_blocked_us": result.total_blocked_time,
-                    "worms": len(network.worms),
-                },
-                trace_id=trace_spans.current_trace_id(),
-            )
-        )
-    return result

@@ -19,11 +19,10 @@ import numpy as np
 
 from repro.multicast.base import MulticastTree
 from repro.multicast.ports import ALL_PORT, PortModel
-from repro.simulator.engine import Simulator
 from repro.simulator.message import Worm
-from repro.simulator.network import WormholeNetwork
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
+from repro.simulator.run import Machine
 
 __all__ = ["LoadedResult", "simulate_multicast_under_load"]
 
@@ -67,55 +66,24 @@ def simulate_multicast_under_load(
     """
     if background_rate < 0:
         raise ValueError("background_rate must be >= 0")
-    sim = Simulator()
-    limit = ports.limit(tree.n)
     rng = np.random.default_rng(seed)
     n_nodes = 1 << tree.n
     start_time = horizon / 4
 
-    nodes: dict[int, HostNode] = {}
     delays: dict[int, float] = {}
-    mc_worm_uids: set[int] = set()
     bg_latencies: list[float] = []
 
     def on_receive(host: HostNode, worm: Worm) -> None:
-        if worm.uid in mc_worm_uids:
+        if worm.payload == "mc":
             delays[host.address] = sim.now - start_time
             sends = [(s.dst, size, "mc") for s in tree.sends_from(host.address)]
             if sends:
-                submit_multicast(host, sends)
+                host.submit_sends(sends, sim.now)
         else:
             bg_latencies.append(sim.now - worm.t_created)
 
-    def get_node(address: int) -> HostNode:
-        node = nodes.get(address)
-        if node is None:
-            node = nodes[address] = HostNode(network, address, limit, on_receive)
-        return node
-
-    def on_delivered(worm: Worm) -> None:
-        get_node(worm.src).release_port()
-        get_node(worm.dst).deliver(worm)
-
-    network = WormholeNetwork(
-        sim, tree.n, timings=timings, order=tree.order, on_delivered=on_delivered
-    )
-
-    def submit_multicast(host: HostNode, sends) -> None:
-        host.submit_sends(sends, sim.now)
-        # tag the worms as they are created: wrap make_worm once
-        # (worms are created inside HostNode._inject; intercept there)
-
-    # --- tag multicast worms by wrapping worm creation ------------------
-    original_make = network.make_worm
-
-    def make_worm(src: int, dst: int, wsize: int, payload=None) -> Worm:
-        worm = original_make(src, dst, wsize, payload)
-        if payload == "mc":
-            mc_worm_uids.add(worm.uid)
-        return worm
-
-    network.make_worm = make_worm  # type: ignore[method-assign]
+    machine = Machine(tree.n, timings, ports.limit(tree.n), on_receive, order=tree.order)
+    sim, network = machine.sim, machine.network
 
     # --- background stream ----------------------------------------------
     bg_count = 0
@@ -130,20 +98,11 @@ def simulate_multicast_under_load(
             if dst >= src:
                 dst += 1
             bg_count += 1
-
-            def fire(s=src, d=dst) -> None:
-                get_node(s).submit_sends([(d, background_size, "bg")], sim.now)
-
-            sim.schedule(t, fire)
+            sim.schedule(t, machine.send, src, [(dst, background_size, "bg")])
 
     # --- the multicast ----------------------------------------------------
-    def start_multicast() -> None:
-        host = get_node(tree.source)
-        sends = [(s.dst, size, "mc") for s in tree.sends_from(tree.source)]
-        if sends:
-            submit_multicast(host, sends)
-
-    sim.schedule(start_time, start_multicast)
+    sends = [(s.dst, size, "mc") for s in tree.sends_from(tree.source)]
+    sim.schedule(start_time, machine.send, tree.source, sends)
     sim.run(max_events=max_events)
     network.assert_quiescent()
 
@@ -151,7 +110,7 @@ def simulate_multicast_under_load(
     if missing:
         raise AssertionError(f"multicast never completed at: {sorted(missing)}")
 
-    mc_blocked = sum(w.blocked_time for w in network.worms if w.uid in mc_worm_uids)
+    mc_blocked = sum(w.blocked_time for w in network.worms if w.payload == "mc")
     dest_delays = [delays[d] for d in tree.destinations]
     return LoadedResult(
         delays=delays,

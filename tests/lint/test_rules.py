@@ -399,6 +399,22 @@ class TestRep006TelemetryNaming:
             "REP006",
         )
 
+    def test_flags_unregistered_kind_at_any_call(self):
+        """Helpers that build the record from a ``kind=`` argument
+        (``Machine.record``, ``emit_event``) are checked too."""
+        found = _findings(
+            """
+            from repro.obs.sink import emit_event
+
+            def emit(machine):
+                machine.record(None, kind="mystery-run")
+                emit_event("host-lost", kind="fabric-event")
+            """,
+            "REP006",
+        )
+        assert len(found) == 1
+        assert "mystery-run" in found[0].message
+
 
 class TestRep000Integrity:
     def test_syntax_error_is_a_finding_not_a_crash(self):

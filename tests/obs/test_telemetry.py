@@ -6,6 +6,9 @@ import json
 
 import pytest
 
+from repro.collectives.graph import simulate_comm
+from repro.collectives.scatter import scatter_graph
+from repro.faults import FaultScenario, LinkFault, simulate_degraded_multicast
 from repro.multicast.registry import get_algorithm
 from repro.obs.sink import (
     ENV_VAR,
@@ -17,6 +20,8 @@ from repro.obs.sink import (
     read_jsonl,
 )
 from repro.obs.telemetry import RunRecord, new_run_id, summarize_delays
+from repro.obs.trace_spans import trace_capture
+from repro.simulator.multirun import simulate_concurrent_multicasts
 from repro.simulator.run import simulate_multicast
 
 
@@ -213,3 +218,28 @@ class TestDriverEmission:
         simulate_multicast(tree, size=64)
         records = read_jsonl(path)
         assert len(records) == 1 and records[0].kind == "multicast"
+
+    def test_every_simulator_kind_carries_the_trace_id(self):
+        """Fault and collective runs join to a span trace just like plain
+        and concurrent multicasts."""
+        tree = get_algorithm("wsort").build_tree(4, 0, [1, 3, 5, 7])
+        with capture() as sink, trace_capture() as tracer:
+            simulate_multicast(tree, size=512)
+            simulate_concurrent_multicasts([tree, tree], size=512)
+            simulate_degraded_multicast(tree, FaultScenario(4, links=(LinkFault(0, 2),)))
+            simulate_comm(scatter_graph(3, 0, 256))
+        assert [r.kind for r in sink.records] == [
+            "multicast",
+            "concurrent",
+            "degraded-multicast",
+            "comm",
+        ]
+        assert tracer.trace_id is not None
+        assert all(r.trace_id == tracer.trace_id for r in sink.records)
+
+    def test_no_trace_id_without_a_tracer(self):
+        tree = get_algorithm("wsort").build_tree(4, 0, [1, 3, 5, 7])
+        with capture() as sink:
+            simulate_degraded_multicast(tree, None)
+            simulate_comm(scatter_graph(3, 0, 256))
+        assert [r.trace_id for r in sink.records] == [None, None]

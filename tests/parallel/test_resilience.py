@@ -14,7 +14,7 @@ from enum import Enum
 
 import pytest
 
-from repro.obs.sink import capture
+from repro.obs.sink import capture, emit_event
 from repro.parallel.cache import (
     ScheduleCache,
     cache_key,
@@ -28,12 +28,7 @@ from repro.parallel.journal import (
     load_journal,
     point_fingerprint,
 )
-from repro.parallel.resilience import (
-    PointTracker,
-    RetryPolicy,
-    WatchdogConfig,
-    emit_resilience_event,
-)
+from repro.parallel.resilience import PointTracker, RetryPolicy, WatchdogConfig
 
 
 def _point(x: int) -> int:
@@ -114,14 +109,14 @@ class TestPointTracker:
 class TestResilienceEvents:
     def test_events_reach_the_active_sink(self):
         with capture() as sink:
-            emit_resilience_event("point-quarantined", point=3, failures=2)
+            emit_event("point-quarantined", kind="resilience-event", point=3, failures=2)
         (record,) = sink.records
         assert record.kind == "resilience-event"
         assert record.extra["event"] == "point-quarantined"
         assert record.extra["point"] == 3
 
     def test_no_sink_is_a_noop(self):
-        emit_resilience_event("hung-pool-killed")  # must not raise
+        emit_event("hung-pool-killed", kind="resilience-event")  # must not raise
 
 
 class _Color(Enum):

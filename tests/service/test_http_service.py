@@ -193,14 +193,20 @@ class TestGoldenParity:
 class TestHttpCoalescing:
     def test_concurrent_identical_requests_one_build_identical_bytes(self):
         """64 concurrent identical requests over real sockets: at most one
-        build, byte-identical response bodies."""
-        config = ServiceConfig(port=0, build_delay_s=0.1, workers=2)
+        build, byte-identical response bodies.
+
+        The threads start together from a barrier and the build takes
+        1 s, so every request is in flight during the one build; a
+        request that arrived after it would be answered from the cache,
+        whose body differs in its ``source`` field."""
+        config = ServiceConfig(port=0, build_delay_s=1.0, workers=2)
         with ServiceThread(config) as svc:
             doc = {"algorithm": "wsort", "n": 6, "destinations": [1, 2, 4, 8, 16, 32, 63]}
             payload = json.dumps(doc).encode()
             bodies: list[bytes] = []
             errors: list[Exception] = []
             lock = threading.Lock()
+            start = threading.Barrier(64)
 
             def fire():
                 req = urllib.request.Request(
@@ -208,6 +214,7 @@ class TestHttpCoalescing:
                     data=payload, method="POST",
                 )
                 try:
+                    start.wait(timeout=60)
                     with urllib.request.urlopen(req, timeout=60) as resp:
                         raw = resp.read()
                     with lock:
