@@ -89,28 +89,36 @@ def reachable_sets(source: int, unicasts: Iterable[Unicast]) -> dict[int, set[in
     ``R_u`` contains ``u`` itself plus every node that receives the
     message, directly or transitively, through a unicast originating at
     a node of ``R_u`` -- i.e. the subtree rooted at ``u`` when the
-    multicast is viewed as a tree of unicasts.
+    multicast is viewed as a tree of unicasts.  Malformed schedules get
+    the same closure: a relay cycle puts every node of the cycle in the
+    reachable set of each, and deep relay chains need no recursion.
     """
     children: dict[int, list[int]] = {}
-    nodes = {source}
+    nodes = [source]
     for uc in unicasts:
         children.setdefault(uc.src, []).append(uc.dst)
-        nodes.add(uc.src)
-        nodes.add(uc.dst)
+        nodes.append(uc.src)
+        nodes.append(uc.dst)
 
     reach: dict[int, set[int]] = {}
-
-    def collect(u: int) -> set[int]:
+    # receivers come after their senders in a schedule, so walking it
+    # backwards mostly meets children whose sets are already complete
+    for u in reversed(nodes):
         if u in reach:
-            return reach[u]
+            continue
         r = {u}
-        for c in children.get(u, ()):
-            r |= collect(c)
+        stack = [u]
+        while stack:
+            for c in children.get(stack.pop(), ()):
+                if c in r:
+                    continue
+                done = reach.get(c)
+                if done is not None:
+                    r |= done  # closed: everything c reaches is in it
+                else:
+                    r.add(c)
+                    stack.append(c)
         reach[u] = r
-        return r
-
-    for u in nodes:
-        collect(u)
     return reach
 
 
@@ -178,25 +186,46 @@ def check_contention_free(
                 f"node {uc.src} sends at step {uc.step} but only receives at step {got}"
             )
 
-    reach = reachable_sets(source, unicasts)
+    # Only unicasts that share an arc can violate Definition 4.  Index
+    # each arc's first user, and list the users (each once) of the arcs
+    # that have more than one.
+    first: dict[Arc, int] = {}
+    shared: dict[Arc, list[int]] = {}
+    for i, uc in enumerate(unicasts):
+        if arcs_of is None:
+            path = ecube_arcs(uc.src, uc.dst, order)
+        else:
+            path = arcs_of(uc.src, uc.dst)
+        for arc in path:
+            j = first.setdefault(arc, i)
+            if j != i:
+                users = shared.get(arc)
+                if users is None:
+                    shared[arc] = [j, i]
+                elif users[-1] != i:
+                    users.append(i)
     k = len(unicasts)
-    if arcs_of is None:
-        arcs = [set(uc.arcs(order)) for uc in unicasts]
-    else:
-        arcs = [set(arcs_of(uc.src, uc.dst)) for uc in unicasts]
-    for i in range(k):
-        for j in range(i + 1, k):
-            shared = arcs[i] & arcs[j]
-            if not shared:
-                continue
-            a, b = unicasts[i], unicasts[j]
-            if a.step == b.step:
-                ok = False
-            elif a.step < b.step:
-                ok = b.src in reach.get(a.src, set())
-            else:
-                ok = a.src in reach.get(b.src, set())
-            if not ok:
-                report.ok = False
-                report.violations.append((a, b, min(shared)))
+    witness: dict[int, Arc] = {}  # i * k + j -> smallest arc i and j share
+    for arc, users in shared.items():
+        for x, i in enumerate(users):
+            for j in users[x + 1 :]:
+                pair = i * k + j
+                prev = witness.get(pair)
+                if prev is None or arc < prev:
+                    witness[pair] = arc
+    if not witness:
+        return report
+
+    reach = reachable_sets(source, unicasts)
+    for pair in sorted(witness):
+        a, b = unicasts[pair // k], unicasts[pair % k]
+        if a.step == b.step:
+            ok = False
+        elif a.step < b.step:
+            ok = b.src in reach.get(a.src, ())
+        else:
+            ok = a.src in reach.get(b.src, ())
+        if not ok:
+            report.ok = False
+            report.violations.append((a, b, witness[pair]))
     return report

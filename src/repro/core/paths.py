@@ -57,13 +57,42 @@ class ResolutionOrder(Enum):
         return self is ResolutionOrder.DESCENDING
 
 
+#: E-cube routes, one table per resolution order, keyed by ``u ^ v``
+#: (see :func:`_ecube_steps`).  Keyed by the difference, not the pair, a
+#: table never holds more than ``2**n`` entries for ``n``-cube addresses
+#: -- 4096 at the service's largest cube -- so a long-lived process does
+#: not grow it with every new destination set.  Filling is idempotent,
+#: so threads may race on it harmlessly.
+_DESCENDING_ROUTES: dict[int, tuple[tuple[int, int], ...]] = {0: ()}
+_ASCENDING_ROUTES: dict[int, tuple[tuple[int, int], ...]] = {0: ()}
+# bound to a module name: reading a member off an Enum class is slow
+_DESCENDING = ResolutionOrder.DESCENDING
+
+
+def _ecube_steps(x: int, order: ResolutionOrder) -> tuple[tuple[int, int], ...]:
+    """The E-cube route of every pair ``u ^ v = x``, from the table:
+    ``((prefix, dim), ...)`` in traversal order, where the hop across
+    ``dim`` leaves node ``u ^ prefix``.
+
+    A missing entry is filled from the entry of ``x`` without its
+    first-resolved bit.
+    """
+    descending = order is _DESCENDING
+    table = _DESCENDING_ROUTES if descending else _ASCENDING_ROUTES
+    route = table.get(x)
+    if route is None:
+        if x < 0:
+            raise ValueError(f"node addresses must be non-negative (u ^ v = {x})")
+        bit = 1 << (x.bit_length() - 1) if descending else x & -x
+        route = table[x] = ((0, bit.bit_length() - 1),) + tuple(
+            (prefix | bit, d) for prefix, d in _ecube_steps(x ^ bit, order)
+        )
+    return route
+
+
 def ecube_dims(u: int, v: int, order: ResolutionOrder = ResolutionOrder.DESCENDING) -> list[int]:
     """The dimensions traversed by ``P(u, v)``, in traversal order."""
-    x = u ^ v
-    dims = [d for d in range(x.bit_length()) if (x >> d) & 1]
-    if order.descending:
-        dims.reverse()
-    return dims
+    return [d for _, d in _ecube_steps(u ^ v, order)]
 
 
 def ecube_path(
@@ -92,12 +121,7 @@ def ecube_arcs(
     order: ResolutionOrder = ResolutionOrder.DESCENDING,
 ) -> list[Arc]:
     """The directed arcs (channels) used by ``P(u, v)``, in traversal order."""
-    arcs: list[Arc] = []
-    cur = u
-    for d in ecube_dims(u, v, order):
-        arcs.append((cur, d))
-        cur ^= 1 << d
-    return arcs
+    return [(u ^ prefix, d) for prefix, d in _ecube_steps(u ^ v, order)]
 
 
 def paths_arc_disjoint(

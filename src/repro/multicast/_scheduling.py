@@ -79,7 +79,7 @@ def _greedy_steps(
             s = max(r + 1, heapq.heappop(port_free) + 1)
             while True:
                 used = arcs_by_step.get(s)
-                if used is None or not any(a in used for a in arcs):
+                if used is None or used.isdisjoint(arcs):
                     break
                 s += 1
             steps[seq] = s

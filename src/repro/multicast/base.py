@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.core.addressing import hamming, require_address
@@ -189,7 +190,7 @@ class Schedule:
             Unicast(s.src, s.dst, self._steps[s.seq])
             for s in self.tree.sends
         ]
-        out.sort(key=lambda u: (u.step, u.src, u.dst))
+        out.sort(key=attrgetter("step", "src", "dst"))
         return out
 
     def step_of(self, send: Send) -> int:

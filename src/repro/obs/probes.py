@@ -60,7 +60,7 @@ class CallbackTimeProbe:
     """Host wall time and fire count per callback type.
 
     The per-callback breakdown says which layer of the model dominates a
-    slow sweep -- header progression (``_header_crossed``), delivery
+    slow sweep -- header progression (``_advance``), delivery
     fan-out (``_deliver``), or CPU-side send issue.
     """
 

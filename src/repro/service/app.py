@@ -150,9 +150,9 @@ class ServiceApp:
         await self.server.start()
 
     async def drain(self) -> bool:
-        """Graceful shutdown: drain HTTP, then release the executor."""
+        """Graceful shutdown: drain HTTP, then the planner's builds."""
         clean = await self.server.drain(self.config.drain_grace_s)
-        self.planner.close()
+        await self.planner.drain()
         return clean
 
     def _client_id(self, req: Request) -> str:

@@ -7,10 +7,13 @@ point is zero new runtime dependencies -- the repo's contract since
 PR 1 -- while still speaking a protocol every load balancer, curl, and
 Prometheus scraper understands.
 
-The server tracks open connections and in-flight requests so
+The server tracks its connection tasks and in-flight requests so
 :meth:`HttpServer.drain` can implement graceful shutdown: stop
 accepting, let in-flight requests finish (bounded by a grace period),
-then close lingering keep-alive connections.
+then cancel every remaining connection task and wait for each to
+finish.  An idle keep-alive connection is closed, which sends what an
+earlier response left buffered; one cut off inside a request is
+aborted.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ STATUS_REASONS = {
 #: Hard caps on the request head; a planning request is a few KB.
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADERS = 100
+
+#: How long closing a connection waits for the peer to read what is
+#: still buffered before the connection is aborted.
+CLOSE_TIMEOUT_S = 5.0
 
 
 class HttpError(Exception):
@@ -149,14 +156,14 @@ class HttpServer:
         self.port = port
         self.max_body_bytes = max_body_bytes
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        self._connections: set[asyncio.Task] = set()
         self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
         self._draining = False
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(self._serve_connection, self.host, self.port)
+        self._server = await asyncio.start_server(self._accept, self.host, self.port)
         # resolve the actual port for ``port=0`` (tests, CI, parallel soaks)
         sockets = self._server.sockets or []
         if sockets:
@@ -184,12 +191,19 @@ class HttpServer:
             raise HttpError(400, "chunked request bodies are not supported")
         return await reader.readexactly(length) if length else b""
 
+    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """Serve a new connection on a task of its own, held until it
+        finishes so :meth:`drain` can cancel and await it."""
+        task = asyncio.get_running_loop().create_task(self._serve_connection(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         peer = writer.get_extra_info("peername")
         client = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else str(peer)
-        self._connections.add(writer)
+        in_request = False
         try:
             while True:
                 try:
@@ -220,6 +234,7 @@ class HttpServer:
                 keep_alive = not wants_close and not self._draining
                 self._inflight += 1
                 self._idle.clear()
+                in_request = True
                 try:
                     try:
                         response = await self.handler(request)
@@ -235,33 +250,49 @@ class HttpServer:
                     self._inflight -= 1
                     if self._inflight == 0:
                         self._idle.set()
+                in_request = False
                 if not keep_alive:
                     return
         except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
             pass  # peer went away; nothing to answer
+        except asyncio.CancelledError:
+            if in_request:
+                writer.transport.abort()  # cut off by drain: drop the partial response
+            raise
         finally:
-            self._connections.discard(writer)
-            writer.close()
+            writer.close()  # sends whatever is still buffered first
             try:
-                await writer.wait_closed()
+                await asyncio.wait_for(writer.wait_closed(), CLOSE_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                writer.transport.abort()  # the peer stopped reading
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
 
     async def drain(self, grace_s: float = 5.0) -> bool:
         """Graceful shutdown: stop accepting, finish in-flight, close.
 
+        Connections still open after the grace period -- idle keep-alive
+        ones, or ones whose request outlived it -- are cancelled, and
+        drain returns once every connection task has finished and the
+        server has closed.
+
         Returns True when all in-flight requests finished within the
         grace period, False when lingering work was cut off.
         """
         self._draining = True
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            self._server.close()  # stop accepting
         clean = True
         try:
             await asyncio.wait_for(self._idle.wait(), timeout=grace_s)
         except asyncio.TimeoutError:
             clean = False
-        for writer in list(self._connections):
-            writer.close()
+        lingering = list(self._connections)
+        for task in lingering:
+            task.cancel()
+        await asyncio.gather(*lingering, return_exceptions=True)
+        if self._server is not None:
+            # since Python 3.12.1 this also waits for every connection
+            # to close, so it must come after the connections are gone
+            await self._server.wait_closed()
         return clean

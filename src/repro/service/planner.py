@@ -200,5 +200,20 @@ class PlannerService:
     def inflight_builds(self) -> int:
         return len(self._inflight)
 
+    async def drain(self) -> None:
+        """End the in-flight builds, which outlive a waiter that gave up
+        on them (at its deadline, or cancelled by an HTTP drain), then
+        release the executor.
+
+        Cancelling a build's task cancels its executor future, so a
+        build still queued never starts; :meth:`close` waits for those
+        already running.
+        """
+        builds = list(self._inflight.values())
+        for task in builds:
+            task.cancel()
+        await asyncio.gather(*builds, return_exceptions=True)
+        self.close()
+
     def close(self) -> None:
         self._executor.shutdown(wait=True, cancel_futures=True)

@@ -32,8 +32,10 @@ class Worm:
         arcs: the E-cube path's directed channels, in traversal order.
         payload: opaque data carried to the receiver (the multicast
             address field, reduction operands, ...).
-        hop: index of the next arc the header must acquire.
-        held: number of leading arcs currently held by the worm.
+        hop: index of the next arc the header must acquire; it moves
+            on as the header acquires an arc, before crossing it.
+        held: number of leading arcs currently held by the worm (equal
+            to ``hop`` unless an abort released them).
     """
 
     uid: int

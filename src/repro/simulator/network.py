@@ -28,20 +28,25 @@ from repro.simulator.trace import ChannelTrace
 
 __all__ = ["Channel", "WormholeNetwork"]
 
+# the states set once per worm, bound to module names: reading a member
+# off an Enum class takes a slow attribute lookup every time
+_PENDING, _INJECTING, _DELIVERED = WormState.PENDING, WormState.INJECTING, WormState.DELIVERED
+
 
 class Channel:
-    """One directed channel with single ownership and a FIFO wait queue."""
+    """One directed channel with single ownership and a FIFO wait queue.
+
+    The queue is an empty tuple until a header first waits here: most
+    channels never see a waiter, and every channel lives as long as its
+    run, so a deque built for each would cost memory and collector work.
+    """
 
     __slots__ = ("arc", "occupied_by", "queue")
 
     def __init__(self, arc: Arc) -> None:
         self.arc = arc
         self.occupied_by: Worm | None = None
-        self.queue: deque[Worm] = deque()
-
-    @property
-    def busy(self) -> bool:
-        return self.occupied_by is not None
+        self.queue: deque[Worm] | tuple[()] = ()
 
 
 class WormholeNetwork:
@@ -129,27 +134,28 @@ class WormholeNetwork:
         if size < 1:
             raise ValueError(f"message size must be >= 1 byte, got {size}")
         worm = Worm(
-            uid=self._next_uid,
-            src=src,
-            dst=dst,
-            size=size,
-            arcs=self.route(src, dst) if arcs is None else list(arcs),
-            payload=payload,
+            self._next_uid,
+            src,
+            dst,
+            size,
+            self.route(src, dst) if arcs is None else list(arcs),
+            payload,
         )
-        worm.t_created = self.sim.now
+        worm.t_created = self.sim._now
         self._next_uid += 1
         self.worms.append(worm)
         return worm
 
     def inject(self, worm: Worm) -> None:
         """Start the worm's header into the network *now*."""
-        if worm.state is not WormState.PENDING:
+        if worm.state is not _PENDING:
             raise ValueError(f"worm {worm.uid} already injected")
-        worm.state = WormState.INJECTING
-        worm.t_injected = self.sim.now
+        worm.state = _INJECTING
+        worm.t_injected = self.sim._now
         self._advance(worm)
 
     def channel(self, arc: Arc) -> Channel:
+        """The channel ``arc``, created (and validated) on first use."""
         ch = self._channels.get(arc)
         if ch is None:
             self.validate_arc(arc)
@@ -195,61 +201,63 @@ class WormholeNetwork:
         self.aborted_count += 1
         held = worm.arcs[: worm.held]
         worm.held = 0
-        for arc in held:
-            ch = self.channel(arc)
-            assert ch.occupied_by is worm
-            ch.occupied_by = None
-            self.trace.release(arc, worm.uid, self.sim.now)
-            if ch.queue:
-                nxt = ch.queue.popleft()
-                nxt.mark_unblocked(self.sim.now)
-                self._occupy(nxt, ch)
+        self._release(worm, held)
         if self.on_aborted is not None:
             self.on_aborted(worm)
 
     # -- header progression -------------------------------------------
 
     def _advance(self, worm: Worm) -> None:
-        """Try to move the header across its next channel."""
-        if worm.hop == worm.hops:
+        """Move the header onto its next channel -- it crosses in
+        ``t_hop``, then advances again -- or queue it there if the
+        channel is busy; at the destination router, start the body."""
+        sim = self.sim
+        arcs = worm.arcs
+        if worm.hop == len(arcs):
             # header at the destination router; the body pipelines in
-            self.sim.schedule(worm.size * self.timings.t_byte, self._deliver, worm)
+            sim._post(worm.size * self.timings.t_byte, self._deliver, worm)
             return
-        if self._dead_arcs and worm.arcs[worm.hop] in self._dead_arcs:
+        arc = arcs[worm.hop]
+        if self._dead_arcs and arc in self._dead_arcs:
             self._abort(worm)
             return
-        ch = self.channel(worm.arcs[worm.hop])
-        if ch.busy:
-            worm.mark_blocked(self.sim.now, ch.arc[1])
+        ch = self._channels.get(arc)
+        if ch is None:
+            ch = self.channel(arc)
+        if ch.occupied_by is not None:
+            worm.mark_blocked(sim._now, arc[1])
+            if not ch.queue:
+                ch.queue = deque()
             ch.queue.append(worm)
-        else:
-            self._occupy(worm, ch)
-
-    def _occupy(self, worm: Worm, ch: Channel) -> None:
+            return
         ch.occupied_by = worm
         worm.held += 1
-        self.trace.occupy(ch.arc, worm.uid, self.sim.now)
-        self.sim.schedule(self.timings.t_hop, self._header_crossed, worm)
-
-    def _header_crossed(self, worm: Worm) -> None:
         worm.hop += 1
-        self._advance(worm)
+        self.trace.occupy(arc, worm.uid, sim._now)
+        sim._post(self.timings.t_hop, self._advance, worm)
 
     def _deliver(self, worm: Worm) -> None:
-        worm.state = WormState.DELIVERED
-        worm.t_delivered = self.sim.now
+        worm.state = _DELIVERED
+        worm.t_delivered = self.sim._now
         # tail has drained: release every held channel, waking waiters
-        for arc in worm.arcs[: worm.held]:
-            ch = self.channel(arc)
-            assert ch.occupied_by is worm
-            ch.occupied_by = None
-            self.trace.release(arc, worm.uid, self.sim.now)
-            if ch.queue:
-                nxt = ch.queue.popleft()
-                nxt.mark_unblocked(self.sim.now)
-                self._occupy(nxt, ch)
+        self._release(worm, worm.arcs[: worm.held])
         if self.on_delivered is not None:
             self.on_delivered(worm)
+
+    def _release(self, worm: Worm, held: list[Arc]) -> None:
+        """Free ``worm``'s channels ``held``, each passing to its first
+        waiter, whose header then moves on."""
+        now = self.sim._now
+        trace = self.trace
+        for arc in held:
+            ch = self._channels[arc]
+            assert ch.occupied_by is worm
+            ch.occupied_by = None
+            trace.release(arc, worm.uid, now)
+            if ch.queue:
+                nxt = ch.queue.popleft()
+                nxt.mark_unblocked(now)
+                self._advance(nxt)
 
     # -- instrumentation ----------------------------------------------
 
@@ -266,6 +274,6 @@ class WormholeNetwork:
             if w.state not in terminal:
                 raise AssertionError(f"worm {w.uid} ({w.src}->{w.dst}) stuck in {w.state}")
         for ch in self._channels.values():
-            if ch.busy or ch.queue:
+            if ch.occupied_by is not None or ch.queue:
                 raise AssertionError(f"channel {ch.arc} not quiescent")
         self.trace.finish()

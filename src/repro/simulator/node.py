@@ -21,6 +21,9 @@ from repro.simulator.network import WormholeNetwork
 
 __all__ = ["HostNode"]
 
+# bound to a module name: reading a member off an Enum class is slow
+_RECEIVED = WormState.RECEIVED
+
 
 class HostNode:
     """One processing node attached to the wormhole network.
@@ -32,6 +35,9 @@ class HostNode:
         on_receive: application callback ``(node, worm)`` fired when the
             local CPU has fully received a message (after ``t_recv``).
     """
+
+    __slots__ = ("network", "sim", "address", "port_limit", "on_receive",
+                 "_free_ports", "_awaiting_port", "_cpu_free_at", "sent", "received")
 
     def __init__(
         self,
@@ -47,7 +53,8 @@ class HostNode:
         self.on_receive = on_receive
 
         self._free_ports = port_limit
-        self._awaiting_port: deque[tuple[int, int, Any]] = deque()
+        # built on first use, like a channel's wait queue
+        self._awaiting_port: deque[tuple[int, int, Any]] | tuple[()] = ()
         self._cpu_free_at = 0.0
         self.sent: list[Worm] = []
         self.received: list[Worm] = []
@@ -62,29 +69,32 @@ class HostNode:
         enters the network as soon as its setup is done and a port is
         free.
         """
-        t = max(ready_time, self._cpu_free_at, self.sim.now)
+        sim = self.sim
+        t_setup = self.network.timings.t_setup
+        t = max(ready_time, self._cpu_free_at, sim._now)
         for dst, size, payload in sends:
-            t += self.network.timings.t_setup
-            self.sim.schedule_at(t, self._setup_done, dst, size, payload)
+            t += t_setup
+            # fires at now + (t - now), as schedule_at(t, ...) would
+            sim._post(t - sim._now, self._setup_done, dst, size, payload)
         self._cpu_free_at = t
 
     def _setup_done(self, dst: int, size: int, payload: Any) -> None:
+        """Inject the send if a port is free, else queue it for one."""
         if self._free_ports > 0:
-            self._inject(dst, size, payload)
+            self._free_ports -= 1
+            worm = self.network.make_worm(self.address, dst, size, payload)
+            self.sent.append(worm)
+            self.network.inject(worm)
         else:
+            if not self._awaiting_port:
+                self._awaiting_port = deque()
             self._awaiting_port.append((dst, size, payload))
-
-    def _inject(self, dst: int, size: int, payload: Any) -> None:
-        self._free_ports -= 1
-        worm = self.network.make_worm(self.address, dst, size, payload)
-        self.sent.append(worm)
-        self.network.inject(worm)
 
     def release_port(self) -> None:
         """Called when one of this node's worms has been delivered."""
         self._free_ports += 1
         if self._awaiting_port:
-            self._inject(*self._awaiting_port.popleft())
+            self._setup_done(*self._awaiting_port.popleft())
 
     # -- receiving ------------------------------------------------------
 
@@ -92,11 +102,11 @@ class HostNode:
         """Network delivered a worm addressed to this node."""
         if worm.dst != self.address:
             raise ValueError(f"worm {worm.uid} for {worm.dst} delivered to {self.address}")
-        self.sim.schedule(self.network.timings.t_recv, self._received, worm)
+        self.sim._post(self.network.timings.t_recv, self._received, worm)
 
     def _received(self, worm: Worm) -> None:
-        worm.state = WormState.RECEIVED
-        worm.t_received = self.sim.now
+        worm.state = _RECEIVED
+        worm.t_received = self.sim._now
         self.received.append(worm)
         if self.on_receive is not None:
             self.on_receive(self, worm)

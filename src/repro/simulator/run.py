@@ -21,6 +21,7 @@ multicast message and its receipt at the destination").
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass, field
 from statistics import mean
 from time import perf_counter
@@ -83,13 +84,17 @@ class Machine:
         self.port_limit = port_limit
         self.on_receive = on_receive
         self.nodes: dict[int, HostNode] = {}
+        # Every host holds the network, so a network that held this
+        # machine would close a reference cycle, and a finished run
+        # would wait for the cyclic collector; it holds it weakly.
+        machine = weakref.ref(self)
         self.network = network(
             self.sim,
             n,
             timings=timings,
             order=order,
             trace=trace,
-            on_delivered=self._delivered,
+            on_delivered=lambda worm: machine()._delivered(worm),
             **network_kw,
         )
 
@@ -246,12 +251,16 @@ def simulate_multicast(
         "simulate", n=tree.n, algorithm=label, size=size, ports=ports.name
     ) as _span:
         delays: dict[int, float] = {}
+        # every node's (dst, size, payload) sends, in the order it sends them
+        plan: dict[int, list[tuple[int, int, None]]] = {}
+        for s in tree.sends:
+            plan.setdefault(s.src, []).append((s.dst, size, None))
 
         def on_receive(host: HostNode, worm: Worm) -> None:
-            delays[host.address] = sim.now
-            sends = [(s.dst, size, None) for s in tree.sends_from(host.address)]
+            now = delays[host.address] = sim._now
+            sends = plan.get(host.address)
             if sends:
-                host.submit_sends(sends, sim.now)
+                host.submit_sends(sends, now)
 
         machine = Machine(
             tree.n,
@@ -263,7 +272,7 @@ def simulate_multicast(
             probes=probes,
         )
         sim, network = machine.sim, machine.network
-        machine.send(tree.source, [(s.dst, size, None) for s in tree.sends_from(tree.source)])
+        machine.send(tree.source, plan.get(tree.source, []))
         sim.run(max_events=max_events)
         with trace_spans.span("verify.delivery", n=tree.n) as vsp:
             network.assert_quiescent()

@@ -51,6 +51,25 @@ class TestReachableSets:
         assert reach[4] == {4, 5, 6, 7}
         assert reach[6] == {6, 7}
 
+    def test_deep_relay_chain_needs_no_recursion(self):
+        chain = [Unicast(i, i + 1, i + 1) for i in range(1500)]
+        reach = reachable_sets(0, chain)
+        assert reach[0] == set(range(1501))
+        assert reach[1499] == {1499, 1500}
+        assert reach[1500] == {1500}
+
+    def test_relay_cycle_reaches_every_member(self):
+        reach = reachable_sets(1, [Unicast(1, 2, 1), Unicast(2, 1, 2)])
+        assert reach == {1: {1, 2}, 2: {1, 2}}
+
+    def test_duplicate_receiver_unions_both_subtrees(self):
+        ucs = [Unicast(0, 1, 1), Unicast(0, 2, 1), Unicast(1, 3, 2), Unicast(2, 3, 2),
+               Unicast(3, 7, 3)]
+        reach = reachable_sets(0, ucs)
+        assert reach[1] == {1, 3, 7}
+        assert reach[2] == {2, 3, 7}
+        assert reach[0] == {0, 1, 2, 3, 7}
+
 
 class TestPairContentionFree:
     def test_arc_disjoint_pairs_always_free(self):
@@ -121,6 +140,20 @@ class TestCheckContentionFree:
     def test_duplicate_delivery_detected(self):
         rep = check_contention_free(0, [Unicast(0, 1, 1), Unicast(0, 1, 2)])
         assert not rep.ok
+
+    def test_deep_relay_chain_returns_a_report(self):
+        chain = [Unicast(i, i + 1, i + 1) for i in range(1500)]
+        rep = check_contention_free(0, chain)
+        assert rep.ok and not rep.violations and not rep.causality_errors
+
+    def test_relay_cycle_sharing_an_arc_returns_a_report(self):
+        # 0 -> 5 and 6 -> 5 both cross arc (4, 0), so the verifier needs
+        # reachable sets, over a graph with the cycle 5 -> 6 -> 5
+        ucs = [Unicast(0, 5, 1), Unicast(5, 6, 2), Unicast(6, 5, 3)]
+        rep = check_contention_free(0, ucs)
+        assert not rep.ok
+        assert rep.violations == []  # 6 is in R_0, and steps 1 < 3
+        assert rep.causality_errors == ["node 5 receives the message more than once"]
 
     def test_empty_schedule_ok(self):
         assert check_contention_free(0, []).ok

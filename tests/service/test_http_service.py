@@ -8,7 +8,10 @@ coalescing, deadlines, and graceful drain.
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import json
+import logging
 import socket
 import threading
 import urllib.error
@@ -239,7 +242,9 @@ class TestHttpCoalescing:
 
 
 class TestDeadlines:
-    def test_slow_build_times_out_504(self):
+    def test_slow_build_times_out_504(self, caplog):
+        gc.collect()  # report only this service's tasks, not earlier tests'
+        caplog.clear()
         config = ServiceConfig(port=0, build_delay_s=0.5)
         with ServiceThread(config) as svc:
             status, body, _ = _post(
@@ -247,6 +252,11 @@ class TestDeadlines:
             )
             assert status == 504
             assert "deadline" in body["error"]
+        # the build outlived its request; stopping awaited it, so
+        # collecting the service destroys no pending task
+        del svc
+        gc.collect()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
 
 class TestRateLimiting:
@@ -279,3 +289,43 @@ class TestDrain:
         with pytest.raises(OSError):
             with socket.create_connection((host, port), timeout=2):
                 pass
+
+    def test_stop_with_idle_keep_alive_client_leaves_no_pending_task(self, caplog):
+        gc.collect()  # report only this service's tasks, not earlier tests'
+        caplog.clear()
+        svc = ServiceThread(ServiceConfig(port=0)).start()
+        server = svc.app.server
+        with socket.create_connection((svc.host, svc.port), timeout=5) as client:
+            client.sendall(b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert client.recv(4096).startswith(b"HTTP/1.1 200")
+            assert server.connections == 1  # idle, kept alive
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                svc.stop()
+                gc.collect()  # a task destroyed while pending is reported here
+            assert server.connections == 0
+            while client.recv(4096):  # the server closed it: EOF, no timeout
+                pass
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_stop_closes_connections_before_waiting_for_the_server(self, monkeypatch):
+        """Since Python 3.12.1, ``Server.wait_closed`` also waits for every
+        open connection to close; drain must close its connections first
+        or it never returns while a keep-alive client stays connected.
+        The 3.12.1 body is patched in so every Python version checks it."""
+
+        async def wait_closed(server):
+            if server._waiters is None:
+                return
+            waiter = server._loop.create_future()
+            server._waiters.append(waiter)
+            await waiter
+
+        monkeypatch.setattr(asyncio.base_events.Server, "wait_closed", wait_closed)
+        svc = ServiceThread(ServiceConfig(port=0)).start()
+        server, thread = svc.app.server, svc._thread
+        with socket.create_connection((svc.host, svc.port), timeout=5) as client:
+            client.sendall(b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert client.recv(4096).startswith(b"HTTP/1.1 200")
+            svc.stop(timeout=10)
+            assert not thread.is_alive()
+            assert server.connections == 0

@@ -93,6 +93,40 @@ class TestCoalescing:
         assert asyncio.run(scenario()) == 0
 
 
+class TestDrain:
+    def test_drain_drops_queued_builds_and_waits_for_running_ones(self):
+        """Once their waiters are gone, drain cancels the builds: one
+        queued behind the only worker never starts, and the running one
+        has finished when drain returns."""
+        started, finished = [], []
+
+        async def scenario():
+            svc, _ = _planner(build_delay_s=0.2, max_workers=1)
+            build = svc._build
+
+            def counted(fn):
+                started.append(fn)
+                value = build(fn)
+                finished.append(fn)
+                return value
+
+            svc._build = counted
+            req_a = parse_plan_request(DOC, "schedule")
+            req_b = parse_plan_request(dict(DOC, destinations=[2, 4, 6]), "schedule")
+            waiters = [asyncio.ensure_future(svc.schedule(r)) for r in (req_a, req_b)]
+            while not started:  # the first build holds the worker
+                await asyncio.sleep(0.01)
+            for waiter in waiters:  # as an HTTP drain cancels its connections
+                waiter.cancel()
+            await asyncio.gather(*waiters, return_exceptions=True)
+            await svc.drain()
+            return svc.inflight_builds()
+
+        assert asyncio.run(scenario()) == 0
+        assert len(started) == 1
+        assert len(finished) == 1
+
+
 class TestCacheIntegration:
     def test_second_round_is_cache_sourced(self):
         async def scenario():

@@ -3,6 +3,9 @@ including the STEP cross-validation against the abstract scheduler."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 
@@ -164,3 +167,18 @@ class TestFig3dTiming:
         assert res.total_blocked_time == 0.0
         u = simulate_multicast(UCube().build_tree(4, 0, FIG3_DESTS), 4096, NCUBE2, ALL_PORT)
         assert res.max_delay < u.max_delay
+
+
+class TestRunLifetime:
+    def test_finished_run_is_freed_without_the_cyclic_collector(self):
+        """No reference cycle holds a run's objects: the network goes as
+        soon as its result does, while the cyclic collector is off."""
+        tree = WSort().build_tree(4, 0, FIG3_DESTS)
+        gc.disable()
+        try:
+            res = simulate_multicast(tree, 4096, NCUBE2, ALL_PORT)
+            network = weakref.ref(res.network)
+            del res
+            assert network() is None
+        finally:
+            gc.enable()
