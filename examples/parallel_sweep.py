@@ -1,7 +1,7 @@
 """Parallel figure sweeps with schedule caching.
 
 Runs the Figure 11/12 fast sweep three ways -- serial, parallel
-(process pool), and parallel against a warm content-addressed cache --
+(worker processes), and parallel against a warm content-addressed cache --
 and shows that all three produce byte-identical tables while the
 cached run does almost no simulation.  See docs/PERFORMANCE.md.
 

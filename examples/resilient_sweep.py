@@ -84,10 +84,11 @@ def main() -> None:
 
     wd = WatchdogConfig()
     print(
-        f"watchdog:    opt-in via run_sweep(..., watchdog=WatchdogConfig()) "
-        f"or `sweep --watchdog`: soft {wd.soft_timeout_s:g} s / hard "
-        f"{wd.hard_timeout_s:g} s heartbeat timeouts, {wd.retry.max_retries} "
-        "requeue rounds under capped exponential backoff"
+        "watchdog:    guards every parallel sweep; tune via run_sweep(..., "
+        "watchdog=WatchdogConfig()) or `sweep --soft-timeout-s/--hard-timeout-s`: "
+        f"soft {wd.soft_timeout_s:g} s / hard {wd.hard_timeout_s:g} s heartbeat "
+        f"timeouts, {wd.retry.max_retries} requeue rounds under capped exponential "
+        "backoff"
     )
 
 

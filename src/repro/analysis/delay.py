@@ -97,7 +97,7 @@ def delay_experiment(
     """Run the Figures 11-14 experiment.
 
     Points run through :func:`repro.parallel.engine.run_points` (serial
-    by default, process-pool fan-out inside a
+    by default, worker-process fan-out inside a
     :func:`~repro.parallel.engine.sweep_context`) and each simulated
     multicast's delay summary is content-address cached, so Figures 11
     and 12 -- which share every point -- simulate each one once.

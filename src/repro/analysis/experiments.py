@@ -626,7 +626,7 @@ def run_sweep(
 ) -> dict[str, Table]:
     """Run several experiments under one shared sweep context.
 
-    One process pool configuration and one schedule cache span all the
+    One worker configuration and one schedule cache span all the
     experiments, so figures that share points (11/12, 13/14, the two
     fault figures) compute each point once.  Returns ``{id: Table}``
     in the requested order; ``metrics`` (optional) receives the
@@ -637,12 +637,13 @@ def run_sweep(
     :mod:`repro.parallel.journal`); ``resume=True`` additionally loads
     an existing journal first, so points already computed by a crashed
     or interrupted run of the *same* sweep are served from it,
-    bit-identically.  ``watchdog`` enables hung-worker detection and
-    requeueing (see :mod:`repro.parallel.resilience`).
+    bit-identically.  ``watchdog`` tunes hung-worker detection and
+    requeueing (see :mod:`repro.parallel.resilience`; default
+    :meth:`~repro.parallel.resilience.WatchdogConfig.from_env`).
 
     With ``fabric`` set (a :class:`~repro.parallel.fabric.FabricConfig`)
-    the points are distributed over TCP worker hosts instead of the
-    local process pool -- still bit-identically, and still journaled:
+    the points are distributed over TCP worker hosts instead of local
+    worker processes -- still bit-identically, and still journaled:
     a resumed sweep serves points computed by *any* previous host from
     the journal, because fingerprints are content-addressed, not
     host-addressed.
@@ -668,7 +669,7 @@ def run_sweep(
     if jobs is None:
         # a fabric sweep's parallelism is its worker fleet, not local
         # processes; jobs only sizes the chunks (and the degradation
-        # pool), so the CPU-count default is the right fallback
+        # workers), so the CPU-count default is the right fallback
         jobs = 0 if fabric is not None else 1
     try:
         with sweep_context(

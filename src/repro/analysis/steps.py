@@ -86,7 +86,7 @@ def stepwise_experiment(
     """Run the Figures 9/10 experiment.
 
     Points run through :func:`repro.parallel.engine.run_points`:
-    serial by default, fanned across a process pool inside a
+    serial by default, fanned across worker processes inside a
     :func:`~repro.parallel.engine.sweep_context`, with identical
     results either way.
 

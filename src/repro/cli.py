@@ -12,13 +12,15 @@ Subcommands:
   number of failed links, oblivious (abort + retry) or repaired
   (fault-aware detour schedules); see docs/FAULTS.md.
 - ``sweep`` -- run several figure reproductions under one parallel
-  sweep context: shared process pool, shared schedule cache, merged
-  telemetry; see docs/PERFORMANCE.md.  ``--journal-dir`` checkpoints
-  every completed point; ``--resume`` picks a crashed or interrupted
-  run back up bit-identically; ``--watchdog`` arms hung-worker
-  detection (see docs/RESILIENCE.md).  ``--fabric-port`` distributes
-  the points over TCP worker hosts instead of the local pool (the
-  sweep degrades back to the local pool if every worker dies).
+  sweep context: shared worker configuration, shared schedule cache,
+  merged telemetry; see docs/PERFORMANCE.md.  ``--journal-dir``
+  checkpoints every completed point; ``--resume`` picks a crashed or
+  interrupted run back up bit-identically; the hung-worker watchdog
+  guards every parallel sweep, and ``--soft-timeout-s`` /
+  ``--hard-timeout-s`` tune it (see docs/RESILIENCE.md).
+  ``--fabric-port`` distributes the points over TCP worker hosts
+  instead of local workers (the sweep falls back to local workers if
+  every remote one dies).
 - ``worker`` -- serve one sweep-fabric worker link: connect to a
   coordinator started with ``sweep --fabric-port``, execute its
   chunks, heartbeat, exit on shutdown.  Exits ``0`` on an orderly
@@ -222,19 +224,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _resolve_watchdog(args: argparse.Namespace):
-    """``--watchdog`` / explicit timeouts -> a WatchdogConfig or None."""
-    soft = getattr(args, "soft_timeout_s", None)
-    hard = getattr(args, "hard_timeout_s", None)
-    if not getattr(args, "watchdog", False) and soft is None and hard is None:
-        return None
+    """``REPRO_WATCHDOG_*`` defaults, then ``--soft/--hard-timeout-s``
+    -> the sweep's WatchdogConfig (ValueError on a bad value)."""
     from repro.parallel.resilience import WatchdogConfig
 
     base = WatchdogConfig.from_env()
-    resolved_soft = soft if soft is not None else base.soft_timeout_s
-    resolved_hard = hard if hard is not None else base.hard_timeout_s
+    soft = args.soft_timeout_s if args.soft_timeout_s is not None else base.soft_timeout_s
+    hard = args.hard_timeout_s if args.hard_timeout_s is not None else base.hard_timeout_s
     return WatchdogConfig(
-        soft_timeout_s=resolved_soft,
-        hard_timeout_s=max(resolved_hard, resolved_soft),
+        soft_timeout_s=soft,
+        hard_timeout_s=max(hard, soft),
         retry=base.retry,
     )
 
@@ -297,6 +296,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     jobs = _resolve_jobs(args)
     try:
         fabric = _resolve_fabric(args)
+        watchdog = _resolve_watchdog(args)
     except ValueError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
@@ -313,7 +313,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 metrics=registry,
                 journal_dir=args.journal_dir,
                 resume=resume,
-                watchdog=_resolve_watchdog(args),
+                watchdog=watchdog,
                 fabric=fabric,
             ),
         ),
@@ -1011,16 +1011,14 @@ def build_parser() -> argparse.ArgumentParser:
              "(requires --journal-dir; RUN_ID optional, derived from the command)",
     )
     p_sweep.add_argument(
-        "--watchdog", action="store_true",
-        help="arm the hung-worker watchdog (REPRO_WATCHDOG_* tune the timeouts)",
-    )
-    p_sweep.add_argument(
         "--soft-timeout-s", type=float, default=None, metavar="S",
-        help="watchdog soft per-point timeout (implies --watchdog)",
+        help="watchdog soft per-point timeout: flag the worker "
+             "(default: REPRO_WATCHDOG_SOFT_S or 30)",
     )
     p_sweep.add_argument(
         "--hard-timeout-s", type=float, default=None, metavar="S",
-        help="watchdog hard per-point timeout: kill + requeue (implies --watchdog)",
+        help="watchdog hard per-point timeout: kill the worker and requeue "
+             "(default: REPRO_WATCHDOG_HARD_S or 120)",
     )
     p_sweep.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -1028,8 +1026,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--fabric-port", type=int, default=None, metavar="PORT",
-        help="coordinate TCP worker hosts on PORT instead of using the "
-             "local pool (0 = ephemeral; start workers with "
+        help="coordinate TCP worker hosts on PORT instead of using "
+             "local workers (0 = ephemeral; start workers with "
              "'repro-hypercube worker --connect HOST:PORT')",
     )
     p_sweep.add_argument(

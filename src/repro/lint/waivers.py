@@ -13,8 +13,8 @@ Placement:
 - or on its own line directly above the offending line (for statements
   that would blow the line-length budget)::
 
-      # repro: lint-ok[REP002] cross-process heartbeat needs a shared clock
-      heartbeats[chunk_id] = _time.time()
+      # repro: lint-ok[REP002] display-only trace epoch, never subtracted
+      self.epoch_unix = time.time()
 
 Several rules may share one waiver: ``lint-ok[REP001,REP004] reason``.
 A waiver with no reason does not suppress anything; it is itself

@@ -1,20 +1,21 @@
-"""Parallel sweep engine: process-pool fan-out with schedule caching.
+"""Parallel sweep engine: worker-process fan-out with schedule caching.
 
 The paper's evaluation grid -- (cube size, message length, algorithm,
 trial seed) -- is embarrassingly parallel; this package executes it
 that way while guaranteeing bit-identical results to the serial path:
 
 - :mod:`repro.parallel.engine` -- :func:`sweep_context` /
-  :func:`run_points`: chunked dispatch over a worker fabric with
-  in-process fallback on worker failure, plus per-worker telemetry and
-  metrics merging (``sim.parallel.*``);
-- :mod:`repro.parallel.fabric` -- the :class:`Communicator` transports
-  behind the engine: the single-host process pool
-  (:class:`LocalCommunicator`) and the multi-host TCP coordinator
-  (:class:`TcpCoordinator`) with per-host heartbeats, dead-host
-  requeue, and degradation back to the local pool (``sim.fabric.*``);
-- :mod:`repro.parallel.worker` -- the ``repro-hypercube worker``
-  process that serves a coordinator link on any host;
+  :func:`run_points`: chunked dispatch over worker processes with
+  retry, quarantine, and in-process fallback on worker failure, plus
+  per-worker telemetry and metrics merging (``sim.parallel.*``);
+- :mod:`repro.parallel.fabric` -- :class:`TcpCoordinator`, the one
+  transport behind the engine: local workers forked per round on
+  socketpairs, remote TCP workers on other hosts, one heartbeat
+  watchdog over both, dead-worker requeue, and degradation from a lost
+  fleet to local workers (``sim.fabric.*``);
+- :mod:`repro.parallel.worker` -- the worker side: the frame protocol,
+  :func:`~repro.parallel.worker.run_chunk`, and the serve loop that
+  local workers and ``repro-hypercube worker`` processes both run;
 - :mod:`repro.parallel.fabric_cache` -- the fleet-shared schedule-cache
   tier workers mount over the planning service's ``/v1/cache`` routes;
 - :mod:`repro.parallel.cache` -- a content-addressed two-layer cache
@@ -51,12 +52,7 @@ from repro.parallel.engine import (
     run_points,
     sweep_context,
 )
-from repro.parallel.fabric import (
-    Communicator,
-    FabricConfig,
-    LocalCommunicator,
-    TcpCoordinator,
-)
+from repro.parallel.fabric import FabricConfig, TcpCoordinator
 from repro.parallel.fabric_cache import RemoteCacheClient, TieredCache
 from repro.parallel.journal import (
     JournalLoad,
@@ -70,10 +66,8 @@ from repro.parallel.seeds import derive_seed, spawn_seeds
 
 __all__ = [
     "CacheAudit",
-    "Communicator",
     "FabricConfig",
     "JournalLoad",
-    "LocalCommunicator",
     "PointTracker",
     "RemoteCacheClient",
     "RetryPolicy",

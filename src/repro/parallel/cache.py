@@ -393,7 +393,7 @@ def gc_cache_dir(cache_dir: str | os.PathLike) -> dict[str, int]:
 # -- the active cache -------------------------------------------------
 #
 # Process-global, installed by the sweep engine (parent: for the
-# context's duration; workers: at pool initialization).  With no active
+# context's duration; workers: when they start).  With no active
 # cache the helpers below compute directly, so un-sweep callers see
 # exactly the pre-cache behavior.
 

@@ -1,17 +1,15 @@
-"""Sweep engine: fan experiment points across a worker fabric.
+"""Sweep engine: fan experiment points across worker processes.
 
 The paper's evaluation is a grid of independent simulation points --
 (cube size, message length, algorithm, trial seed) -- so the sweep
 engine is deliberately simple: a point function (any picklable
 module-level callable), a list of point specs (picklable, primitives
 only), and :func:`run_points`, which executes them serially or across
-the active :func:`sweep_context`'s worker fabric.  Which workers is a
-transport decision, delegated to a
-:class:`~repro.parallel.fabric.Communicator`: the default
-:class:`~repro.parallel.fabric.LocalCommunicator` is the original
-single-host process pool, and a
-:class:`~repro.parallel.fabric.TcpCoordinator` (``fabric=`` argument)
-fans the same chunks over multi-host TCP workers instead.
+the active :func:`sweep_context`'s workers.  Every parallel round goes
+through one :class:`~repro.parallel.fabric.TcpCoordinator`: it forks
+local workers for the round (``jobs=N``), or, with a ``fabric=``
+argument, fans the same chunks over multi-host TCP workers and falls
+back to local workers when the last of them is gone.
 
 Guarantees:
 
@@ -21,15 +19,15 @@ Guarantees:
   regression suite asserts byte-identical figure tables for
   ``jobs=4`` vs serial, cache cold and warm -- and, with a journal,
   for resumed vs uninterrupted runs, and for distributed vs serial.
-- **Graceful degradation.**  A failed worker (crash, pickling error,
-  broken pool, dead host) only costs its chunk, which is transparently
-  re-run; a deterministic point *error* still surfaces exactly as it
-  would serially.  With a :class:`~repro.parallel.resilience.WatchdogConfig`
-  active, crashed and *hung* chunks are first requeued under a capped,
-  exponentially backed-off retry budget; points that keep failing are
-  quarantined to in-process execution; a repeatedly lost pool degrades
-  the remainder to in-process; and a TCP fabric whose last worker host
-  dies degrades the sweep to the local backend mid-flight.
+- **Graceful degradation.**  A failed worker (crash, hang, dead host)
+  only costs its chunk, and a deterministic point *error* still
+  surfaces exactly as it would serially.  The
+  :class:`~repro.parallel.resilience.WatchdogConfig` (default:
+  :meth:`~repro.parallel.resilience.WatchdogConfig.from_env`) requeues
+  crashed and *hung* chunks under a capped, exponentially backed-off
+  retry budget; points that keep failing are quarantined to in-process
+  execution; and rounds that keep losing workers degrade the remainder
+  to in-process.  A chunk that does not pickle runs in-process at once.
 - **Crash recovery.**  With a :class:`~repro.parallel.journal.SweepJournal`
   active, every completed point is durably checkpointed as it is
   absorbed, and points already journaled by a previous (crashed or
@@ -47,9 +45,8 @@ Guarantees:
 
 Points are dispatched in chunks (default: ~4 chunks per worker) to
 amortize inter-process overhead on sub-millisecond points.  Workers
-heartbeat before every point, which is what lets the parent distinguish
-a slow chunk from a hung one -- through a shared manager dict on the
-local pool, over the wire on the TCP fabric.
+heartbeat over their link while they make progress, which is what lets
+the coordinator distinguish a slow chunk from a hung one.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from __future__ import annotations
 import os
 import time as _time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
 from time import perf_counter
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -68,12 +65,7 @@ from repro.obs.metrics import MetricsRegistry, merge_snapshot
 from repro.obs.sink import emit_event
 from repro.obs.telemetry import RunRecord
 from repro.parallel.cache import ScheduleCache, activate_cache
-from repro.parallel.fabric import (
-    Communicator,
-    FabricConfig,
-    LocalCommunicator,
-    TcpCoordinator,
-)
+from repro.parallel.fabric import FabricConfig, TcpCoordinator
 from repro.parallel.journal import SweepJournal, point_fingerprint
 from repro.parallel.resilience import PointTracker, WatchdogConfig
 
@@ -94,16 +86,15 @@ R = TypeVar("R")
 class SweepConfig:
     """Active sweep parameters (one per :func:`sweep_context`).
 
-    ``communicator`` is the transport the engine dispatches rounds to;
-    ``None`` means a fresh per-sweep
-    :class:`~repro.parallel.fabric.LocalCommunicator`.
+    ``communicator`` is the coordinator the engine dispatches rounds
+    to; ``None`` means the sweep runs serially.
     """
 
     jobs: int
     cache_dir: str | None = None
     chunk_size: int | None = None
-    watchdog: WatchdogConfig | None = None
-    communicator: Communicator | None = None
+    watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
+    communicator: TcpCoordinator | None = None
 
 
 def default_jobs() -> int:
@@ -137,7 +128,7 @@ def sweep_context(
     metrics: MetricsRegistry | None = None,
     watchdog: WatchdogConfig | None = None,
     journal: SweepJournal | None = None,
-    fabric: FabricConfig | Communicator | None = None,
+    fabric: FabricConfig | TcpCoordinator | None = None,
 ) -> Iterator[MetricsRegistry]:
     """Activate the sweep engine for the dynamic extent of the block.
 
@@ -152,22 +143,20 @@ def sweep_context(
         metrics: registry to record engine/cache metrics into (default:
             a fresh one, yielded for inspection).
         watchdog: hung-worker detection and retry policy (see
-            :mod:`repro.parallel.resilience`); ``None`` disables
-            timeouts and requeueing (failures fall straight back to
-            in-process execution, the pre-watchdog behavior) -- except
-            with a ``fabric``, where heartbeat timeouts are load-bearing
-            and :meth:`WatchdogConfig.from_env` defaults apply.
+            :mod:`repro.parallel.resilience`); ``None`` ->
+            :meth:`WatchdogConfig.from_env` defaults.  It guards every
+            parallel sweep.
         journal: checkpoint journal for crash-safe resume (see
             :mod:`repro.parallel.journal`); the caller owns its
             lifecycle (open/close).
-        fabric: distribute chunks over TCP workers instead of the local
-            pool -- either a :class:`~repro.parallel.fabric.FabricConfig`
-            (a :class:`~repro.parallel.fabric.TcpCoordinator` is built,
-            started, and stopped by the context, and the context blocks
-            up to ``fabric.wait_s`` for ``fabric.min_workers`` to join)
-            or any pre-built :class:`~repro.parallel.fabric.Communicator`
-            (started and stopped by the context).  If the fabric loses
-            its last worker, the sweep degrades to the local pool.
+        fabric: distribute chunks over TCP workers instead of local
+            ones -- either a :class:`~repro.parallel.fabric.FabricConfig`
+            (the context builds the coordinator) or a pre-built
+            :class:`~repro.parallel.fabric.TcpCoordinator`; either way
+            the context starts and stops it and blocks up to
+            ``wait_s`` for ``min_workers`` to join.  If the fabric
+            loses its last worker, the sweep continues on local
+            workers attached to the same coordinator.
 
     Contexts nest: the innermost wins, the outer is restored on exit.
     """
@@ -175,24 +164,21 @@ def sweep_context(
     resolved_jobs = default_jobs() if not jobs else max(1, int(jobs))
     prev_config, prev_metrics, prev_journal = _config, _metrics, _journal
     registry = metrics if metrics is not None else MetricsRegistry()
-    communicator: Communicator | None = None
+    if watchdog is None:
+        watchdog = WatchdogConfig.from_env()
+    communicator: TcpCoordinator | None = None
+    if isinstance(fabric, TcpCoordinator):
+        communicator = fabric
+        # a pre-built coordinator without its own registry records into
+        # the context's, so sim.fabric.* never silently vanishes
+        if communicator.metrics is None:
+            communicator.metrics = registry
+    elif fabric is not None or resolved_jobs > 1:
+        communicator = TcpCoordinator(fabric, watchdog=watchdog, metrics=registry)
     if fabric is not None:
-        if watchdog is None:
-            # heartbeat timeouts are what detect a dead host; a fabric
-            # without a watchdog would never notice one
-            watchdog = WatchdogConfig.from_env()
-        if isinstance(fabric, Communicator):
-            communicator = fabric
-            # a pre-built communicator without its own registry records
-            # into the context's, so sim.fabric.* never silently vanishes
-            if getattr(communicator, "metrics", None) is None:
-                communicator.metrics = registry
-        else:
-            communicator = TcpCoordinator(fabric, watchdog=watchdog, metrics=registry)
         communicator.start()
-        if isinstance(communicator, TcpCoordinator):
-            joined = communicator.wait_for_workers()
-            registry.gauge("sim.fabric.workers_connected").set(float(joined))
+        joined = communicator.wait_for_workers()
+        registry.gauge("sim.fabric.workers_connected").set(float(joined))
     _config = SweepConfig(
         jobs=resolved_jobs,
         cache_dir=os.fspath(cache_dir) if cache_dir is not None else None,
@@ -223,7 +209,7 @@ def run_points(
     Serial (a plain comprehension) when no :func:`sweep_context` is
     active, when ``jobs <= 1`` with no fabric attached, or for
     single-point sweeps; otherwise fanned across the context's
-    communicator.  ``label`` names the sweep in per-sweep metrics.
+    coordinator.  ``label`` names the sweep in per-sweep metrics.
     With an active journal, points already checkpointed by a previous
     run of the same sweep are served from the journal, and every fresh
     completion is checkpointed as it lands.
@@ -243,9 +229,7 @@ def run_points(
 
 def _is_serial(config: SweepConfig | None, points: int) -> bool:
     """Whether a sweep of ``points`` runs as a plain comprehension."""
-    if config is None or points <= 1:
-        return True
-    return config.jobs <= 1 and config.communicator is None
+    return config is None or points <= 1 or config.communicator is None
 
 
 def _run_journaled(
@@ -307,7 +291,7 @@ def _run_parallel(
     metrics: MetricsRegistry | None,
     on_point: Callable[[int, R], None] | None = None,
 ) -> list[R]:
-    """Fan ``specs`` over the communicator, under one
+    """Fan ``specs`` over the coordinator, under one
     ``parallel.dispatch`` span when the parent is tracing (worker spans
     replay beneath it)."""
     with trace_spans.span(
@@ -366,12 +350,7 @@ def _dispatch(
         metrics.counter("sim.parallel.worker_failures")
         metrics.counter("sim.parallel.fallback_points")
 
-    comm = config.communicator
-    local: Communicator | None = None
-    if comm is None:
-        comm = local = LocalCommunicator(jobs, config.cache_dir, wd, metrics)
-
-    tracker = PointTracker(wd.quarantine_after if wd is not None else 1)
+    tracker = PointTracker(wd.quarantine_after)
     outstanding = chunks
     in_process: list[list[tuple[int, S]]] = []
     pool_losses = 0
@@ -379,27 +358,16 @@ def _dispatch(
 
     while outstanding:
         round_no += 1
-        outcome = comm.run_round(fn, outstanding, absorb, done, trace_id)
-        retryable, fatal, pool_lost = outcome.retryable, outcome.fatal, outcome.lost
-        if pool_lost:
+        outcome = config.communicator.run_round(
+            fn, outstanding, absorb, trace_id=trace_id, jobs=jobs, cache_dir=config.cache_dir
+        )
+        if outcome.lost:
             pool_losses += 1
             count("sim.resilience.pool_losses")
-        if local is None and not comm.healthy:
-            # the fabric's last worker host is gone: finish the sweep on
-            # the local pool, with a fresh loss budget -- from here on
-            # this is an ordinary single-host sweep
-            count("sim.fabric.degraded_to_local")
-            emit_event("fabric-degraded-local", kind="fabric-event", **comm.describe())
-            comm = local = LocalCommunicator(jobs, config.cache_dir, wd, metrics)
-            pool_losses = 0
         outstanding = []
-        in_process.extend(fatal)
-        if wd is None:
-            # pre-watchdog behavior: one pool pass, failures fall back
-            in_process.extend(retryable)
-            break
+        in_process.extend(outcome.fatal)
         requeue: list[tuple[int, S]] = []
-        for chunk in retryable:
+        for chunk in outcome.retryable:
             for index, spec in chunk:
                 if done[index]:
                     continue

@@ -1,23 +1,22 @@
 """Worker watchdogs, retry budgets, and poison-point quarantine.
 
-The sweep engine's original failure story was all-or-nothing: a worker
-crash cost its chunk (transparently re-run in-process), but a *hung*
-worker stalled the whole sweep forever, and a repeatedly crashing
-worker re-ran its chunk in the parent on the first failure, losing the
-benefit of the pool.  This module supplies the policy objects the
-engine uses to do better:
+A parallel sweep must survive its workers: a crash may cost a chunk,
+never the sweep, and a *hung* worker must be killed rather than stall
+it forever.  This module supplies the policy objects the engine and
+its coordinator use for that:
 
 - :class:`RetryPolicy` -- a capped exponential backoff, the same shape
   as the source-retry backoff in :mod:`repro.faults.sim`
   (``min(base * 2**(attempt-1), cap)``): simulated senders and real
-  worker pools face the same thundering-herd physics.
+  workers face the same thundering-herd physics.
 - :class:`WatchdogConfig` -- per-point soft/hard timeouts measured
-  against **worker heartbeats** (each worker beats before every point),
-  so a slow point triggers a soft warning, and a genuinely hung one is
-  killed and requeued.
+  against **worker heartbeats** (workers beat while they make
+  progress), so a slow point triggers a soft warning, and a genuinely
+  hung worker is killed and its chunk requeued.  Every parallel sweep
+  runs under one.
 - :class:`PointTracker` -- per-point failure accounting with
   quarantine: a point whose chunk has failed ``quarantine_after`` times
-  is a *poison point*; it stops being requeued to the pool and runs
+  is a *poison point*; it stops being requeued to workers and runs
   in-process instead, where a deterministic error surfaces exactly as
   it would serially.
 
@@ -37,7 +36,7 @@ __all__ = ["PointTracker", "RetryPolicy", "WatchdogConfig"]
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
-    """Capped exponential backoff between pool retry rounds.
+    """Capped exponential backoff between retry rounds.
 
     Attempt ``k`` (1-based) waits ``min(base * 2**(k-1), cap)`` seconds
     -- the backoff shape of :func:`repro.faults.sim.simulate_degraded_multicast`,
@@ -68,16 +67,18 @@ class WatchdogConfig:
     Attributes:
         soft_timeout_s: heartbeat age after which a chunk is flagged
             (``sim.resilience.soft_timeouts``) but left running.
-        hard_timeout_s: heartbeat age after which the pool is declared
-            hung: its processes are killed and unfinished chunks are
-            requeued under the retry budget.
-        poll_s: how often the parent wakes to check heartbeats.
-        retry: backoff policy between pool rounds.
+        hard_timeout_s: heartbeat age after which a worker is declared
+            hung (``sim.resilience.hung_chunks``): its link is dropped,
+            a local worker is killed, and its chunk is requeued under
+            the retry budget.
+        poll_s: how often the coordinator checks heartbeats, and how
+            often local workers beat.
+        retry: backoff policy between retry rounds.
         quarantine_after: chunk failures (crash or hang) after which a
             point is poison and runs in-process only.
-        pool_loss_limit: consecutive pool losses (hang kills or broken
-            pools) after which the engine degrades to in-process
-            execution for everything outstanding.
+        pool_loss_limit: dispatch rounds that lost a worker after which
+            the engine degrades to in-process execution for everything
+            outstanding.
     """
 
     soft_timeout_s: float = 30.0
@@ -88,6 +89,10 @@ class WatchdogConfig:
     pool_loss_limit: int = 3
 
     def __post_init__(self) -> None:
+        if self.soft_timeout_s <= 0:
+            raise ValueError(f"soft timeout must be > 0, got {self.soft_timeout_s}s")
+        if self.hard_timeout_s <= 0:
+            raise ValueError(f"hard timeout must be > 0, got {self.hard_timeout_s}s")
         if self.hard_timeout_s < self.soft_timeout_s:
             raise ValueError(
                 f"hard timeout ({self.hard_timeout_s}s) must be >= "
@@ -105,16 +110,26 @@ class WatchdogConfig:
         """Defaults overridable via ``REPRO_WATCHDOG_{SOFT,HARD}_S`` and
         ``REPRO_WATCHDOG_RETRIES`` (for ops tuning without code)."""
         defaults = cls()
-        soft = float(os.environ.get("REPRO_WATCHDOG_SOFT_S", defaults.soft_timeout_s))
-        hard = float(os.environ.get("REPRO_WATCHDOG_HARD_S", defaults.hard_timeout_s))
-        retries = int(
-            os.environ.get("REPRO_WATCHDOG_RETRIES", defaults.retry.max_retries)
-        )
+        soft = _env_number("REPRO_WATCHDOG_SOFT_S", float, defaults.soft_timeout_s)
+        hard = _env_number("REPRO_WATCHDOG_HARD_S", float, defaults.hard_timeout_s)
+        retries = _env_number("REPRO_WATCHDOG_RETRIES", int, defaults.retry.max_retries)
         return cls(
             soft_timeout_s=soft,
             hard_timeout_s=max(hard, soft),
             retry=RetryPolicy(max_retries=retries),
         )
+
+
+def _env_number(name: str, parse, default):
+    """``parse(os.environ[name])``, or ``default`` when unset; a bad
+    value raises a ValueError that names the variable."""
+    raw = os.environ.get(name, "")
+    if not raw:
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not a valid {parse.__name__}") from None
 
 
 class PointTracker:

@@ -8,7 +8,7 @@ cache entries -- and asserts the same two invariants each time:
 2. the results are **byte-identical** to an undisturbed serial run.
 
 The point functions live at module level so they pickle by reference
-into pool workers; destructive behaviors are gated on
+into worker processes; destructive behaviors are gated on
 ``os.getpid() != _PARENT_PID`` so the in-process fallback (which runs
 in the parent) always completes.
 """
@@ -66,6 +66,33 @@ def _hang_in_worker(x: int) -> int:
     return x * x
 
 
+def _stop_in_worker(x: int) -> int:
+    if os.getpid() != _PARENT_PID:
+        os.kill(os.getpid(), signal.SIGSTOP)  # can neither beat nor take SIGTERM
+    return x * x
+
+
+#: Run in a child interpreter by test_stopped_worker_is_killed_at_hard_timeout.
+_STOPPED_WORKER_SWEEP = """
+import json, os
+from tests.parallel.test_chaos import _FAST_WATCHDOG, _stop_in_worker
+from repro.parallel.engine import run_points, sweep_context
+
+with sweep_context(jobs=2, chunk_size=1, watchdog=_FAST_WATCHDOG) as registry:
+    results = run_points(_stop_in_worker, range(4))
+try:
+    os.waitpid(-1, os.WNOHANG)  # any child left, reaped or not, is a leak
+    children_left = True
+except ChildProcessError:
+    children_left = False
+print(json.dumps({
+    "results": results,
+    "hung_chunks": registry.snapshot()["sim.resilience.hung_chunks"]["value"],
+    "children_left": children_left,
+}))
+"""
+
+
 class TestWatchdogEngine:
     def test_healthy_sweep_unaffected_by_watchdog(self):
         with sweep_context(jobs=2, chunk_size=2, watchdog=_FAST_WATCHDOG) as registry:
@@ -108,6 +135,28 @@ class TestWatchdogEngine:
         assert snap["sim.resilience.hung_chunks"]["value"] >= 1
         assert snap["sim.resilience.pool_losses"]["value"] >= 1
         assert snap["sim.resilience.soft_timeouts"]["value"] >= 1
+
+    def test_stopped_worker_is_killed_at_hard_timeout(self):
+        """A SIGSTOPped worker ignores SIGTERM until it is continued, so
+        only SIGKILL reaps it.  The sweep runs in a child interpreter
+        whose whole process group is killed on timeout, so a sweep that
+        hangs fails this test rather than the suite."""
+        env = dict(os.environ, PYTHONPATH=str(_REPO_ROOT / "src"))
+        child = subprocess.Popen(
+            [sys.executable, "-c", _STOPPED_WORKER_SWEEP], env=env, cwd=_REPO_ROOT,
+            start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("a stopped worker hung the sweep")
+        assert child.returncode == 0, err
+        report = json.loads(out)
+        assert report["results"] == [0, 1, 4, 9]
+        assert report["hung_chunks"] >= 1
+        assert report["children_left"] is False
 
     def test_repeated_pool_loss_degrades_to_in_process(self):
         wd = WatchdogConfig(

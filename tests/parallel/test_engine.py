@@ -1,7 +1,7 @@
 """The sweep engine: dispatch, ordering, fallback, merging.
 
 The point functions live at module level so they pickle by reference
-into pool workers (the engine's own requirement of its callers).
+into worker processes (the engine's own requirement of its callers).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from repro.analysis.experiments import run_sweep
 from repro.obs.metrics import MetricsRegistry, merge_snapshot
 from repro.obs.sink import MemorySink, capture
 from repro.obs.telemetry import RunRecord, new_run_id
@@ -31,7 +32,7 @@ def _emit_and_square(x: int) -> int:
 
 def _die_in_worker(x: int) -> int:
     if os.getpid() != _PARENT_PID:
-        os._exit(13)  # hard crash: exercises BrokenProcessPool handling
+        os._exit(13)  # hard crash: the worker's link reads EOF
     return x * x
 
 
@@ -167,3 +168,14 @@ class TestWorkerSinkIsolation:
             with sweep_context(jobs=2, chunk_size=1):
                 run_points(_emit_and_square, range(3))
         assert len(sink.records) == 3
+
+
+class TestWorkerStdout:
+    def test_parallel_sweep_workers_write_nothing_to_fd1(self, capfd):
+        """Forked workers share the parent's stdout: a worker that
+        printed, or re-flushed a buffer it inherited, would corrupt
+        ``sweep --json``."""
+        reference = run_sweep(["fig9"], fast=True)["fig9"].to_json()
+        capfd.readouterr()
+        assert run_sweep(["fig9"], fast=True, jobs=2)["fig9"].to_json() == reference
+        assert capfd.readouterr().out == ""

@@ -5,8 +5,9 @@ sweep distributed over real worker *processes* on a real socket must
 terminate and produce results byte-identical to the serial run, no
 matter which side of the wire dies.  The suite covers the frame
 protocol, worker loss (SIGKILL mid-sweep), total fleet loss
-(degradation back to the local pool), and coordinator loss (SIGKILL
-then ``--resume``, plus orphaned workers noticing and exiting).
+(degradation to local workers), coordinator loss (SIGKILL then
+``--resume``, plus orphaned workers noticing and exiting), chunks that
+do not pickle, and the coordinator's own shutdown.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ def _square(x: int) -> int:
 def _slow_square(x: int) -> int:
     time.sleep(0.05)
     return x * x
+
+
+#: pickles by name, and the name ``<lambda>`` does not resolve
+_module_lambda = lambda x: x + 1  # noqa: E731
 
 
 def _free_port() -> int:
@@ -148,11 +153,24 @@ class TestFabricConfig:
             FabricConfig(wait_s=-0.1)
 
 
+class TestCoordinatorLifecycle:
+    def test_stop_wakes_the_accept_thread(self):
+        """Closing a listening socket does not wake a thread blocked in
+        accept() on Linux; stop() must not wait that thread out."""
+        comm = TcpCoordinator(FabricConfig(), watchdog=_FABRIC_WATCHDOG)
+        comm.start()
+        time.sleep(0.2)  # fabric-accept is parked in accept() by now
+        start = time.perf_counter()
+        comm.stop()
+        assert time.perf_counter() - start < 1.0
+        assert [t.name for t in threading.enumerate() if t.name.startswith("fabric-")] == []
+
+
 class TestDegradedToLocal:
     def test_zero_workers_degrades_and_completes(self):
-        """A fabric that never gains a worker must cost one failed
-        round, then finish every point on the local pool."""
-        comm = TcpCoordinator(FabricConfig(), watchdog=_FABRIC_WATCHDOG)
+        """A fabric that never gains a worker must finish every point
+        on local workers attached to the same coordinator."""
+        comm = TcpCoordinator(FabricConfig(wait_s=0.5), watchdog=_FABRIC_WATCHDOG)
         with capture() as sink:
             with sweep_context(
                 jobs=2, chunk_size=2, watchdog=_FABRIC_WATCHDOG, fabric=comm
@@ -247,6 +265,35 @@ class TestTcpFabric:
         finally:
             if worker is not None:
                 assert _reap([worker]) == [0]
+
+
+@pytest.mark.slow
+class TestUnpicklableChunks:
+    def test_unpicklable_fn_runs_in_process_and_keeps_the_worker(self):
+        """A chunk that does not pickle is the point function's fault,
+        not the link's: it runs in-process, and the worker that would
+        have taken it stays connected and exits 0 at shutdown."""
+        offset = 1
+
+        def closure(x: int) -> int:
+            return x + offset
+
+        port = _free_port()
+        worker = _spawn_worker(port)
+        try:
+            with sweep_context(
+                jobs=2, chunk_size=2, watchdog=_FABRIC_WATCHDOG,
+                fabric=FabricConfig(bind_port=port, min_workers=1, wait_s=30.0),
+            ) as registry:
+                for fn in (closure, _module_lambda):
+                    assert run_points(fn, range(6)) == [x + 1 for x in range(6)]
+        finally:
+            codes = _reap([worker])
+        snap = registry.snapshot()
+        assert "sim.fabric.hosts_lost" not in snap
+        assert snap["sim.parallel.worker_failures"]["value"] == 6  # 3 chunks x 2 functions
+        assert snap["sim.parallel.fallback_points"]["value"] == 12
+        assert codes == [0]
 
 
 @pytest.mark.slow

@@ -64,6 +64,12 @@ class TestWatchdogConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             WatchdogConfig(soft_timeout_s=10.0, hard_timeout_s=5.0)
+        with pytest.raises(ValueError, match="soft timeout must be > 0"):
+            WatchdogConfig(soft_timeout_s=-3.0, hard_timeout_s=-1.0)
+        with pytest.raises(ValueError, match="soft timeout must be > 0"):
+            WatchdogConfig(soft_timeout_s=0.0)
+        with pytest.raises(ValueError, match="hard timeout must be > 0"):
+            WatchdogConfig(soft_timeout_s=0.5, hard_timeout_s=0.0)
         with pytest.raises(ValueError):
             WatchdogConfig(poll_s=0.0)
         with pytest.raises(ValueError):
@@ -79,6 +85,15 @@ class TestWatchdogConfig:
         assert cfg.soft_timeout_s == 1.5
         assert cfg.hard_timeout_s == 9.0
         assert cfg.retry.max_retries == 4
+        for name, bad in (
+            ("REPRO_WATCHDOG_SOFT_S", "abc"),
+            ("REPRO_WATCHDOG_HARD_S", "1e"),
+            ("REPRO_WATCHDOG_RETRIES", "2.5"),
+        ):
+            monkeypatch.setenv(name, bad)
+            with pytest.raises(ValueError, match=name):
+                WatchdogConfig.from_env()
+            monkeypatch.delenv(name)
 
     def test_from_env_clamps_hard_to_soft(self, monkeypatch):
         monkeypatch.setenv("REPRO_WATCHDOG_SOFT_S", "60")

@@ -275,6 +275,16 @@ class TestExitCodes:
         )
         assert main(["report", "--figures", "fig11"]) == 1
 
+    def test_bad_watchdog_values_exit_two_before_the_sweep(self, capsys, monkeypatch):
+        argv = ["sweep", "fig9", "--jobs", "2"]
+        assert main([*argv, "--soft-timeout-s", "-3", "--hard-timeout-s", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "timeout must be > 0" in err
+        monkeypatch.setenv("REPRO_WATCHDOG_SOFT_S", "abc")
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "REPRO_WATCHDOG_SOFT_S" in err
+
     def test_mismatched_resume_run_id_exits_two(self, capsys, tmp_path):
         rc = main(
             ["sweep", "fig11", "--journal-dir", str(tmp_path),
