@@ -35,10 +35,6 @@ Subcommands:
   timeline as Chrome trace-event JSON (loadable in Perfetto /
   ``chrome://tracing``), optionally with a Prometheus text dump of the
   metrics registry; see docs/TRACING.md.
-- ``bench`` -- run the curated benchmark suite, append one entry to the
-  committed ``benchmarks/BENCH_<host-class>.json`` ledger, and exit 1
-  when any benchmark regresses beyond the threshold vs the previous
-  entry; see docs/TRACING.md.
 - ``serve`` -- run the schedule-planning HTTP service (coalescing,
   admission control, graceful drain on SIGTERM); see docs/SERVICE.md.
   Drive it with ``python -m repro.service.loadgen``.
@@ -62,6 +58,9 @@ results are bit-identical to serial runs.  Both also accept
 Every subcommand exits nonzero on failure: ``1`` for a runtime error
 (the message goes to stderr), ``2`` for bad arguments, ``130`` on
 Ctrl-C.  ``report`` exits ``1`` when any figure check FAILs.
+
+Benchmarking is not a subcommand: the repository benchmark is
+``perfbench/`` (``python3 perfbench/run.py``; see perfbench/README.md).
 """
 
 from __future__ import annotations
@@ -171,11 +170,11 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _resolve_jobs(args: argparse.Namespace) -> int | None:
-    """``--jobs N`` / ``--parallel`` -> worker count (None = serial)."""
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        return max(1, jobs)
-    if getattr(args, "parallel", False):
+    """``--jobs N`` / ``--parallel`` / ``--fabric-port`` -> worker count
+    (None = serial); a bad ``REPRO_JOBS`` raises a ValueError naming it."""
+    if args.jobs is not None:
+        return max(1, args.jobs)
+    if getattr(args, "parallel", False) or getattr(args, "fabric_port", None) is not None:
         from repro.parallel.engine import default_jobs
 
         return default_jobs()
@@ -201,13 +200,12 @@ def _print_parallel_summary(registry, file=None) -> None:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    jobs = _resolve_jobs(args)
     table = _with_trace(
         args,
         lambda: _with_telemetry(
             args,
             lambda: run_experiment(
-                args.id, fast=not args.full, jobs=jobs, cache_dir=args.cache_dir
+                args.id, fast=not args.full, jobs=args.jobs, cache_dir=args.cache_dir
             ),
         ),
     )
@@ -293,7 +291,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    jobs = _resolve_jobs(args)
     try:
         fabric = _resolve_fabric(args)
         watchdog = _resolve_watchdog(args)
@@ -308,7 +305,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             lambda: run_sweep(
                 ids,
                 fast=not args.full,
-                jobs=jobs,
+                jobs=args.jobs,
                 cache_dir=args.cache_dir,
                 metrics=registry,
                 journal_dir=args.journal_dir,
@@ -387,13 +384,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    jobs = _resolve_jobs(args)
     registry = MetricsRegistry()
     with trace_capture(Tracer(label=f"trace:{','.join(ids)}")) as tracer:
         tables = _with_telemetry(
             args,
             lambda: run_sweep(
-                ids, fast=not args.full, jobs=jobs, cache_dir=args.cache_dir,
+                ids, fast=not args.full, jobs=args.jobs, cache_dir=args.cache_dir,
                 metrics=registry,
             ),
         )
@@ -406,72 +402,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"metrics written to {args.prometheus}")
     if args.telemetry:
         print(f"telemetry written to {args.telemetry}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs import ledger as bench_ledger
-
-    if args.repeat is not None and args.repeat < 1:
-        print(f"--repeat must be >= 1, got {args.repeat}", file=sys.stderr)
-        return 2
-    threshold = args.threshold
-    if threshold is None:
-        raw = os.environ.get("REPRO_BENCH_THRESHOLD", "")
-        try:
-            threshold = float(raw) if raw else bench_ledger.DEFAULT_THRESHOLD
-        except ValueError:
-            print(f"bad REPRO_BENCH_THRESHOLD value {raw!r}", file=sys.stderr)
-            return 2
-    if threshold <= 1.0:
-        print(f"--threshold must be > 1.0, got {threshold:g}", file=sys.stderr)
-        return 2
-    quick = not args.full
-    path = bench_ledger.ledger_path(args.ledger_dir)
-    try:
-        book = bench_ledger.load_ledger(path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    mode = "quick" if quick else "full"
-    print(
-        f"bench ({mode}): {len(bench_ledger.BENCHMARK_NAMES)} benchmark(s), "
-        f"host class {bench_ledger.host_class()}"
-    )
-    entry = bench_ledger.run_benchmark_suite(quick=quick, repeat=args.repeat)
-    for name, res in entry["benchmarks"].items():
-        extra = ""
-        cache = res.get("cache")
-        if cache:
-            extra = f"   cache hit ratio {cache['hit_ratio']:.2f}"
-        svc = res.get("service")
-        if svc:
-            extra += (
-                f"   {svc['rps']:.0f} req/s, p50 {svc['p50_ms']:.2f} ms, "
-                f"p99 {svc['p99_ms']:.2f} ms"
-            )
-        print(f"  {name:<22} {res['wall_seconds'] * 1e3:9.3f} ms{extra}")
-    previous = bench_ledger.latest_entry(book, quick=quick)
-    regressions = bench_ledger.compare_entries(previous, entry, threshold=threshold)
-    if args.dry_run:
-        print("dry run: ledger not written")
-    else:
-        book["entries"].append(entry)
-        bench_ledger.save_ledger(path, book)
-        print(f"ledger: {path} ({len(book['entries'])} entr(ies))")
-    if previous is None:
-        print(f"no {mode}-mode baseline for this host class: seeding the trajectory")
-        return 0
-    if regressions:
-        print(
-            f"REGRESSION: {len(regressions)} benchmark(s) slowed beyond "
-            f"{threshold:g}x vs {previous['recorded_at']}:",
-            file=sys.stderr,
-        )
-        for reg in regressions:
-            print(f"  {reg}", file=sys.stderr)
-        return 1
-    print(f"no regressions vs {previous['recorded_at']} (threshold {threshold:g}x)")
     return 0
 
 
@@ -499,7 +429,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except BaselineError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-    result = lint_paths(paths, jobs=_resolve_jobs(args))
+    result = lint_paths(paths, jobs=args.jobs)
     if args.select:
         selected = {r.upper() for r in args.select}
         result.findings = [f for f in result.findings if f.rule in selected]
@@ -1113,33 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.set_defaults(func=_cmd_trace)
 
-    p_bench = sub.add_parser(
-        "bench", help="run the benchmark suite against the committed ledger"
-    )
-    bench_mode = p_bench.add_mutually_exclusive_group()
-    bench_mode.add_argument(
-        "--quick", action="store_true", help="thinned workloads (the default)"
-    )
-    bench_mode.add_argument("--full", action="store_true", help="full workloads")
-    p_bench.add_argument(
-        "--repeat", type=int, default=None, metavar="N",
-        help="timed repeats per benchmark, best-of (default: 3 quick / 5 full)",
-    )
-    p_bench.add_argument(
-        "--ledger-dir", default="benchmarks", metavar="PATH",
-        help="directory holding BENCH_<host-class>.json (default: benchmarks)",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=None, metavar="X",
-        help="regression threshold, new > previous * X fails "
-             "(default: 1.5, or REPRO_BENCH_THRESHOLD)",
-    )
-    p_bench.add_argument(
-        "--dry-run", action="store_true",
-        help="compare against the ledger without appending to it",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
-
     p_cache = sub.add_parser(
         "cache", help="inspect and maintain a schedule-cache directory"
     )
@@ -1331,6 +1234,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "jobs"):
+        # resolved before any work starts, so a bad REPRO_JOBS is a
+        # usage error (exit 2) rather than a run failing midway
+        try:
+            args.jobs = _resolve_jobs(args)
+        except ValueError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except KeyboardInterrupt:  # pragma: no cover - interactive only

@@ -295,7 +295,7 @@ def _handler_is_blanket(handler: ast.ExceptHandler) -> bool:
     "REP004",
     "exception hygiene",
     "a blanket `except Exception` that neither re-raises nor emits a metric / "
-    "telemetry record makes failures invisible to the ledger, the resilience "
+    "telemetry record makes failures invisible to the metrics, the resilience "
     "counters, and the operator",
     (ast.ExceptHandler,),
 )

@@ -19,16 +19,16 @@ through (docs/OBSERVABILITY.md documents schemas and metric names):
   (schedule-build / verify / simulate / cache / journal timelines) with
   worker-snapshot replay for the parallel sweep engine;
 - :mod:`repro.obs.exporters` -- Chrome trace-event JSON (Perfetto /
-  ``chrome://tracing``) and Prometheus text-format exporters;
-- :mod:`repro.obs.ledger` -- the committed ``BENCH_<host-class>.json``
-  benchmark trajectory with regression gating (``repro-hypercube
-  bench``).
+  ``chrome://tracing``) and Prometheus text-format exporters.
 
 The package is dependency-free (stdlib only, no imports from the
-simulator; the ledger defers its benchmark-workload imports into the
-run), and every integration point is opt-in: with no registry, no
+simulator), and every integration point is opt-in: with no registry, no
 probes, no sink, and no tracer configured, an instrumented code path
 performs the same operations it did before this layer existed.
+
+The repository benchmark is not part of the package: ``perfbench/``
+(see perfbench/README.md) drives the program through its public entry
+points and reads its per-layer rows off the span tracer's self times.
 """
 
 from repro.obs.metrics import (
@@ -62,18 +62,6 @@ from repro.obs.exporters import (
     to_prometheus,
     write_chrome_trace,
     write_prometheus,
-)
-from repro.obs.ledger import (
-    LEDGER_SCHEMA,
-    Regression,
-    compare_entries,
-    env_fingerprint,
-    host_class,
-    latest_entry,
-    ledger_path,
-    load_ledger,
-    run_benchmark_suite,
-    save_ledger,
 )
 from repro.obs.sink import (
     JsonlSink,
@@ -109,12 +97,10 @@ __all__ = [
     "Histogram",
     "JsonlSink",
     "KNOWN_KINDS",
-    "LEDGER_SCHEMA",
     "METRIC_FAMILIES",
     "MemorySink",
     "MetricsRegistry",
     "Probe",
-    "Regression",
     "RunRecord",
     "Span",
     "TelemetrySink",
@@ -122,7 +108,6 @@ __all__ = [
     "Tracer",
     "capture",
     "channel_rollup",
-    "compare_entries",
     "configure",
     "configure_tracing",
     "current_span",
@@ -130,15 +115,10 @@ __all__ = [
     "default_probes",
     "derive_trace_id",
     "emit_event",
-    "env_fingerprint",
     "get_sink",
     "get_tracer",
-    "host_class",
     "hotspot_arcs",
     "instant",
-    "latest_entry",
-    "ledger_path",
-    "load_ledger",
     "is_registered_metric",
     "merge_snapshot",
     "new_run_id",
@@ -146,8 +126,6 @@ __all__ = [
     "per_dimension_busy_time",
     "phase_rollup",
     "probe_summaries",
-    "run_benchmark_suite",
-    "save_ledger",
     "span",
     "summarize_delays",
     "to_chrome_trace",

@@ -231,7 +231,7 @@ class Histogram:
         quantile is never *under*-reported -- the property an SLO gate
         ("p99 under X ms") needs.  Observations past the last bound are
         estimated by the observed maximum.  O(1) memory regardless of
-        sample count, which is why the soak harness records latencies
+        sample count, which is why the load generator records latencies
         here instead of keeping raw samples.
         """
         if not 0.0 <= q <= 1.0:

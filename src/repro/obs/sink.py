@@ -75,8 +75,8 @@ class JsonlSink:
 class RotatingJsonlSink:
     """A :class:`JsonlSink` that rotates and gzips bulk telemetry.
 
-    High-volume producers (the service load generator and soak harness
-    emit one record per request) would otherwise grow one JSONL file
+    High-volume producers (the service load generator emits one
+    record per request) would otherwise grow one JSONL file
     without bound.  When the active file exceeds ``max_bytes`` after a
     write, it is rotated to ``<path>.<k>.gz`` (``k`` counting up from
     1, gzip-compressed) and a fresh active file is started.  Every
@@ -163,7 +163,7 @@ def read_jsonl(path: str | os.PathLike) -> list[RunRecord]:
 
     Accepts plain text and gzip-compressed files (what
     :class:`RotatingJsonlSink` produces for rotated segments; loadgen
-    and soak runs gzip their bulk telemetry).  Raises ``OSError`` for
+    runs gzip their bulk telemetry).  Raises ``OSError`` for
     an unreadable file and ``ValueError`` for corrupt content --
     including a truncated or damaged gzip stream -- which is what the
     CLI's exit-code contract distinguishes on.

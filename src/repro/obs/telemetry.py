@@ -140,22 +140,34 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunRecord":
+        """Inverse of :meth:`to_dict`; ``ValueError`` for anything that
+        is not a RunRecord (the CLI's "corrupt telemetry" exit 2)."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"RunRecord must be a JSON object, got {type(data).__name__}")
         schema = data.get("schema", SCHEMA_VERSION)
         if schema not in ACCEPTED_SCHEMAS:
             raise ValueError(f"unsupported RunRecord schema {schema!r}")
         for key in ("run_id", "kind", "n"):
             if key not in data:
                 raise ValueError(f"RunRecord missing required field {key!r}")
+        try:
+            n = int(data["n"])  # type: ignore[call-overload]
+            wall_seconds = float(data.get("wall_seconds", 0.0))  # type: ignore[arg-type]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"RunRecord 'n' and 'wall_seconds' must be numbers: {exc}") from None
+        for key in ("metrics", "extra"):
+            if not isinstance(data.get(key), (Mapping, type(None))):
+                raise ValueError(f"RunRecord field {key!r} must be an object or null")
         return cls(
             run_id=str(data["run_id"]),
             kind=str(data["kind"]),
-            n=int(data["n"]),  # type: ignore[arg-type]
+            n=n,
             algorithm=data.get("algorithm"),  # type: ignore[arg-type]
             ports=data.get("ports"),  # type: ignore[arg-type]
             size=data.get("size"),  # type: ignore[arg-type]
             timings=data.get("timings"),  # type: ignore[arg-type]
             started_at=str(data.get("started_at", "")),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),  # type: ignore[arg-type]
+            wall_seconds=wall_seconds,
             sim_time_us=data.get("sim_time_us"),  # type: ignore[arg-type]
             events=data.get("events"),  # type: ignore[arg-type]
             metrics=dict(data.get("metrics") or {}),  # type: ignore[arg-type]

@@ -258,8 +258,8 @@ class ScheduleCache:
         """Fraction of lookups served from cache (0.0 before any lookup).
 
         The one canonical hit-ratio definition -- ``hits / (hits +
-        misses)`` -- shared by the benchmark ledger, the service
-        ``/metrics`` endpoint, and anything else reporting cache
+        misses)`` -- shared by the service's ``/health`` and
+        ``/metrics`` endpoints and anything else reporting cache
         effectiveness, so no consumer recomputes it from raw counters.
         """
         lookups = self.hits + self.misses

@@ -67,7 +67,7 @@ from repro.obs.telemetry import RunRecord
 from repro.parallel.cache import ScheduleCache, activate_cache
 from repro.parallel.fabric import FabricConfig, TcpCoordinator
 from repro.parallel.journal import SweepJournal, point_fingerprint
-from repro.parallel.resilience import PointTracker, WatchdogConfig
+from repro.parallel.resilience import PointTracker, WatchdogConfig, _env_number
 
 __all__ = [
     "SweepConfig",
@@ -98,11 +98,9 @@ class SweepConfig:
 
 
 def default_jobs() -> int:
-    """Worker count when unspecified: ``REPRO_JOBS`` or the CPU count."""
-    env = os.environ.get("REPRO_JOBS", "")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Worker count when unspecified: ``REPRO_JOBS`` or the CPU count
+    (a bad ``REPRO_JOBS`` raises a ValueError that names it)."""
+    return max(1, _env_number("REPRO_JOBS", int, os.cpu_count() or 1))
 
 
 _config: SweepConfig | None = None

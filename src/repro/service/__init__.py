@@ -15,7 +15,10 @@ Layering (see ``docs/SERVICE.md``)::
     planner.py    single-flight builds over the schedule cache
     protocol.py   request validation and canonical JSON encoding
     loadgen.py    the load-generator client
-    soak.py       in-process soak harness (service + load, one call)
+
+The repository benchmark measures the service from outside, over
+loopback: perfbench's ``serve-cold`` and ``serve-warm`` workloads
+(see perfbench/README.md).
 """
 
 from repro.service.admission import AdmissionConfig, AdmissionController, Rejected
@@ -23,7 +26,7 @@ from repro.service.app import ServiceApp, ServiceConfig, ServiceThread, serve_as
 from repro.service.planner import PlannerService, PlanResult
 from repro.service.protocol import PlanRequest, ProtocolError, encode_json, parse_plan_request
 
-# The client side (loadgen, soak) loads lazily so `python -m
+# The client side (loadgen) loads lazily so `python -m
 # repro.service.loadgen` does not re-import the module runpy is about
 # to execute (which would trip RuntimeWarning and double-run module
 # state).
@@ -32,9 +35,6 @@ _LAZY = {
     "LoadSummary": "repro.service.loadgen",
     "run_load": "repro.service.loadgen",
     "run_load_sync": "repro.service.loadgen",
-    "SoakConfig": "repro.service.soak",
-    "SoakReport": "repro.service.soak",
-    "run_soak": "repro.service.soak",
 }
 
 
@@ -62,12 +62,9 @@ __all__ = [
     "ServiceApp",
     "ServiceConfig",
     "ServiceThread",
-    "SoakConfig",
-    "SoakReport",
     "encode_json",
     "parse_plan_request",
     "run_load",
     "run_load_sync",
-    "run_soak",
     "serve_async",
 ]

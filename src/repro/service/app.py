@@ -397,10 +397,9 @@ async def serve_async(
 class ServiceThread:
     """Run a :class:`ServiceApp` on a dedicated event-loop thread.
 
-    The in-process harness used by tests, the soak benchmark, and the
-    examples: ``start()`` returns once the socket is bound (with the
-    resolved port), ``stop()`` drains and joins.  Usable as a context
-    manager.
+    The in-process harness used by tests and the examples: ``start()``
+    returns once the socket is bound (with the resolved port), ``stop()``
+    drains and joins.  Usable as a context manager.
     """
 
     def __init__(self, config: ServiceConfig | None = None) -> None:

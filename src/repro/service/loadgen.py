@@ -1,8 +1,8 @@
 """Load generator for the schedule-planning service.
 
 A stdlib-only async client that drives ``/v1/*`` endpoints over
-keep-alive HTTP/1.1 connections and reports the numbers the soak
-benchmark and CI smoke job gate on: sustained req/s, p50/p99 latency,
+keep-alive HTTP/1.1 connections and reports the numbers the CI
+``service-smoke`` job gates on: sustained req/s, p50/p99 latency,
 and observed cache hit ratio.
 
 Workload shape is configurable along the two axes that matter for a
@@ -26,11 +26,12 @@ upper bounds -- conservative for SLO gates).
 
 The client is a polite citizen of an overloaded service: a 429 is not
 a failure but a scheduling hint -- the worker sleeps out the server's
-``Retry-After`` (jittered, capped) and re-offers the same request --
-and a connection reset or refused connect is retried up to
-``retries`` times under jittered exponential backoff before it counts
-as an error.  Both behaviours are what the resilience docs
-(docs/RESILIENCE.md) prescribe for fleet clients generally.
+wait (the body's exact ``retry_after_s``, else ``Retry-After``;
+jittered, capped) and re-offers the same request -- and a connection
+reset or refused connect is retried up to ``retries`` times under
+jittered exponential backoff before it counts as an error.  Both
+behaviours are what the resilience docs (docs/RESILIENCE.md) prescribe
+for fleet clients generally.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class LoadConfig:
     #: transport-error / 429 retries per request before giving up.
     retries: int = 2
     #: first backoff delay for transport retries (doubles per attempt,
-    #: jittered); also the fallback wait for a 429 with no Retry-After.
+    #: jittered); also the fallback wait for a 429 that names no wait.
     backoff_s: float = 0.05
     #: ceiling on any single retry sleep (guards a hostile Retry-After).
     max_backoff_s: float = 5.0
@@ -261,6 +262,20 @@ def _request_bodies(config: LoadConfig) -> list[bytes]:
     return bodies
 
 
+def _retry_after(headers: dict[str, str], body: bytes, fallback: float) -> float:
+    """Seconds a throttled request waits before it is re-offered: the
+    body's exact ``retry_after_s``, else the ``Retry-After`` header
+    (whole seconds, rounded up), else ``fallback``."""
+    try:
+        return float(json.loads(body)["retry_after_s"])
+    except (ValueError, KeyError, TypeError):
+        pass
+    try:
+        return float(headers.get("retry-after", ""))
+    except ValueError:
+        return fallback
+
+
 async def run_load(
     config: LoadConfig,
     telemetry: RotatingJsonlSink | None = None,
@@ -349,10 +364,7 @@ async def run_load(
                         # not re-arrive in lockstep.
                         attempts += 1
                         summary.throttled += 1
-                        try:
-                            retry_after = float(resp_headers.get("retry-after", ""))
-                        except ValueError:
-                            retry_after = config.backoff_s
+                        retry_after = _retry_after(resp_headers, resp_body, config.backoff_s)
                         pause = min(max(retry_after, 0.0), config.max_backoff_s)
                         await asyncio.sleep(pause + wrng.uniform(0.0, config.backoff_s))
                         continue

@@ -65,6 +65,30 @@ class TestRunRecord:
         with pytest.raises(ValueError, match="schema"):
             RunRecord.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '"hello"',
+            '{"run_id": "x", "kind": "multicast", "n": null}',
+            '{"run_id": "x", "kind": "multicast", "n": 3, "wall_seconds": "slow"}',
+            '{"run_id": "x", "kind": "multicast", "n": 3, "metrics": 5}',
+            '{"run_id": "x", "kind": "multicast", "n": 3, "extra": [1]}',
+        ],
+    )
+    def test_well_formed_json_that_is_no_record_raises_value_error(self, text):
+        """Valid JSON of the wrong shape is corrupt telemetry, so it must
+        raise the ValueError the loaders and ``stats --from`` expect, not
+        an AttributeError or TypeError from deep inside the constructor."""
+        with pytest.raises(ValueError, match="RunRecord"):
+            RunRecord.from_json(text)
+
+    def test_null_metrics_and_extra_load_as_empty(self):
+        data = json.loads(_make_record().to_json())
+        data["metrics"] = data["extra"] = None
+        back = RunRecord.from_dict(data)
+        assert back.metrics == {} and back.extra == {}
+
     def test_run_ids_unique(self):
         assert len({new_run_id() for _ in range(100)}) == 100
 

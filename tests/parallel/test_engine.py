@@ -92,6 +92,11 @@ class TestParallelPath:
     def test_default_jobs_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert default_jobs() == 3
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert default_jobs() == 1
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(ValueError, match="REPRO_JOBS='abc'"):
+            default_jobs()
         monkeypatch.delenv("REPRO_JOBS")
         assert default_jobs() >= 1
 

@@ -319,9 +319,9 @@ class TestKilledCoordinator:
         )
         try:
             # wait for checkpointed points, then SIGKILL the coordinator
-            deadline = time.time() + 90.0
+            deadline = time.monotonic() + 90.0
             journal_path = None
-            while time.time() < deadline:
+            while time.monotonic() < deadline:
                 candidates = list(journal_dir.glob("*.jsonl"))
                 if candidates:
                     journal_path = candidates[0]

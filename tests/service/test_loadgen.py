@@ -9,7 +9,7 @@ import pytest
 
 from repro.obs.sink import RotatingJsonlSink, read_jsonl
 from repro.service import AdmissionConfig, LoadConfig, ServiceConfig, ServiceThread
-from repro.service.loadgen import _ZipfPicker, main, run_load_sync
+from repro.service.loadgen import _retry_after, _ZipfPicker, main, run_load_sync
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +130,15 @@ class TestRetries:
         assert summary.statuses.get(429, 0) > 0
         assert summary.ok > 0
         assert summary.errors == 0  # 429s are throttles, not failures
+
+    def test_retry_wait_prefers_the_exact_body_value(self):
+        """The body's ``retry_after_s`` is exact; ``Retry-After`` rounds it
+        up to a whole second, so it is only the fallback."""
+        body = json.dumps({"error": "slow down", "retry_after_s": 0.02}).encode()
+        assert _retry_after({"retry-after": "1"}, body, 0.05) == 0.02
+        assert _retry_after({"retry-after": "1"}, b"{}", 0.05) == 1.0
+        assert _retry_after({"retry-after": "1"}, b"not json", 0.05) == 1.0
+        assert _retry_after({}, b"[]", 0.05) == 0.05
 
     def test_connection_refused_retries_then_counts_error(self):
         summary = run_load_sync(

@@ -285,6 +285,26 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "REPRO_WATCHDOG_SOFT_S" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "fig9", "--parallel"],
+            ["sweep", "fig9", "--fabric-port", "0", "--fabric-wait-s", "0"],
+            ["experiment", "fig9", "--parallel"],
+            ["trace", "fig9", "--parallel", "-o", "trace.json"],
+            ["lint", ".", "--parallel"],
+        ],
+    )
+    def test_bad_repro_jobs_exits_two_before_any_work(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "REPRO_JOBS='abc'" in err
+        assert not (tmp_path / "trace.json").exists()
+
     def test_mismatched_resume_run_id_exits_two(self, capsys, tmp_path):
         rc = main(
             ["sweep", "fig11", "--journal-dir", str(tmp_path),
@@ -372,6 +392,24 @@ class TestStatsFromFile:
         rc = main(["stats", "--from", str(bad)])
         assert rc == 2
         assert "error: corrupt telemetry file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2]",
+            '"hello"',
+            '{"run_id": "x", "kind": "multicast", "n": null}',
+            '{"run_id": "x", "kind": "multicast", "n": 3, "metrics": 5}',
+        ],
+    )
+    def test_well_formed_json_that_is_no_record_exits_two(self, capsys, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n", encoding="utf-8")
+        rc = main(["stats", "--from", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: corrupt telemetry file" in err
+        assert "Traceback" not in err
 
     def test_missing_n_without_from_exits_two(self, capsys):
         rc = main(["stats"])
@@ -532,95 +570,6 @@ class TestTraceSubcommand:
         assert "event(s) written" in capsys.readouterr().out
         doc = json.loads(out.read_text())
         assert {e["name"] for e in doc["traceEvents"]} >= {"experiment", "point.delay"}
-
-
-class TestBenchSubcommand:
-    def _bench(self, tmp_path, *extra: str):
-        return main(
-            ["bench", "--quick", "--repeat", "1",
-             "--ledger-dir", str(tmp_path), *extra]
-        )
-
-    def test_first_run_seeds_trajectory(self, capsys, tmp_path):
-        from repro.obs.ledger import host_class, load_ledger
-
-        rc = self._bench(tmp_path)
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "seeding the trajectory" in out
-        book = load_ledger(tmp_path / f"BENCH_{host_class()}.json")
-        assert len(book["entries"]) == 1
-
-    def test_second_run_compares_clean(self, capsys, tmp_path):
-        from repro.obs.ledger import host_class, load_ledger, save_ledger
-
-        assert self._bench(tmp_path) == 0
-        capsys.readouterr()
-        # the earlier entry is made 100x slower, so host drift between the
-        # two runs cannot read as a regression; the gate logic is what runs
-        path = tmp_path / f"BENCH_{host_class()}.json"
-        book = load_ledger(path)
-        for res in book["entries"][0]["benchmarks"].values():
-            res["wall_seconds"] *= 100.0
-        save_ledger(path, book)
-        assert self._bench(tmp_path) == 0
-        assert "no regressions vs" in capsys.readouterr().out
-
-    def test_regression_exits_one(self, capsys, tmp_path):
-        from repro.obs.ledger import host_class, load_ledger, save_ledger
-
-        assert self._bench(tmp_path) == 0
-        capsys.readouterr()
-        path = tmp_path / f"BENCH_{host_class()}.json"
-        book = load_ledger(path)
-        for res in book["entries"][0]["benchmarks"].values():
-            res["wall_seconds"] /= 100.0  # past looks 100x faster
-        save_ledger(path, book)
-        rc = self._bench(tmp_path)
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert "REGRESSION:" in err and "slowed beyond" in err
-
-    def test_regression_still_appends_entry(self, capsys, tmp_path):
-        from repro.obs.ledger import host_class, load_ledger, save_ledger
-
-        assert self._bench(tmp_path) == 0
-        path = tmp_path / f"BENCH_{host_class()}.json"
-        book = load_ledger(path)
-        for res in book["entries"][0]["benchmarks"].values():
-            res["wall_seconds"] /= 100.0
-        save_ledger(path, book)
-        assert self._bench(tmp_path) == 1
-        assert len(load_ledger(path)["entries"]) == 2  # honest trajectory
-
-    def test_dry_run_does_not_write(self, capsys, tmp_path):
-        from repro.obs.ledger import host_class
-
-        rc = self._bench(tmp_path, "--dry-run")
-        assert rc == 0
-        assert "dry run: ledger not written" in capsys.readouterr().out
-        assert not (tmp_path / f"BENCH_{host_class()}.json").exists()
-
-    def test_corrupt_ledger_exits_two(self, capsys, tmp_path):
-        from repro.obs.ledger import host_class
-
-        (tmp_path / f"BENCH_{host_class()}.json").write_text("{torn")
-        rc = self._bench(tmp_path)
-        assert rc == 2
-        assert "corrupt benchmark ledger" in capsys.readouterr().err
-
-    def test_bad_threshold_exits_two(self, capsys, tmp_path):
-        assert self._bench(tmp_path, "--threshold", "0.5") == 2
-        assert "must be > 1.0" in capsys.readouterr().err
-
-    def test_bad_repeat_exits_two(self, capsys, tmp_path):
-        assert self._bench(tmp_path, "--repeat", "0") == 2
-        assert "--repeat must be >= 1" in capsys.readouterr().err
-
-    def test_threshold_env_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_THRESHOLD", "garbage")
-        assert self._bench(tmp_path) == 2
-        assert "REPRO_BENCH_THRESHOLD" in capsys.readouterr().err
 
 
 class TestCollective:
