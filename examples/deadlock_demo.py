@@ -2,8 +2,8 @@
 
 Wormhole routing's blocked worms hold their channels, so routing
 functions with cyclic channel dependencies can deadlock the network --
-the reason E-cube (and mesh XY) routing restricts paths to a fixed
-dimension order.  This example:
+the reason E-cube routing restricts paths to a fixed dimension
+order.  This example:
 
 1. proves E-cube safe by building its channel-dependency graph
    (Dally & Seitz) and checking acyclicity;

@@ -248,7 +248,6 @@ def _resolve_fabric(args: argparse.Namespace):
         bind_port=port,
         min_workers=args.fabric_min_workers,
         wait_s=args.fabric_wait_s,
-        cache_url=args.fabric_cache_url,
     )
 
 
@@ -363,12 +362,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         return run_worker(
             args.connect,
             cache_dir=args.cache_dir,
-            cache_url=args.cache_url,
             label=args.label,
             connect_timeout_s=args.connect_timeout_s,
             beat_s=args.beat_s,
         )
-    except ValueError as exc:  # bad HOST:PORT or cache URL
+    except ValueError as exc:  # bad HOST:PORT
         print(f"worker: {exc}", file=sys.stderr)
         return 2
 
@@ -972,11 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fabric-wait-s", type=float, default=15.0, metavar="S",
         help="how long to wait for --fabric-min-workers before proceeding",
     )
-    p_sweep.add_argument(
-        "--fabric-cache-url", default=None, metavar="URL",
-        help="planning-service URL advertised to workers as the shared "
-             "schedule-cache tier (e.g. http://HOST:8421)",
-    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_worker = sub.add_parser(
@@ -989,11 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="local content-addressed schedule cache for this worker",
-    )
-    p_worker.add_argument(
-        "--cache-url", default=None, metavar="URL",
-        help="planning-service URL for the fleet-shared cache tier "
-             "(default: whatever the coordinator advertises)",
     )
     p_worker.add_argument(
         "--label", default=None, metavar="NAME",

@@ -148,19 +148,12 @@ def check_contention_free(
     source: int,
     unicasts: Sequence[Unicast],
     order: ResolutionOrder = ResolutionOrder.DESCENDING,
-    arcs_of=None,
 ) -> ContentionReport:
     """Verify a whole multicast schedule against Definition 4.
 
     Also checks *causality*: every sender other than the multicast
     source must have received the message in a strictly earlier step
     than any step in which it sends.
-
-    Args:
-        arcs_of: optional ``(src, dst) -> channels`` override.  Defaults
-            to E-cube paths in the given resolution order; the mesh
-            extension passes XY-routed paths instead (Definition 4 is
-            topology-agnostic once the channel sets are known).
     """
     report = ContentionReport(ok=True)
 
@@ -187,22 +180,18 @@ def check_contention_free(
             )
 
     # Only unicasts that share an arc can violate Definition 4.  Index
-    # each arc's first user, and list the users (each once) of the arcs
-    # that have more than one.
+    # each arc's first user, and list the users of the arcs that have
+    # more than one (an E-cube path holds each arc once).
     first: dict[Arc, int] = {}
     shared: dict[Arc, list[int]] = {}
     for i, uc in enumerate(unicasts):
-        if arcs_of is None:
-            path = ecube_arcs(uc.src, uc.dst, order)
-        else:
-            path = arcs_of(uc.src, uc.dst)
-        for arc in path:
+        for arc in ecube_arcs(uc.src, uc.dst, order):
             j = first.setdefault(arc, i)
             if j != i:
                 users = shared.get(arc)
                 if users is None:
                     shared[arc] = [j, i]
-                elif users[-1] != i:
+                else:
                     users.append(i)
     k = len(unicasts)
     witness: dict[int, Arc] = {}  # i * k + j -> smallest arc i and j share

@@ -22,6 +22,7 @@ counts reported in the paper's figures.
 
 from __future__ import annotations
 
+import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -29,8 +30,7 @@ from typing import Iterable, Sequence
 
 from repro.core.addressing import hamming, require_address
 from repro.core.contention import ContentionReport, Unicast, check_contention_free
-from repro.core.paths import ResolutionOrder, ecube_arcs
-from repro.multicast._scheduling import greedy_steps
+from repro.core.paths import Arc, ResolutionOrder, ecube_arcs
 from repro.multicast.ports import ALL_PORT, PortModel
 from repro.obs import trace_spans
 
@@ -165,14 +165,57 @@ class MulticastTree:
         send may overtake an earlier one that is blocked in the network
         -- provided a port is free (this is what all-port DMA hardware
         does); with one port, sends serialize strictly.
+
+        Raises:
+            ValueError: if some send's source never receives the message.
         """
-        steps = greedy_steps(
-            self.source,
-            [(s.seq, s.src, s.dst) for s in self._sends],
-            lambda u, v: ecube_arcs(u, v, self.order),
-            ports.limit(self.n),
-        )
+        limit = ports.limit(self.n)
+        with trace_spans.span("schedule.greedy", sends=len(self._sends), limit=limit) as sp:
+            steps = self._greedy_steps(limit)
+            if sp is not None:
+                sp.set(max_step=max(steps.values(), default=0))
         return Schedule(self, ports, steps)
+
+    def _greedy_steps(self, limit: int) -> dict[int, int]:
+        """The greedy pass behind :meth:`schedule`, as ``seq -> step``.
+
+        Nodes are visited in the order they receive; each node's sends,
+        in issue order, take the earliest step after a port frees whose
+        arcs are disjoint from that step's.
+        """
+        order = self.order
+        arcs_by_step: dict[int, set[Arc]] = {}
+        steps: dict[int, int] = {}
+        heap: list[tuple[int, int, int]] = [(0, -1, self.source)]
+        seen: set[int] = set()
+        while heap:
+            r, _, node = heapq.heappop(heap)
+            if node in seen:
+                continue
+            seen.add(node)
+            node_sends = self._by_sender.get(node, ())
+            port_free = [r] * min(limit, len(node_sends))
+            heapq.heapify(port_free)
+            for send in node_sends:
+                arcs = ecube_arcs(send.src, send.dst, order)
+                s = max(r + 1, heapq.heappop(port_free) + 1)
+                while True:
+                    used = arcs_by_step.get(s)
+                    if used is None or used.isdisjoint(arcs):
+                        break
+                    s += 1
+                steps[send.seq] = s
+                heapq.heappush(port_free, s)
+                arcs_by_step.setdefault(s, set()).update(arcs)
+                heapq.heappush(heap, (s, send.seq, send.dst))
+
+        unplaced = len(self._sends) - len(steps)
+        if unplaced:
+            raise ValueError(
+                f"tree is not connected: {unplaced} send(s) from nodes "
+                "that never receive the message"
+            )
+        return steps
 
 
 @dataclass(slots=True)

@@ -155,9 +155,15 @@ class RunRecord:
             wall_seconds = float(data.get("wall_seconds", 0.0))  # type: ignore[arg-type]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"RunRecord 'n' and 'wall_seconds' must be numbers: {exc}") from None
-        for key in ("metrics", "extra"):
-            if not isinstance(data.get(key), (Mapping, type(None))):
-                raise ValueError(f"RunRecord field {key!r} must be an object or null")
+        for keys, types, what in (
+            (("events", "size", "sim_time_us"), (int, float), "a number"),
+            (("trace_id", "algorithm", "ports"), str, "a string"),
+            (("timings", "metrics", "extra"), Mapping, "an object"),
+        ):
+            for key in keys:
+                value = data.get(key)
+                if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+                    raise ValueError(f"RunRecord field {key!r} must be {what} or null")
         return cls(
             run_id=str(data["run_id"]),
             kind=str(data["kind"]),

@@ -16,8 +16,6 @@ that way while guaranteeing bit-identical results to the serial path:
 - :mod:`repro.parallel.worker` -- the worker side: the frame protocol,
   :func:`~repro.parallel.worker.run_chunk`, and the serve loop that
   local workers and ``repro-hypercube worker`` processes both run;
-- :mod:`repro.parallel.fabric_cache` -- the fleet-shared schedule-cache
-  tier workers mount over the planning service's ``/v1/cache`` routes;
 - :mod:`repro.parallel.cache` -- a content-addressed two-layer cache
   for multicast schedules, step tables, and simulated delay summaries,
   shared across workers through an optional ``cache_dir``, with
@@ -53,7 +51,6 @@ from repro.parallel.engine import (
     sweep_context,
 )
 from repro.parallel.fabric import FabricConfig, TcpCoordinator
-from repro.parallel.fabric_cache import RemoteCacheClient, TieredCache
 from repro.parallel.journal import (
     JournalLoad,
     SweepJournal,
@@ -69,13 +66,11 @@ __all__ = [
     "FabricConfig",
     "JournalLoad",
     "PointTracker",
-    "RemoteCacheClient",
     "RetryPolicy",
     "ScheduleCache",
     "SweepConfig",
     "SweepJournal",
     "TcpCoordinator",
-    "TieredCache",
     "WatchdogConfig",
     "cache_key",
     "cached_delay_stats",

@@ -97,16 +97,12 @@ class FabricConfig:
             are still welcome).
         wait_s: how long to wait for ``min_workers`` before proceeding
             with however many (possibly zero) have joined.
-        cache_url: advertised shared-cache service URL (the planning
-            service); workers that did not pass their own
-            ``--cache-url`` adopt it at handshake.
     """
 
     bind_host: str = "127.0.0.1"
     bind_port: int = 0
     min_workers: int = 1
     wait_s: float = 15.0
-    cache_url: str | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.bind_port <= 65535:
@@ -270,7 +266,7 @@ class TcpCoordinator:
             if not isinstance(hello, dict) or hello.get("type") != "hello":
                 raise ValueError("not a worker hello")
             sock.settimeout(None)
-            send_frame(sock, {"type": "welcome", "cache_url": self.config.cache_url})
+            send_frame(sock, {"type": "welcome"})
         except (OSError, ValueError, pickle.UnpicklingError, EOFError):
             sock.close()
             return

@@ -36,11 +36,6 @@ as :mod:`multiprocessing` itself, documented in docs/RESILIENCE.md.
 Results cross the wire as the exact objects the point function
 returned (pickle round-trips them bit-identically), which is what
 makes a parallel sweep byte-identical to a serial one.
-
-Remote workers start cold.  With ``--cache-url`` (or the coordinator's
-advertised URL) the local schedule cache is extended with the fleet
-tier (:mod:`repro.parallel.fabric_cache`), so every host shares one
-warm set of content-addressed schedule tables.
 """
 
 from __future__ import annotations
@@ -60,7 +55,6 @@ from repro.obs import trace_spans
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import MemorySink
 from repro.parallel.cache import ScheduleCache, activate_cache, get_active_cache
-from repro.parallel.fabric_cache import RemoteCacheClient, TieredCache
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -346,7 +340,7 @@ def serve_local(
 
 def _parse_endpoint(endpoint: str) -> tuple[str, int]:
     host, sep, port = endpoint.rpartition(":")
-    if not sep or not host or not port.isdigit():
+    if not sep or not host or not port.isdigit() or not 1 <= int(port) <= 65535:
         raise ValueError(f"expected HOST:PORT, got {endpoint!r}")
     return host, int(port)
 
@@ -374,7 +368,6 @@ def _say(message: str) -> None:
 def run_worker(
     connect: str,
     cache_dir: str | None = None,
-    cache_url: str | None = None,
     label: str | None = None,
     connect_timeout_s: float = 30.0,
     beat_s: float = 0.25,
@@ -401,14 +394,6 @@ def run_worker(
     if not isinstance(welcome, dict) or welcome.get("type") != "welcome":
         _say("worker: coordinator rejected handshake")
         return 1
-    if cache_url is None:
-        cache_url = welcome.get("cache_url")
-
-    if cache_url:
-        remote = RemoteCacheClient(cache_url)
-        activate_cache(TieredCache(cache_dir, remote=remote))
-        _say(f"worker {worker_id}: fleet cache tier at {remote.describe()}")
-    else:
-        activate_cache(ScheduleCache(cache_dir))
+    activate_cache(ScheduleCache(cache_dir))
     _say(f"worker {worker_id}: serving {connect}")
     return serve(sock, worker_id, beat_s, log=_say)

@@ -9,19 +9,12 @@ deployable service needs:
 ``POST /v1/schedule``     step table for one multicast (cached, coalesced)
 ``POST /v1/verify``       structural + Definition-4 verification verdict
 ``POST /v1/simulate``     wormhole-simulation delay summary
-``GET /v1/cache/<key>``   one content-addressed cache entry (fleet tier)
-``PUT /v1/cache/<key>``   publish a checksum-validated cache entry
 ``GET /health``           liveness + drain/degraded state (JSON)
 ``GET /metrics``          Prometheus text exposition of the registry
 ``GET /v1/usage``         per-client request/byte/cache-hit accounting
 ========================  ====================================================
 
-The cache routes are the server side of the fleet-shared schedule-cache
-tier (:mod:`repro.parallel.fabric_cache`): keys are the planner's own
-SHA-256 content addresses, the transported envelope carries the same
-``checksum`` field the disk envelope does, and a PUT whose checksum
-does not match its value is rejected (400) before it can poison the
-store.  ``/health`` additionally reports ``degraded`` with a reason
+``/health`` additionally reports ``degraded`` with a reason
 (``"drain"`` or ``"overload"``) so load balancers can distinguish a
 shutting-down instance from a saturated one.
 
@@ -47,10 +40,9 @@ from typing import Awaitable, Callable
 
 from repro.obs.exporters import to_prometheus
 from repro.obs.metrics import SERVICE_LATENCY_BUCKETS_MS, MetricsRegistry
-from repro.parallel.cache import ScheduleCache, _value_checksum
-from repro.parallel.fabric_cache import KEY_RE
+from repro.parallel.cache import ScheduleCache
 from repro.service.admission import AdmissionConfig, AdmissionController, Rejected
-from repro.service.http import HttpError, HttpServer, Request, Response
+from repro.service.http import HttpServer, Request, Response
 from repro.service.planner import PlannerService, PlanResult
 from repro.service.protocol import ProtocolError, parse_plan_request
 
@@ -180,10 +172,6 @@ class ServiceApp:
 
     async def handle(self, req: Request) -> Response:
         handler = self._routes.get((req.method, req.path))
-        if handler is None and req.path.startswith("/v1/cache/"):
-            # content-addressed routes carry the key in the path, so they
-            # dispatch by prefix; the handler does its own method check.
-            handler = self._cache_endpoint
         if handler is None:
             known_paths = {path for _, path in self._routes}
             if req.path in known_paths:
@@ -254,47 +242,6 @@ class ServiceApp:
         usage.bytes_out += len(body)
         self.metrics.counter("sim.service.bytes_out").inc(len(body))
         return response
-
-    # -- fleet cache tier ----------------------------------------------
-
-    async def _cache_endpoint(self, req: Request) -> Response:
-        """Serve the content-addressed store to fabric workers.
-
-        GET returns the same self-verifying envelope the disk layer
-        uses (``{"key", "checksum", "value"}``); PUT accepts one and
-        re-derives the checksum before storing, so a corrupted or
-        forged upload is turned away instead of cached.
-        """
-        key = req.path[len("/v1/cache/"):]
-        if KEY_RE.fullmatch(key) is None:
-            return Response(
-                status=400, payload={"error": f"cache key must be 64 hex chars, got {key!r}"}
-            )
-        cache = self.planner.cache
-        if req.method == "GET":
-            value = cache.get(key)
-            if value is None:
-                return Response(status=404, payload={"error": f"no cache entry for {key}"})
-            return Response(
-                payload={"key": key, "checksum": _value_checksum(value), "value": value}
-            )
-        if req.method == "PUT":
-            try:
-                doc = req.json()
-                value = doc["value"]
-                intact = doc.get("key") == key and _value_checksum(value) == doc.get("checksum")
-            except (HttpError, ValueError, KeyError, TypeError):
-                intact = False
-                value = None
-            if not intact:
-                self.metrics.counter("sim.service.cache_put_rejected").inc()
-                return Response(
-                    status=400,
-                    payload={"error": "cache entry failed key/checksum validation"},
-                )
-            cache.put(key, value)
-            return Response(status=201, payload={"key": key, "stored": True})
-        return Response(status=405, payload={"error": f"method {req.method} not allowed"})
 
     # -- operational endpoints -----------------------------------------
 

@@ -99,7 +99,6 @@ class FlitLevelNetwork:
         timings: Timings = NCUBE2,
         order: ResolutionOrder = ResolutionOrder.DESCENDING,
         buffer_flits: int = 2,
-        route=None,
     ) -> None:
         if buffer_flits < 1:
             raise ValueError("router buffers need at least one flit slot")
@@ -108,8 +107,6 @@ class FlitLevelNetwork:
         self.timings = timings
         self.order = order
         self.buffer_flits = buffer_flits
-        #: routing function (defaults to E-cube; the mesh passes XY)
-        self.route = route if route is not None else (lambda u, v: ecube_arcs(u, v, order))
         #: optional callback fired when a worm's last flit arrives
         self.on_delivered = None
         self._channels: dict[Arc, _FlitChannel] = {}
@@ -128,7 +125,7 @@ class FlitLevelNetwork:
             src=src,
             dst=dst,
             flits=flits,
-            arcs=list(self.route(src, dst)),
+            arcs=ecube_arcs(src, dst, self.order),
         )
         worm.at = [flits] + [0] * worm.hops
         worm.crossed = [0] * worm.hops

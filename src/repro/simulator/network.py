@@ -33,6 +33,13 @@ __all__ = ["Channel", "WormholeNetwork"]
 _PENDING, _INJECTING, _DELIVERED = WormState.PENDING, WormState.INJECTING, WormState.DELIVERED
 
 
+def _require_arc(arc: Arc, n: int) -> None:
+    node, dim = arc
+    require_address(node, n, "channel tail")
+    if not 0 <= dim < n:
+        raise ValueError(f"channel dimension {dim} out of range")
+
+
 class Channel:
     """One directed channel with single ownership and a FIFO wait queue.
 
@@ -105,17 +112,6 @@ class WormholeNetwork:
         #: number of worms aborted on dead channels so far
         self.aborted_count = 0
 
-    # -- topology validation hooks (overridable: see repro.mesh) --------
-
-    def validate_node(self, node: int, what: str) -> None:
-        require_address(node, self.n, what)
-
-    def validate_arc(self, arc: Arc) -> None:
-        node, dim = arc
-        require_address(node, self.n, "channel tail")
-        if not 0 <= dim < self.n:
-            raise ValueError(f"channel dimension {dim} out of range")
-
     # -- worm creation / injection ------------------------------------
 
     def make_worm(
@@ -127,8 +123,8 @@ class WormholeNetwork:
         only (fault-aware drivers use it to re-route retries around dead
         channels).
         """
-        self.validate_node(src, "worm source")
-        self.validate_node(dst, "worm destination")
+        require_address(src, self.n, "worm source")
+        require_address(dst, self.n, "worm destination")
         if src == dst:
             raise ValueError("a worm needs distinct endpoints")
         if size < 1:
@@ -158,7 +154,7 @@ class WormholeNetwork:
         """The channel ``arc``, created (and validated) on first use."""
         ch = self._channels.get(arc)
         if ch is None:
-            self.validate_arc(arc)
+            _require_arc(arc, self.n)
             ch = self._channels[arc] = Channel(arc)
         return ch
 
@@ -178,7 +174,7 @@ class WormholeNetwork:
         Schedulable as a timed event: ``sim.schedule_at(t, net.fail_arc,
         arc)``.
         """
-        self.validate_arc(arc)
+        _require_arc(arc, self.n)
         self._dead_arcs.add(arc)
         ch = self._channels.get(arc)
         if ch is None:

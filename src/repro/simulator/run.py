@@ -1,7 +1,7 @@
 """The simulation driver, and the multicast entry point built on it.
 
 :class:`Machine` is the one harness every simulate entry point runs on
-(multicast, concurrent multicasts, background traffic, faults, mesh,
+(multicast, concurrent multicasts, background traffic, faults,
 collectives, calibration).  It owns the event kernel, the network, and
 the host nodes, wires deliveries to them, and records each finished
 run once into the ``sim.*`` metrics and a telemetry
@@ -27,7 +27,7 @@ from statistics import mean
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.core.paths import ResolutionOrder
+from repro.core.paths import Arc, ResolutionOrder
 from repro.multicast.base import MulticastTree
 from repro.multicast.ports import ALL_PORT, PortModel
 from repro.obs import sink as _telemetry_sink
@@ -54,21 +54,20 @@ class Machine:
     takes the message, firing ``on_receive`` after ``t_recv``.
 
     Args:
-        n: cube dimension (the :class:`~repro.mesh.topology.Mesh2D`
-            when ``network`` is :class:`~repro.mesh.tree.MeshNetwork`).
+        n: cube dimension.
         timings: cost model.
         port_limit: concurrent injections per node.
         on_receive: ``(node, worm)`` callback for every received message.
         order: E-cube resolution order.
         trace: record channel occupancies.
         probes: optional event-kernel profiling probes.
-        network: the network class; further keywords (``route``,
-            ``on_aborted``) go to its constructor.
+        route, on_aborted: passed to :class:`WormholeNetwork` (the
+            faults driver's detours and retries).
     """
 
     def __init__(
         self,
-        n: Any,
+        n: int,
         timings: Timings,
         port_limit: int,
         on_receive: Callable[[HostNode, Worm], None],
@@ -76,8 +75,8 @@ class Machine:
         order: ResolutionOrder = ResolutionOrder.DESCENDING,
         trace: bool = False,
         probes: "Sequence[Probe] | None" = None,
-        network: Callable[..., WormholeNetwork] = WormholeNetwork,
-        **network_kw: Any,
+        route: Callable[[int, int], list[Arc]] | None = None,
+        on_aborted: Callable[[Worm], None] | None = None,
     ) -> None:
         self._wall_start = perf_counter()
         self.sim = Simulator(probes)
@@ -88,14 +87,15 @@ class Machine:
         # machine would close a reference cycle, and a finished run
         # would wait for the cyclic collector; it holds it weakly.
         machine = weakref.ref(self)
-        self.network = network(
+        self.network = WormholeNetwork(
             self.sim,
             n,
             timings=timings,
             order=order,
             trace=trace,
             on_delivered=lambda worm: machine()._delivered(worm),
-            **network_kw,
+            route=route,
+            on_aborted=on_aborted,
         )
 
     def node(self, address: int) -> HostNode:

@@ -3,8 +3,7 @@
 :func:`check_contention_free` examines only the unicast pairs that share
 an arc.  The reference below is the verifier as it was before that
 index: every pair ``(i, j)``, ``i < j``, through
-:func:`pair_contention_free` (or the same test on the channel sets an
-``arcs_of`` override gives).  Both must agree on ``ok``, on the
+:func:`pair_contention_free`.  Both must agree on ``ok``, on the
 violations -- their order and witness arcs -- and on the causality
 errors, for the paper's schedules and for malformed ones.
 
@@ -29,7 +28,6 @@ from repro.core.contention import (
     reachable_sets,
 )
 from repro.core.paths import ResolutionOrder, ecube_arcs, ecube_dims
-from repro.mesh import Mesh2D, UMesh
 from repro.multicast.ports import ALL_PORT, ONE_PORT
 from repro.multicast.registry import PAPER_ALGORITHMS, get_algorithm
 
@@ -37,21 +35,7 @@ DESC = ResolutionOrder.DESCENDING
 ASC = ResolutionOrder.ASCENDING
 
 
-def _reference_pair(a, b, reach, order, arcs_of):
-    if arcs_of is None:
-        return pair_contention_free(a, b, reach, order)
-    # pair_contention_free's test, on the override's channel sets
-    if b.step < a.step:
-        a, b = b, a
-    shared = set(arcs_of(a.src, a.dst)) & set(arcs_of(b.src, b.dst))
-    if not shared:
-        return True, None
-    if a.step < b.step and b.src in reach.get(a.src, set()):
-        return True, None
-    return False, min(shared)
-
-
-def reference(source, unicasts, order=DESC, arcs_of=None) -> ContentionReport:
+def reference(source, unicasts, order=DESC) -> ContentionReport:
     """Definition 4 over all pairs, plus the same causality checks."""
     report = ContentionReport(ok=True)
     recv_step = {source: 0}
@@ -76,16 +60,16 @@ def reference(source, unicasts, order=DESC, arcs_of=None) -> ContentionReport:
     reach = reachable_sets(source, unicasts)
     for i, a in enumerate(unicasts):
         for b in unicasts[i + 1 :]:
-            ok, witness = _reference_pair(a, b, reach, order, arcs_of)
+            ok, witness = pair_contention_free(a, b, reach, order)
             if not ok:
                 report.ok = False
                 report.violations.append((a, b, witness))
     return report
 
 
-def assert_same(source, unicasts, order=DESC, arcs_of=None) -> ContentionReport:
-    got = check_contention_free(source, unicasts, order, arcs_of=arcs_of)
-    want = reference(source, unicasts, order, arcs_of)
+def assert_same(source, unicasts, order=DESC) -> ContentionReport:
+    got = check_contention_free(source, unicasts, order)
+    want = reference(source, unicasts, order)
     assert got.ok == want.ok
     assert got.violations == want.violations
     assert got.causality_errors == want.causality_errors
@@ -164,32 +148,6 @@ def test_duplicate_receivers_match_reference(seed):
         for src, dst in (rng.sample([source, *receivers], 2) for _ in range(len(unicasts) // 2))
     ]
     assert_same(source, unicasts + extra)
-
-
-@pytest.mark.parametrize("cols,rows", [(4, 4), (8, 3), (5, 7)])
-def test_mesh_channel_sets_match_reference(cols, rows):
-    mesh = Mesh2D(cols, rows)
-    rng = random.Random(f"mesh/{cols}x{rows}")
-    for _ in range(3):
-        source = rng.randrange(mesh.size)
-        others = [u for u in range(mesh.size) if u != source]
-        dests = rng.sample(others, rng.randint(1, len(others)))
-        tree = UMesh().build_tree(mesh, source, dests)
-        unicasts = tree.schedule(ALL_PORT).unicasts
-        assert_same(source, unicasts, arcs_of=tree.arcs_of)
-        assert_same(source, _shifted(unicasts, rng), arcs_of=tree.arcs_of)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_repeated_arc_counts_once_per_unicast(seed):
-    def revisiting(u: int, v: int) -> list:
-        arcs = ecube_arcs(u, v)
-        return arcs + arcs[:1]  # the first channel listed again
-
-    rng = random.Random(seed)
-    source, dests = _pick(5, rng)
-    unicasts = get_algorithm("ucube").schedule(5, source, dests).unicasts
-    assert_same(source, _shifted(unicasts, rng), arcs_of=revisiting)
 
 
 class TestRouteTable:

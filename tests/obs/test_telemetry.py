@@ -74,6 +74,8 @@ class TestRunRecord:
             '{"run_id": "x", "kind": "multicast", "n": 3, "wall_seconds": "slow"}',
             '{"run_id": "x", "kind": "multicast", "n": 3, "metrics": 5}',
             '{"run_id": "x", "kind": "multicast", "n": 3, "extra": [1]}',
+            '{"schema":2,"run_id":"r","kind":"multicast","n":3,"events":"5"}',
+            '{"schema":2,"run_id":"r","kind":"multicast","n":3,"trace_id":[1]}',
         ],
     )
     def test_well_formed_json_that_is_no_record_raises_value_error(self, text):

@@ -3,7 +3,7 @@
 Covers the full layering (HTTP parse -> routing -> admission ->
 planner -> cache), the golden parity of service responses against
 direct library calls for fig-9/fig-11-style points, HTTP-level
-coalescing, deadlines, and graceful drain.
+coalescing, deadlines, degraded health, and graceful drain.
 """
 
 from __future__ import annotations
@@ -20,7 +20,12 @@ import urllib.request
 import pytest
 
 from repro.analysis.workloads import random_destination_sets
-from repro.parallel.cache import compute_delay_stats, compute_schedule_table
+from repro.parallel.cache import (
+    _value_checksum,
+    compute_delay_stats,
+    compute_schedule_table,
+    schedule_table_key,
+)
 from repro.core.paths import ResolutionOrder
 from repro.multicast.ports import ALL_PORT
 from repro.service import AdmissionConfig, ServiceConfig, ServiceThread
@@ -162,6 +167,30 @@ class TestErrors:
         assert status == 400
         assert "X-Deadline-Ms" in body["error"]
 
+    def test_cache_put_cannot_forge_a_schedule(self, service):
+        """No route writes the planner's cache: a PUT of a forged table
+        under a schedule request's key, with a matching checksum, is a
+        404, and the request is then answered by a fresh build."""
+        dests = [3, 12, 22, 29]
+        doc = {"algorithm": "wsort", "n": 5, "source": 0, "destinations": dests}
+        key = schedule_table_key("wsort", 5, 0, dests, ALL_PORT, ResolutionOrder.DESCENDING)
+        forged = {"max_step": 1, "dest_steps": {str(d): 1 for d in dests}}
+        envelope = {"key": key, "checksum": _value_checksum(forged), "value": forged}
+        req = urllib.request.Request(
+            f"http://{service.host}:{service.port}/v1/cache/{key}",
+            data=json.dumps(envelope).encode(), method="PUT",
+        )
+        with pytest.raises(urllib.error.HTTPError) as exc_info:
+            urllib.request.urlopen(req, timeout=30)
+        assert exc_info.value.code == 404
+        status, body, _ = _post(service, "/v1/schedule", doc)
+        assert status == 200
+        assert body["source"] == "build"
+        expected = compute_schedule_table(
+            "wsort", 5, 0, dests, ALL_PORT, ResolutionOrder.DESCENDING
+        )
+        assert body["result"] == json.loads(json.dumps(expected))
+
 
 class TestGoldenParity:
     """Service responses are byte-for-byte the library's own answers."""
@@ -276,6 +305,39 @@ class TestRateLimiting:
                     headers = hdrs
             assert 429 in statuses
             assert int(headers["Retry-After"]) >= 1
+
+
+class TestDegradedHealth:
+    def test_healthy_instance_not_degraded(self, service):
+        status, doc = _get(service, "/health")
+        doc = json.loads(doc)
+        assert status == 200
+        assert doc["degraded"] is False
+        assert "degraded_reason" not in doc
+
+    def test_drain_reports_degraded_with_reason(self, service):
+        service.app.server._draining = True
+        try:
+            status, doc = _get(service, "/health")
+        finally:
+            service.app.server._draining = False
+        doc = json.loads(doc)
+        assert status == 200
+        assert doc["status"] == "draining"
+        assert doc["degraded"] is True
+        assert doc["degraded_reason"] == "drain"
+
+    def test_overload_reports_degraded_with_reason(self, service):
+        admission = service.app.admission
+        admission.inflight = service.app.config.admission.max_inflight
+        try:
+            _, doc = _get(service, "/health")
+        finally:
+            admission.inflight = 0
+        doc = json.loads(doc)
+        assert doc["status"] == "ok"  # alive, just saturated -- not draining
+        assert doc["degraded"] is True
+        assert doc["degraded_reason"] == "overload"
 
 
 class TestDrain:

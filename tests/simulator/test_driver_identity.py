@@ -1,4 +1,4 @@
-"""Output identity of the seven simulate entry points.
+"""Output identity of the six simulate entry points.
 
 Every entry point runs a seeded grid, and what the runs expose -- the
 delays, event counts, blocked time, each worm's (uid, state, blocked
@@ -36,7 +36,6 @@ from repro.faults import (
     repair_multicast,
     simulate_degraded_multicast,
 )
-from repro.mesh import Mesh2D, UMesh, simulate_mesh_multicast
 from repro.multicast.base import MulticastTree
 from repro.multicast.ports import ALL_PORT, ONE_PORT, k_port
 from repro.multicast.registry import PAPER_ALGORITHMS, get_algorithm
@@ -55,7 +54,6 @@ EXPECTED = {
     "simulate_concurrent_multicasts": "7655580bfa81ce4974708c32831f79e460abbe3c84954db803c48b71f825fe33",
     "simulate_multicast_under_load": "a67e29b9058b3a8ce43933eef12e19ce96977ed5ef33180ca06b808ce4d03a1d",
     "simulate_degraded_multicast": "9fa94fd9ee7be24883a79f653d7cefd127eed02b505b0191be54e023acd8f28d",
-    "simulate_mesh_multicast": "b50a330436159dc70c988fd26fba5f560b932a0c456e5b6f93c1a4cecbf7eaff",
     "simulate_comm": "e7baf7e6e70b34a064916a81957fe320b0b2fee182ec7e83a32296385cd442ed",
     "measure_unicast_samples": "923f285fcad5ad06c11d0c3a33d455459fae7fbba88fc295b56a70114f0c90d4",
 }
@@ -303,20 +301,6 @@ def test_simulate_degraded_multicast(digest):
     digest.records(sink, registry)
     digest.worms()
     assert digest.hexdigest() == EXPECTED["simulate_degraded_multicast"]
-
-
-def test_simulate_mesh_multicast(digest):
-    for mesh in (Mesh2D(4, 3), Mesh2D(5, 5)):
-        for ports in (ONE_PORT, ALL_PORT):
-            for m in (1, 6, mesh.size - 1):
-                rng = random.Random(mesh.size * 100 + m)
-                source = rng.randrange(mesh.size)
-                dests = rng.sample([u for u in range(mesh.size) if u != source], m)
-                tree = UMesh().build_tree(mesh, source, dests)
-                res = simulate_mesh_multicast(tree, 4096, NCUBE2, ports)
-                digest.add("mesh", (res.delays, res.events, res.total_blocked_time))
-                digest.worms()
-    assert digest.hexdigest() == EXPECTED["simulate_mesh_multicast"]
 
 
 def _comm(digest: _Digest, res) -> None:

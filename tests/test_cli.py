@@ -305,6 +305,17 @@ class TestExitCodes:
         assert out == "" and "REPRO_JOBS='abc'" in err
         assert not (tmp_path / "trace.json").exists()
 
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:99999", "127.0.0.1:0"])
+    def test_worker_port_out_of_range_exits_two_without_dialing(
+        self, capsys, monkeypatch, endpoint
+    ):
+        def no_dial(*args):
+            raise AssertionError("worker dialed an invalid endpoint")
+
+        monkeypatch.setattr("repro.parallel.worker._connect", no_dial)
+        assert main(["worker", "--connect", endpoint]) == 2
+        assert f"worker: expected HOST:PORT, got {endpoint!r}" in capsys.readouterr().err
+
     def test_mismatched_resume_run_id_exits_two(self, capsys, tmp_path):
         rc = main(
             ["sweep", "fig11", "--journal-dir", str(tmp_path),
@@ -400,6 +411,8 @@ class TestStatsFromFile:
             '"hello"',
             '{"run_id": "x", "kind": "multicast", "n": null}',
             '{"run_id": "x", "kind": "multicast", "n": 3, "metrics": 5}',
+            '{"schema":2,"run_id":"r","kind":"multicast","n":3,"events":"5"}',
+            '{"schema":2,"run_id":"r","kind":"multicast","n":3,"trace_id":[1]}',
         ],
     )
     def test_well_formed_json_that_is_no_record_exits_two(self, capsys, tmp_path, line):

@@ -78,12 +78,6 @@ def test_resilient_sweep(capsys):
     assert "watchdog:" in out
 
 
-def test_mesh_multicast(capsys):
-    out = run_example("mesh_multicast.py", capsys)
-    assert "free" in out
-    assert "VIOLATED" not in out
-
-
 def test_deadlock_demo(capsys):
     out = run_example("deadlock_demo.py", capsys)
     assert "deadlock-free: True" in out

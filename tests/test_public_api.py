@@ -18,8 +18,11 @@ PACKAGES = [
     "repro.simulator",
     "repro.collectives",
     "repro.analysis",
-    "repro.mesh",
     "repro.obs",
+    "repro.parallel",
+    "repro.service",
+    "repro.faults",
+    "repro.lint",
 ]
 
 
