@@ -1,14 +1,16 @@
 """Multicast planning as a service: boot, load, observe.
 
 Starts the schedule-planning HTTP service in-process (on an ephemeral
-loopback port), drives a Zipf-skewed workload at it with the bundled
-load generator, and then reads back what both sides saw: client-side
-throughput and latency quantiles, the server's coalescing/admission
-counters, and per-client usage accounting from ``/v1/usage``.
+loopback port), sends it a Zipf-skewed stream of schedule requests
+with a short urllib loop, and then reads back what both sides saw:
+client-side throughput and latency quantiles, the server's
+coalescing/admission counters, and per-client usage accounting from
+``/v1/usage``.
 
-The same service runs standalone via ``python -m repro serve``; drive
-it with ``python -m repro.service.loadgen --port ...``.  See
-docs/SERVICE.md for the API and capacity-planning notes.
+The same service runs standalone via ``python -m repro serve``; the
+repository benchmark drives it with ``python3 perfbench/run.py
+--workload serve-warm``.  See docs/SERVICE.md for the API and
+capacity-planning notes.
 
 Run:  PYTHONPATH=src python examples/service_load.py
 """
@@ -16,9 +18,21 @@ Run:  PYTHONPATH=src python examples/service_load.py
 from __future__ import annotations
 
 import json
+import random
+import time
 import urllib.request
 
-from repro.service import LoadConfig, ServiceConfig, ServiceThread, run_load_sync
+from repro.analysis.workloads import random_destination_sets
+from repro.service import ServiceConfig, ServiceThread
+
+
+def post(base: str, doc: dict, client: str) -> dict:
+    req = urllib.request.Request(
+        base + "/v1/schedule", data=json.dumps(doc).encode(), method="POST",
+        headers={"X-Client-Id": client},
+    )
+    with urllib.request.urlopen(req) as resp:
+        return json.loads(resp.read())
 
 
 def main() -> None:
@@ -30,29 +44,32 @@ def main() -> None:
         # -- 2. one explicit request/response round trip -----------------
         doc = {"algorithm": "wsort", "n": 6, "source": 0,
                "destinations": [1, 3, 5, 9, 17, 33]}
-        req = urllib.request.Request(
-            base + "/v1/schedule", data=json.dumps(doc).encode(), method="POST",
-            headers={"X-Client-Id": "example"},
-        )
-        with urllib.request.urlopen(req) as resp:
-            body = json.loads(resp.read())
+        body = post(base, doc, "example")
         print(f"one schedule: source={body['source']}, "
               f"max step {body['result']['max_step']}, key {body['key'][:12]}...")
 
-        # -- 3. a skewed load run: hot keys coalesce and then hit --------
-        summary = run_load_sync(
-            LoadConfig(
-                host=svc.host, port=svc.port,
-                requests=600, concurrency=8,
-                keys=12, skew=1.1, n=6, m=8,
-                client_id="example-load",
-            )
-        )
-        print("\n== load generator (600 requests, 12 keys, zipf 1.1) ==")
-        print(f"throughput: {summary.rps:.0f} req/s over {summary.wall_seconds:.2f} s")
-        print(f"latency:    p50 {summary.p50_ms:.2f} ms, p99 {summary.p99_ms:.2f} ms")
-        print(f"cache:      hit ratio {summary.hit_ratio:.3f} "
-              f"({summary.cache_hits} hits, {summary.builds} builds)")
+        # -- 3. a skewed load run: hot keys are built once, then hit -----
+        keys = random_destination_sets(6, 8, 12, seed=7)
+        weights = [1.0 / (rank + 1) ** 1.1 for rank in range(len(keys))]
+        rng = random.Random(11)
+        latencies_ms = []
+        hits = 0
+        start = time.perf_counter()
+        for dests in rng.choices(keys, weights=weights, k=300):
+            sent = time.perf_counter()
+            body = post(base, {"algorithm": "wsort", "n": 6, "destinations": dests},
+                        "example-load")
+            latencies_ms.append((time.perf_counter() - sent) * 1e3)
+            hits += body["source"] == "cache"
+        wall = time.perf_counter() - start
+        latencies_ms.sort()
+        p50 = latencies_ms[len(latencies_ms) // 2]
+        p99 = latencies_ms[int(len(latencies_ms) * 0.99)]
+        print("\n== client side (300 requests, 12 keys, zipf 1.1) ==")
+        print(f"throughput: {len(latencies_ms) / wall:.0f} req/s over {wall:.2f} s")
+        print(f"latency:    p50 {p50:.2f} ms, p99 {p99:.2f} ms")
+        print(f"cache:      hit ratio {hits / len(latencies_ms):.3f} "
+              f"({hits} hits, {len(latencies_ms) - hits} builds)")
 
         # -- 4. what the server itself measured --------------------------
         registry = svc.app.metrics

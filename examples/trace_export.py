@@ -6,7 +6,7 @@ hierarchy with per-phase cost rollups, a Chrome trace-event file you
 can drop into Perfetto (https://ui.perfetto.dev), and a Prometheus
 text-format metrics snapshot.  Equivalent CLI:
 
-    repro-hypercube trace fig11 -o trace.json --prometheus metrics.prom
+    repro-hypercube sweep fig11 --trace trace.json --prometheus metrics.prom
 
 Run:  PYTHONPATH=src python examples/trace_export.py
 """

@@ -20,7 +20,8 @@ Subcommands:
   ``--hard-timeout-s`` tune it (see docs/RESILIENCE.md).
   ``--fabric-port`` distributes the points over TCP worker hosts
   instead of local workers (the sweep falls back to local workers if
-  every remote one dies).
+  every remote one dies).  ``--prometheus PATH`` dumps the sweep's
+  metrics registry in Prometheus text format.
 - ``worker`` -- serve one sweep-fabric worker link: connect to a
   coordinator started with ``sweep --fabric-port``, execute its
   chunks, heartbeat, exit on shutdown.  Exits ``0`` on an orderly
@@ -31,13 +32,8 @@ Subcommands:
 - ``cache`` -- ``verify`` (audit a schedule-cache directory for
   corrupt/stale entries, optionally ``--repair``-quarantining them)
   and ``gc`` (drop quarantined entries and stray temp files).
-- ``trace`` -- run experiments under the span tracer and export the
-  timeline as Chrome trace-event JSON (loadable in Perfetto /
-  ``chrome://tracing``), optionally with a Prometheus text dump of the
-  metrics registry; see docs/TRACING.md.
 - ``serve`` -- run the schedule-planning HTTP service (coalescing,
   admission control, graceful drain on SIGTERM); see docs/SERVICE.md.
-  Drive it with ``python -m repro.service.loadgen``.
 - ``lint`` -- run the project-invariant static analysis (determinism,
   timing/async/exception hygiene, exit-code and telemetry-naming
   contracts) over the tree; ``0`` clean, ``1`` findings, ``2`` for
@@ -52,12 +48,15 @@ docs/OBSERVABILITY.md).  ``experiment`` and ``sweep`` accept
 ``--parallel`` / ``--jobs N`` / ``--cache-dir PATH`` to fan points
 across worker processes with content-addressed schedule caching;
 results are bit-identical to serial runs.  Both also accept
-``--trace PATH`` to write a Chrome trace-event sidecar of the run
-(worker spans included); the figures themselves are unchanged by it.
+``--trace PATH`` to write a Chrome trace-event JSON sidecar of the run
+(worker spans included, loadable in Perfetto; see docs/TRACING.md);
+the figures themselves are unchanged by it.  :func:`main` installs
+the telemetry sink and the tracer around whichever subcommand runs.
 
 Every subcommand exits nonzero on failure: ``1`` for a runtime error
-(the message goes to stderr), ``2`` for bad arguments, ``130`` on
-Ctrl-C.  ``report`` exits ``1`` when any figure check FAILs.
+(the message goes to stderr), ``2`` for bad arguments (found before
+any work starts), ``130`` on Ctrl-C.  ``report`` exits ``1`` when any
+figure check FAILs.
 
 Benchmarking is not a subcommand: the repository benchmark is
 ``perfbench/`` (``python3 perfbench/run.py``; see perfbench/README.md).
@@ -87,46 +86,72 @@ from repro.simulator.run import simulate_multicast
 __all__ = ["main"]
 
 
-def _with_telemetry(args: argparse.Namespace, fn: Callable):
-    """Run ``fn`` with ``--telemetry PATH`` installed as the JSONL sink."""
-    path = getattr(args, "telemetry", None)
-    if not path:
-        return fn()
-    previous = telemetry_sink.configure(path)
-    try:
-        return fn()
-    finally:
-        telemetry_sink.configure(previous)
+class _UsageError(Exception):
+    """Bad arguments a handler found before starting any work (exit 2)."""
 
 
-def _with_trace(args: argparse.Namespace, fn: Callable):
-    """Run ``fn`` under a fresh tracer when ``--trace PATH`` was given,
-    exporting the Chrome trace-event JSON afterwards.  With ``--json``
-    the note goes to stderr so stdout stays a clean document."""
-    path = getattr(args, "trace", None)
-    if not path:
-        return fn()
-    from repro.obs.exporters import write_chrome_trace
-    from repro.obs.trace_spans import Tracer, trace_capture
-
-    with trace_capture(Tracer(label=args.command)) as tracer:
-        result = fn()
-    events = write_chrome_trace(path, tracer)
-    out = sys.stderr if getattr(args, "json", False) else sys.stdout
-    print(f"trace {tracer.trace_id}: {events} event(s) written to {path}", file=out)
-    return result
-
-
-def _parse_ports(text: str):
+def _ports(text: str):
+    """``-p``: ``one``, ``all`` or a port count ``k``."""
     if text == "all":
         return ALL_PORT
     if text == "one" or text == "1":
         return ONE_PORT
-    return k_port(int(text))
+    try:
+        return k_port(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'one', 'all' or a port count >= 1, got {text!r}"
+        ) from None
 
 
-def _parse_dests(text: str) -> list[int]:
-    return [int(tok, 0) for tok in text.replace(",", " ").split()]
+def _int_list(text: str) -> list[int]:
+    """Integers separated by commas or spaces, in any base Python
+    accepts: ``'1,3,5'`` or ``'0b101 7'``."""
+    try:
+        return [int(tok, 0) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integers such as '1,3,5' or '0b101 7', got {text!r}"
+        ) from None
+
+
+def _link_counts(text: str) -> list[int]:
+    counts = _int_list(text)
+    if not counts or min(counts) < 0:
+        raise argparse.ArgumentTypeError(f"expected failed-link counts >= 0, got {text!r}")
+    return sorted(set(counts))
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _experiment_id(text: str) -> str:
+    if text not in EXPERIMENTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {text!r} (known: {', '.join(EXPERIMENTS)})"
+        )
+    return text
+
+
+def _experiment_ids(text: str) -> list[str]:
+    return [_experiment_id(exp_id) for exp_id in text.split(",")]
+
+
+def _build_tree(args: argparse.Namespace):
+    order = ResolutionOrder.ASCENDING if args.ascending else ResolutionOrder.DESCENDING
+    return get_algorithm(args.algorithm).build_tree(
+        args.n, args.source, args.destinations, order
+    )
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -140,15 +165,11 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    alg = get_algorithm(args.algorithm)
-    dests = _parse_dests(args.destinations)
-    order = ResolutionOrder.ASCENDING if args.ascending else ResolutionOrder.DESCENDING
-    tree = alg.build_tree(args.n, args.source, dests, order)
-    ports = _parse_ports(args.ports)
-    sched = tree.schedule(ports)
+    tree = _build_tree(args)
+    sched = tree.schedule(args.ports)
     width = args.n
-    print(f"{alg.name} multicast in a {args.n}-cube, {ports.name}")
-    print(f"source {args.source:0{width}b}, {len(dests)} destination(s)")
+    print(f"{args.algorithm} multicast in a {args.n}-cube, {args.ports.name}")
+    print(f"source {args.source:0{width}b}, {len(args.destinations)} destination(s)")
     for send in tree.sends:
         step = sched.step_of(send)
         print(f"  step {step}: {send.src:0{width}b} -> {send.dst:0{width}b}")
@@ -156,7 +177,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     report = sched.check_contention()
     print(f"contention check: {report.summary()}")
     if args.simulate or args.timeline:
-        res = simulate_multicast(tree, args.size, NCUBE2, ports, trace=args.timeline)
+        res = simulate_multicast(tree, args.size, NCUBE2, args.ports, trace=args.timeline)
         print(
             f"simulated (4096B unless --size): avg {res.avg_delay:.0f} us, "
             f"max {res.max_delay:.0f} us, blocked {res.total_blocked_time:.0f} us"
@@ -174,41 +195,15 @@ def _resolve_jobs(args: argparse.Namespace) -> int | None:
     (None = serial); a bad ``REPRO_JOBS`` raises a ValueError naming it."""
     if args.jobs is not None:
         return max(1, args.jobs)
-    if getattr(args, "parallel", False) or getattr(args, "fabric_port", None) is not None:
+    if args.parallel or getattr(args, "fabric_port", None) is not None:
         from repro.parallel.engine import default_jobs
 
         return default_jobs()
     return None
 
 
-def _print_parallel_summary(registry, file=None) -> None:
-    """One-line ``sim.parallel.*`` digest after a parallel run."""
-    snap = registry.snapshot()
-
-    def val(name: str) -> float:
-        return snap.get(f"sim.parallel.{name}", {}).get("value", 0)
-
-    wall = snap.get("sim.parallel.dispatch_wall", {}).get("total_seconds", 0.0)
-    print(
-        f"parallel: {val('points_total'):g} point(s), "
-        f"{val('points_remote'):g} remote, "
-        f"cache {val('cache_hits'):g} hit(s) / {val('cache_misses'):g} miss(es), "
-        f"{val('worker_failures'):g} worker failure(s), "
-        f"dispatch {wall:.2f} s",
-        file=file if file is not None else sys.stdout,
-    )
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    table = _with_trace(
-        args,
-        lambda: _with_telemetry(
-            args,
-            lambda: run_experiment(
-                args.id, fast=not args.full, jobs=args.jobs, cache_dir=args.cache_dir
-            ),
-        ),
-    )
+    table = run_experiment(args.id, fast=not args.full, jobs=args.jobs, cache_dir=args.cache_dir)
     if args.json:
         print(table.to_json())
         return 0
@@ -251,68 +246,71 @@ def _resolve_fabric(args: argparse.Namespace):
     )
 
 
-def _print_fabric_summary(registry, file=None) -> None:
-    """One-line ``sim.fabric.*`` digest after a fabric sweep."""
+def _print_digest(registry, out, *, fabric: bool, journal: str | None, run_id: str | None) -> None:
+    """The sweep's one-line ``sim.*`` digests: parallel, then fabric and
+    journal when the sweep used them."""
     snap = registry.snapshot()
 
     def val(name: str) -> float:
-        return snap.get(f"sim.fabric.{name}", {}).get("value", 0)
+        entry = snap.get(f"sim.{name}", {})
+        return entry.get("value", entry.get("total_seconds", 0))
 
     print(
-        f"fabric: {val('workers_joined'):g} worker(s) joined, "
-        f"{val('chunks_completed'):g} chunk(s) remote "
-        f"({val('points_remote'):g} point(s)), "
-        f"{val('hosts_lost'):g} host(s) lost, "
-        f"{val('requeued_chunks'):g} chunk(s) requeued, "
-        f"degraded to local {val('degraded_to_local'):g} time(s)",
-        file=file if file is not None else sys.stdout,
+        f"parallel: {val('parallel.points_total'):g} point(s), "
+        f"{val('parallel.points_remote'):g} remote, "
+        f"cache {val('parallel.cache_hits'):g} hit(s) / "
+        f"{val('parallel.cache_misses'):g} miss(es), "
+        f"{val('parallel.worker_failures'):g} worker failure(s), "
+        f"dispatch {val('parallel.dispatch_wall'):.2f} s",
+        file=out,
     )
+    if fabric:
+        print(
+            f"fabric: {val('fabric.workers_joined'):g} worker(s) joined, "
+            f"{val('fabric.chunks_completed'):g} chunk(s) remote "
+            f"({val('fabric.points_remote'):g} point(s)), "
+            f"{val('fabric.hosts_lost'):g} host(s) lost, "
+            f"{val('fabric.requeued_chunks'):g} chunk(s) requeued, "
+            f"degraded to local {val('fabric.degraded_to_local'):g} time(s)",
+            file=out,
+        )
+    if journal:
+        print(
+            f"journal: {journal}/{run_id}.jsonl (run {run_id}, "
+            f"{val('resilience.journal_hits'):g} point(s) served from journal)",
+            file=out,
+        )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.obs.metrics import MetricsRegistry
 
     ids = args.ids or sorted(EXPERIMENTS)
-    unknown = [exp_id for exp_id in ids if exp_id not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
-        return 2
     resume = args.resume is not None
     if resume and args.journal_dir is None:
-        print("--resume requires --journal-dir", file=sys.stderr)
-        return 2
+        raise _UsageError("--resume requires --journal-dir")
     run_id = sweep_run_id(ids, fast=not args.full) if args.journal_dir else None
-    if resume and args.resume != "auto" and args.resume != run_id:
-        print(
+    if resume and args.resume not in ("auto", run_id):
+        raise _UsageError(
             f"--resume {args.resume} does not match this sweep (its run id is "
-            f"{run_id}); re-issue the command line of the run being resumed",
-            file=sys.stderr,
+            f"{run_id}); re-issue the command line of the run being resumed"
         )
-        return 2
     try:
         fabric = _resolve_fabric(args)
         watchdog = _resolve_watchdog(args)
     except ValueError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"sweep: {exc}") from None
     registry = MetricsRegistry()
-    tables = _with_trace(
-        args,
-        lambda: _with_telemetry(
-            args,
-            lambda: run_sweep(
-                ids,
-                fast=not args.full,
-                jobs=args.jobs,
-                cache_dir=args.cache_dir,
-                metrics=registry,
-                journal_dir=args.journal_dir,
-                resume=resume,
-                watchdog=watchdog,
-                fabric=fabric,
-            ),
-        ),
+    tables = run_sweep(
+        ids,
+        fast=not args.full,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        metrics=registry,
+        journal_dir=args.journal_dir,
+        resume=resume,
+        watchdog=watchdog,
+        fabric=fabric,
     )
     if args.json:
         import json as _json
@@ -324,25 +322,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
     else:
-        for i, table in enumerate(tables.values()):
-            if i:
-                print()
-            print(table.render(args.precision))
+        print("\n\n".join(table.render(args.precision) for table in tables.values()))
     # with --json stdout is the document alone; the digest goes to stderr
     out = sys.stderr if args.json else sys.stdout
-    _print_parallel_summary(registry, file=out)
-    if fabric is not None:
-        _print_fabric_summary(registry, file=out)
-    if args.journal_dir:
-        snap = registry.snapshot()
-        hits = snap.get("sim.resilience.journal_hits", {}).get("value", 0)
-        print(
-            f"journal: {args.journal_dir}/{run_id}.jsonl "
-            f"(run {run_id}, {hits:g} point(s) served from journal)",
-            file=out,
-        )
-    if args.telemetry:
-        print(f"telemetry written to {args.telemetry}", file=out)
+    _print_digest(
+        registry, out, fabric=fabric is not None, journal=args.journal_dir, run_id=run_id
+    )
+    if args.prometheus:
+        from repro.obs.exporters import write_prometheus
+
+        write_prometheus(args.prometheus, registry)
+        print(f"metrics written to {args.prometheus}", file=out)
     return 0
 
 
@@ -350,14 +340,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.parallel.worker import run_worker
 
     if args.beat_s <= 0:
-        print(f"worker: --beat-s must be positive, got {args.beat_s}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"worker: --beat-s must be positive, got {args.beat_s}")
     if args.connect_timeout_s < 0:
-        print(
-            f"worker: --connect-timeout-s must be >= 0, got {args.connect_timeout_s}",
-            file=sys.stderr,
+        raise _UsageError(
+            f"worker: --connect-timeout-s must be >= 0, got {args.connect_timeout_s}"
         )
-        return 2
     try:
         return run_worker(
             args.connect,
@@ -367,40 +354,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             beat_s=args.beat_s,
         )
     except ValueError as exc:  # bad HOST:PORT
-        print(f"worker: {exc}", file=sys.stderr)
-        return 2
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.exporters import write_chrome_trace, write_prometheus
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.trace_spans import Tracer, trace_capture
-
-    ids = args.ids or sorted(EXPERIMENTS)
-    unknown = [exp_id for exp_id in ids if exp_id not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    registry = MetricsRegistry()
-    with trace_capture(Tracer(label=f"trace:{','.join(ids)}")) as tracer:
-        tables = _with_telemetry(
-            args,
-            lambda: run_sweep(
-                ids, fast=not args.full, jobs=args.jobs, cache_dir=args.cache_dir,
-                metrics=registry,
-            ),
-        )
-    events = write_chrome_trace(args.out, tracer)
-    print(f"trace {tracer.trace_id}: {events} event(s) written to {args.out}")
-    for exp_id, table in tables.items():
-        print(f"  {exp_id}: {len(table.x_values)} point(s)")
-    if args.prometheus:
-        write_prometheus(args.prometheus, registry)
-        print(f"metrics written to {args.prometheus}")
-    if args.telemetry:
-        print(f"telemetry written to {args.telemetry}")
-    return 0
+        raise _UsageError(f"worker: {exc}") from None
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -412,21 +366,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     paths = args.paths or ["src"]
     missing = [path for path in paths if not os.path.exists(path)]
     if missing:
-        print(f"lint: no such path(s): {', '.join(missing)}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"lint: no such path(s): {', '.join(missing)}")
     unknown_rules = [r for r in (args.select or []) if r.upper() not in RULES]
     if unknown_rules:
-        print(
+        raise _UsageError(
             f"lint: unknown rule(s): {', '.join(unknown_rules)} "
-            f"(known: {', '.join(sorted(RULES))})",
-            file=sys.stderr,
+            f"(known: {', '.join(sorted(RULES))})"
         )
-        return 2
     try:
         baseline = load_baseline(args.baseline)
     except BaselineError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"lint: {exc}") from None
     result = lint_paths(paths, jobs=args.jobs)
     if args.select:
         selected = {r.upper() for r in args.select}
@@ -483,34 +433,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import AdmissionConfig, ServiceConfig, serve_async
 
-    if not 0 <= args.port <= 65535:
-        print(f"serve: port must be in [0, 65535], got {args.port}", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print(f"serve: --workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    if args.deadline_ms <= 0:
-        print(f"serve: --deadline-ms must be positive, got {args.deadline_ms}", file=sys.stderr)
-        return 2
     try:
-        admission = AdmissionConfig(
-            max_inflight=args.max_inflight,
-            max_queue=args.max_queue,
-            rate_per_client=args.rate,
-            burst=args.burst,
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            cache_dir=args.cache_dir,
+            workers=args.workers,
+            admission=AdmissionConfig(
+                max_inflight=args.max_inflight,
+                max_queue=args.max_queue,
+                rate_per_client=args.rate,
+                burst=args.burst,
+            ),
+            deadline_ms=args.deadline_ms,
+            drain_grace_s=args.drain_grace_s,
         )
     except ValueError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        cache_dir=args.cache_dir,
-        workers=args.workers,
-        admission=admission,
-        deadline_ms=args.deadline_ms,
-        drain_grace_s=args.drain_grace_s,
-    )
+        raise _UsageError(f"serve: {exc}") from None
 
     def ready(app) -> None:
         # the line scripts and the CI smoke job wait for (flushed so a
@@ -523,8 +462,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import markdown_report
 
-    figures = args.figures.split(",") if args.figures else None
-    doc = markdown_report(fast=not args.full, figures=figures)
+    doc = markdown_report(fast=not args.full, figures=args.figures)
     print(doc)
     if "| FAIL |" in doc:
         print("report: one or more figure checks FAILed", file=sys.stderr)
@@ -538,8 +476,7 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
     try:
         audit = verify_cache_dir(args.cache_dir, repair=args.repair)
     except FileNotFoundError:
-        print(f"no such cache directory: {args.cache_dir}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"no such cache directory: {args.cache_dir}") from None
     print(f"cache {args.cache_dir}: {audit.ok} intact entr(ies)")
     for damage, names in sorted(audit.damaged.items()):
         action = "quarantined" if args.repair else "found"
@@ -568,8 +505,7 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
     try:
         removed = gc_cache_dir(args.cache_dir)
     except FileNotFoundError:
-        print(f"no such cache directory: {args.cache_dir}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"no such cache directory: {args.cache_dir}") from None
     print(
         f"cache {args.cache_dir}: removed {removed['quarantined']} quarantined, "
         f"{removed['tmp']} temp file(s), {removed['empty_dirs']} empty dir(s)"
@@ -578,19 +514,13 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_collective(args: argparse.Namespace) -> int:
-    return _with_telemetry(args, lambda: _run_collective(args))
-
-
-def _run_collective(args: argparse.Namespace) -> int:
-    comm = HypercubeCollectives(
-        args.n, ports=_parse_ports(args.ports), algorithm=args.algorithm
-    )
+    comm = HypercubeCollectives(args.n, ports=args.ports, algorithm=args.algorithm)
     op = args.op
     if op == "broadcast":
         r = comm.broadcast(args.root, args.size)
         print(f"broadcast: avg {r.avg_delay:.0f} us, max {r.max_delay:.0f} us")
     elif op == "multicast":
-        r = comm.multicast(args.root, _parse_dests(args.destinations or "1"), args.size)
+        r = comm.multicast(args.root, args.destinations or [1], args.size)
         print(f"multicast: avg {r.avg_delay:.0f} us, max {r.max_delay:.0f} us")
     else:
         runner = {
@@ -638,11 +568,9 @@ def _stats_from_file(args: argparse.Namespace) -> int:
     try:
         records = read_jsonl(path)
     except OSError as exc:
-        print(f"error: cannot read telemetry file {path}: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"error: cannot read telemetry file {path}: {exc}") from None
     except ValueError as exc:
-        print(f"error: corrupt telemetry file {path}: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"error: corrupt telemetry file {path}: {exc}") from None
     kinds: dict[str, int] = {}
     traces: set[str] = set()
     wall = 0.0
@@ -681,52 +609,48 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.probes import default_probes, probe_summaries
     from repro.obs.rollup import channel_rollup
-    from repro.obs.sink import JsonlSink, capture
 
     if args.from_path is not None:
         return _stats_from_file(args)
     if args.n is None or args.destinations is None:
-        print("stats: -n and -d/--destinations are required (unless --from)", file=sys.stderr)
-        return 2
-    alg = get_algorithm(args.algorithm)
-    dests = _parse_dests(args.destinations)
-    order = ResolutionOrder.ASCENDING if args.ascending else ResolutionOrder.DESCENDING
-    tree = alg.build_tree(args.n, args.source, dests, order)
-    ports = _parse_ports(args.ports)
+        raise _UsageError("stats: -n and -d/--destinations are required (unless --from)")
+    tree = _build_tree(args)
 
     registry = MetricsRegistry()
     probes = default_probes()
     # capture the driver's own record so we can enrich it with probe
     # and channel-level data before exporting
-    with capture() as mem:
+    with telemetry_sink.capture() as mem:
         res = simulate_multicast(
             tree,
             args.size,
             NCUBE2,
-            ports,
+            args.ports,
             trace=True,
             metrics=registry,
             probes=probes,
-            label=f"stats/{alg.name}",
+            label=f"stats/{args.algorithm}",
         )
     record = mem.records[0]
     record.extra["probes"] = probe_summaries(probes)
     record.extra["channels"] = channel_rollup(
         res.network, horizon=res.completion_time, top=args.top
     )
-
-    if args.telemetry:
-        JsonlSink(args.telemetry).write(record)
-    else:
-        telemetry_sink.emit(record)  # honor REPRO_TELEMETRY if set
+    telemetry_sink.emit(record)  # --telemetry PATH, or REPRO_TELEMETRY if set
 
     if args.json:
         print(record.to_json())
         return 0
 
     width = args.n
-    print(f"{alg.name} multicast replay in a {args.n}-cube, {ports.name}, {args.size} bytes")
-    print(f"source {args.source:0{width}b}, {len(dests)} destination(s)   run {record.run_id}")
+    print(
+        f"{args.algorithm} multicast replay in a {args.n}-cube, {args.ports.name}, "
+        f"{args.size} bytes"
+    )
+    print(
+        f"source {args.source:0{width}b}, {len(args.destinations)} destination(s)   "
+        f"run {record.run_id}"
+    )
     print(
         f"delays: avg {res.avg_delay:.0f} us, max {res.max_delay:.0f} us, "
         f"completion {res.completion_time:.0f} us"
@@ -768,16 +692,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print("  per-dim blocked:  " + "  ".join(f"d{d}={t:.0f}us" for d, t in blocked.items()))
     else:
         print("  per-dim blocked: none (contention-free)")
-    if args.telemetry:
-        print(f"telemetry written to {args.telemetry}")
     return 0
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    return _with_telemetry(args, lambda: _run_faults(args))
-
-
-def _run_faults(args: argparse.Namespace) -> int:
     # heavyweight subsystem: import only when the subcommand runs
     from repro.analysis.workloads import random_destination_sets
     from repro.faults import (
@@ -790,7 +708,6 @@ def _run_faults(args: argparse.Namespace) -> int:
     from repro.multicast.registry import PAPER_ALGORITHMS
 
     n = args.n
-    ks = sorted({int(tok) for tok in args.links.replace(",", " ").split()})
     names = [args.algorithm] if args.algorithm else list(PAPER_ALGORITHMS)
     dest_sets = random_destination_sets(n, args.m, args.sets, seed=args.seed + 17)
     mode = "fault-aware repair" if args.repair else "oblivious abort+retry"
@@ -803,7 +720,7 @@ def _run_faults(args: argparse.Namespace) -> int:
         f"{'avg us':>8} {'aborted':>8} {'retries':>8} {'gave up':>8} {'repairs':>8}"
     )
     worst_ratio = 1.0
-    for k in ks:
+    for k in args.links:
         scenario = (
             FaultScenario.random_links(n, k, seed=args.seed + k)
             if k
@@ -848,12 +765,46 @@ def _run_faults(args: argparse.Namespace) -> int:
                 f"{k:>5} {name:<10} {delivered:>5}/{total:<5} {ratio:>6.3f} "
                 f"{avg:>8.0f} {aborted:>8} {retries:>8} {gave_up:>8} {repairs:>8}"
             )
-    if args.telemetry:
-        print(f"telemetry written to {args.telemetry}")
     return 0 if worst_ratio >= args.min_ratio else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # option groups that several subcommands share, declared once as parents
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument(
+        "--parallel", action="store_true",
+        help="fan the work across worker processes (CPU count / REPRO_JOBS)",
+    )
+    jobs.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="worker process count (implies --parallel; 1 = serial)",
+    )
+    telemetry = argparse.ArgumentParser(add_help=False)
+    telemetry.add_argument(
+        "--telemetry", default=None, metavar="PATH",
+        help="export RunRecord JSON lines (one per run or figure point, "
+             "workers included) to PATH",
+    )
+    figures = argparse.ArgumentParser(add_help=False, parents=[jobs, telemetry])
+    figures.add_argument("--full", action="store_true", help="paper-parity parameters")
+    figures.add_argument("--precision", type=_int_at_least(0), default=2)
+    figures.add_argument("--json", action="store_true", help="emit one JSON document")
+    figures.add_argument(
+        "--cache-dir", default=None, metavar="PATH",
+        help="content-addressed schedule/delay cache shared across runs and workers",
+    )
+    figures.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="write a Chrome trace-event JSON sidecar of the run to PATH",
+    )
+    multicast = argparse.ArgumentParser(add_help=False)
+    multicast.add_argument("-a", "--algorithm", default="wsort", choices=sorted(ALGORITHMS))
+    multicast.add_argument("-p", "--ports", type=_ports, default="all", help="'one', 'all', or k")
+    multicast.add_argument("--size", type=int, default=4096, help="message bytes")
+    replay = argparse.ArgumentParser(add_help=False, parents=[multicast])
+    replay.add_argument("-s", "--source", type=int, default=0)
+    replay.add_argument("--ascending", action="store_true", help="nCUBE-2 resolution order")
+
     parser = argparse.ArgumentParser(
         prog="repro-hypercube",
         description="All-port wormhole-routed hypercube multicast (SC'93 reproduction)",
@@ -863,71 +814,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list", help="list algorithms and experiments")
     p_list.set_defaults(func=_cmd_list)
 
-    p_tree = sub.add_parser("tree", help="build and print a multicast tree")
+    p_tree = sub.add_parser("tree", help="build and print a multicast tree", parents=[replay])
     p_tree.add_argument("-n", type=int, required=True, help="cube dimension")
-    p_tree.add_argument("-s", "--source", type=int, default=0)
-    p_tree.add_argument("-d", "--destinations", required=True, help="e.g. '1,3,5' or '0b101 7'")
-    p_tree.add_argument("-a", "--algorithm", default="wsort", choices=sorted(ALGORITHMS))
-    p_tree.add_argument("-p", "--ports", default="all", help="'one', 'all', or k")
-    p_tree.add_argument("--ascending", action="store_true", help="nCUBE-2 resolution order")
+    p_tree.add_argument(
+        "-d", "--destinations", type=_int_list, required=True, help="e.g. '1,3,5' or '0b101 7'"
+    )
     p_tree.add_argument("--simulate", action="store_true", help="also run the timed simulator")
     p_tree.add_argument("--timeline", action="store_true", help="draw channel-occupancy timeline")
-    p_tree.add_argument("--size", type=int, default=4096, help="message bytes for --simulate")
     p_tree.set_defaults(func=_cmd_tree)
 
-    p_exp = sub.add_parser("experiment", help="reproduce a figure")
+    p_exp = sub.add_parser("experiment", help="reproduce a figure", parents=[figures])
     p_exp.add_argument("id", choices=sorted(EXPERIMENTS))
-    p_exp.add_argument("--full", action="store_true", help="paper-parity parameters")
-    p_exp.add_argument("--precision", type=int, default=2)
     p_exp.add_argument("--plot", action="store_true", help="also draw an ASCII plot")
-    p_exp.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p_exp.add_argument(
-        "--parallel", action="store_true",
-        help="fan figure points across worker processes (CPU count / REPRO_JOBS)",
-    )
-    p_exp.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker process count (implies --parallel; 1 = serial)",
-    )
-    p_exp.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="content-addressed schedule/delay cache shared across runs and workers",
-    )
-    p_exp.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="export one RunRecord JSON line per figure point to PATH",
-    )
-    p_exp.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="write a Chrome trace-event JSON sidecar of the run to PATH",
-    )
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_sweep = sub.add_parser(
-        "sweep", help="run several figure reproductions under one parallel context"
+        "sweep", help="run several figure reproductions under one parallel context",
+        parents=[figures],
     )
     p_sweep.add_argument(
-        "ids", nargs="*", metavar="ID",
+        "ids", nargs="*", metavar="ID", type=_experiment_id,
         help="experiment ids (default: every registered experiment)",
     )
-    p_sweep.add_argument("--full", action="store_true", help="paper-parity parameters")
-    p_sweep.add_argument("--precision", type=int, default=2)
-    p_sweep.add_argument("--json", action="store_true", help="emit one JSON document")
     p_sweep.add_argument(
-        "--parallel", action="store_true",
-        help="fan points across worker processes (CPU count / REPRO_JOBS)",
-    )
-    p_sweep.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker process count (implies --parallel; 1 = serial)",
-    )
-    p_sweep.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="content-addressed schedule/delay cache shared across runs and workers",
-    )
-    p_sweep.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="export merged RunRecord JSON lines (workers included) to PATH",
+        "--prometheus", default=None, metavar="PATH",
+        help="also dump the sweep's metrics registry in Prometheus text format",
     )
     p_sweep.add_argument(
         "--journal-dir", default=None, metavar="PATH",
@@ -947,10 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--hard-timeout-s", type=float, default=None, metavar="S",
         help="watchdog hard per-point timeout: kill the worker and requeue "
              "(default: REPRO_WATCHDOG_HARD_S or 120)",
-    )
-    p_sweep.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="write a Chrome trace-event JSON sidecar of the sweep to PATH",
     )
     p_sweep.add_argument(
         "--fabric-port", type=int, default=None, metavar="PORT",
@@ -997,40 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.set_defaults(func=_cmd_worker)
 
-    p_trace = sub.add_parser(
-        "trace", help="run experiments under the span tracer and export the timeline"
-    )
-    p_trace.add_argument(
-        "ids", nargs="*", metavar="ID",
-        help="experiment ids (default: every registered experiment)",
-    )
-    p_trace.add_argument(
-        "-o", "--out", default="trace.json", metavar="PATH",
-        help="Chrome trace-event JSON output (default: trace.json)",
-    )
-    p_trace.add_argument(
-        "--prometheus", default=None, metavar="PATH",
-        help="also dump the metrics registry in Prometheus text format",
-    )
-    p_trace.add_argument("--full", action="store_true", help="paper-parity parameters")
-    p_trace.add_argument(
-        "--parallel", action="store_true",
-        help="fan points across worker processes (CPU count / REPRO_JOBS)",
-    )
-    p_trace.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker process count (implies --parallel; 1 = serial)",
-    )
-    p_trace.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="content-addressed schedule/delay cache shared across runs and workers",
-    )
-    p_trace.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="export merged RunRecord JSON lines (workers included) to PATH",
-    )
-    p_trace.set_defaults(func=_cmd_trace)
-
     p_cache = sub.add_parser(
         "cache", help="inspect and maintain a schedule-cache directory"
     )
@@ -1051,7 +924,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cg.set_defaults(func=_cmd_cache_gc)
 
     p_lint = sub.add_parser(
-        "lint", help="project-invariant static analysis (REP001..REP006)"
+        "lint", help="project-invariant static analysis (REP001..REP006)",
+        parents=[jobs],
     )
     p_lint.add_argument(
         "paths", nargs="*", metavar="PATH",
@@ -1078,14 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--select", nargs="+", default=None, metavar="RULE",
         help="only report these rule ids (e.g. REP002 REP004)",
-    )
-    p_lint.add_argument(
-        "--parallel", action="store_true",
-        help="fan files across worker processes (CPU count / REPRO_JOBS)",
-    )
-    p_lint.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker process count (implies --parallel; 1 = serial)",
     )
     p_lint.set_defaults(func=_cmd_lint)
 
@@ -1132,10 +998,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="paper-vs-measured markdown report")
     p_rep.add_argument("--full", action="store_true", help="paper-parity parameters")
-    p_rep.add_argument("--figures", default=None, help="comma-separated subset, e.g. fig9,fig11")
+    p_rep.add_argument(
+        "--figures", default=None, type=_experiment_ids,
+        help="comma-separated subset, e.g. fig9,fig11",
+    )
     p_rep.set_defaults(func=_cmd_report)
 
-    p_col = sub.add_parser("collective", help="time a collective operation")
+    p_col = sub.add_parser(
+        "collective", help="time a collective operation",
+        parents=[multicast, telemetry],
+    )
     p_col.add_argument(
         "op",
         choices=[
@@ -1151,50 +1023,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_col.add_argument("-n", type=int, required=True)
     p_col.add_argument("--root", type=int, default=0)
-    p_col.add_argument("-d", "--destinations", default=None)
-    p_col.add_argument("--size", type=int, default=4096)
-    p_col.add_argument("-a", "--algorithm", default="wsort", choices=sorted(ALGORITHMS))
-    p_col.add_argument("-p", "--ports", default="all")
-    p_col.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="export the operation's RunRecord JSON line(s) to PATH",
-    )
+    p_col.add_argument("-d", "--destinations", type=_int_list, default=None)
     p_col.set_defaults(func=_cmd_collective)
 
     p_stats = sub.add_parser(
-        "stats", help="replay one multicast with full instrumentation"
+        "stats", help="replay one multicast with full instrumentation",
+        parents=[replay, telemetry],
     )
     p_stats.add_argument("-n", type=int, default=None, help="cube dimension")
-    p_stats.add_argument("-s", "--source", type=int, default=0)
     p_stats.add_argument(
-        "-d", "--destinations", default=None, help="e.g. '1,3,5' or '0b101 7'"
+        "-d", "--destinations", type=_int_list, default=None, help="e.g. '1,3,5' or '0b101 7'"
     )
     p_stats.add_argument(
         "--from", dest="from_path", default=None, metavar="PATH",
         help="summarize an exported telemetry JSONL file instead of running",
     )
-    p_stats.add_argument("-a", "--algorithm", default="wsort", choices=sorted(ALGORITHMS))
-    p_stats.add_argument("-p", "--ports", default="all", help="'one', 'all', or k")
-    p_stats.add_argument("--ascending", action="store_true", help="nCUBE-2 resolution order")
-    p_stats.add_argument("--size", type=int, default=4096, help="message bytes")
     p_stats.add_argument("--top", type=int, default=5, help="hotspot arcs to show")
     p_stats.add_argument("--json", action="store_true", help="print the RunRecord JSON")
-    p_stats.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="export the enriched RunRecord JSON line to PATH",
-    )
     p_stats.set_defaults(func=_cmd_stats)
 
     p_faults = sub.add_parser(
-        "faults", help="sweep delivery vs failed links on a degraded cube"
+        "faults", help="sweep delivery vs failed links on a degraded cube",
+        parents=[telemetry],
     )
     p_faults.add_argument("-n", type=int, required=True, help="cube dimension")
     p_faults.add_argument(
-        "--links", default="0,1,2,3", help="failed-link counts to sweep, e.g. '0,2,4'"
+        "--links", type=_link_counts, default="0,1,2,3",
+        help="failed-link counts to sweep, e.g. '0,2,4'",
     )
     p_faults.add_argument("--seed", type=int, default=9300, help="fault scenario seed")
     p_faults.add_argument("-m", type=int, default=8, help="destinations per multicast")
-    p_faults.add_argument("--sets", type=int, default=3, help="destination sets per point")
+    p_faults.add_argument(
+        "--sets", type=_int_at_least(1), default=3, help="destination sets per point"
+    )
     p_faults.add_argument("--size", type=int, default=4096, help="message bytes")
     p_faults.add_argument("--retries", type=int, default=3, help="per-send retry cap")
     p_faults.add_argument(
@@ -1212,12 +1073,37 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-ratio", type=float, default=0.0,
         help="exit nonzero if any point's delivery ratio falls below this",
     )
-    p_faults.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="export one degraded-multicast RunRecord JSON line per run to PATH",
-    )
     p_faults.set_defaults(func=_cmd_faults)
     return parser
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the subcommand with ``--telemetry PATH`` installed as the
+    JSONL sink and, with ``--trace PATH``, under a fresh tracer whose
+    Chrome trace-event JSON is written afterwards.  With ``--json`` the
+    notes go to stderr so stdout stays a clean document."""
+    out = sys.stderr if getattr(args, "json", False) else sys.stdout
+    telemetry = getattr(args, "telemetry", None)
+    trace = getattr(args, "trace", None)
+    sink = telemetry_sink.JsonlSink(telemetry) if telemetry else None
+    previous = telemetry_sink.configure(sink) if sink is not None else None
+    try:
+        if not trace:
+            rc = args.func(args)
+        else:
+            from repro.obs.exporters import write_chrome_trace
+            from repro.obs.trace_spans import Tracer, trace_capture
+
+            with trace_capture(Tracer(label=args.command)) as tracer:
+                rc = args.func(args)
+            events = write_chrome_trace(trace, tracer)
+            print(f"trace {tracer.trace_id}: {events} event(s) written to {trace}", file=out)
+    finally:
+        if sink is not None:
+            telemetry_sink.configure(previous)
+    if sink is not None and sink.written:
+        print(f"telemetry written to {telemetry}", file=out)
+    return rc
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1231,7 +1117,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{args.command}: {exc}", file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        return _run(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         print("interrupted", file=sys.stderr)
         return 130

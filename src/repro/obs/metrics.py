@@ -89,9 +89,8 @@ UTILIZATION_BUCKETS: tuple[float, ...] = (
 )
 
 #: Request-latency buckets (milliseconds) for the schedule-planning
-#: service and its load generator: dense below 50 ms (the service SLO
-#: region) so bucket-quantile estimates stay tight there, geometric
-#: above it for the overload tail.
+#: service: dense below 50 ms (the service SLO region) so the histogram
+#: resolves it finely, geometric above it for the overload tail.
 SERVICE_LATENCY_BUCKETS_MS: tuple[float, ...] = (
     0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.5, 10.0, 15.0,
     20.0, 25.0, 35.0, 50.0, 75.0, 100.0, 150.0, 250.0, 500.0,
@@ -222,29 +221,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Conservative bucket-resolution quantile estimate.
-
-        Returns the upper bound of the bucket holding the ``q``-th
-        observation (nearest-rank over cumulative counts), so the true
-        quantile is never *under*-reported -- the property an SLO gate
-        ("p99 under X ms") needs.  Observations past the last bound are
-        estimated by the observed maximum.  O(1) memory regardless of
-        sample count, which is why the load generator records latencies
-        here instead of keeping raw samples.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self.count:
-            return 0.0
-        target = q * self.count
-        cumulative = 0
-        for bound, count in zip(self.bounds, self.counts):
-            cumulative += count
-            if cumulative >= target:
-                return bound
-        return self.max
 
     def snapshot(self) -> dict[str, object]:
         return {

@@ -16,12 +16,9 @@ Resolution order:
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
-import zlib
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator, Protocol
 
 from repro.obs import trace_spans
@@ -31,7 +28,6 @@ __all__ = [
     "ENV_VAR",
     "JsonlSink",
     "MemorySink",
-    "RotatingJsonlSink",
     "TelemetrySink",
     "capture",
     "configure",
@@ -72,72 +68,6 @@ class JsonlSink:
         return f"JsonlSink({self.path!r}, written={self.written})"
 
 
-class RotatingJsonlSink:
-    """A :class:`JsonlSink` that rotates and gzips bulk telemetry.
-
-    High-volume producers (the service load generator emits one
-    record per request) would otherwise grow one JSONL file
-    without bound.  When the active file exceeds ``max_bytes`` after a
-    write, it is rotated to ``<path>.<k>.gz`` (``k`` counting up from
-    1, gzip-compressed) and a fresh active file is started.  Every
-    segment -- rotated or active -- loads with :func:`read_jsonl`.
-    """
-
-    def __init__(self, path: str, max_bytes: int = 32 * 1024 * 1024) -> None:
-        if max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        self.path = path
-        self.max_bytes = max_bytes
-        self.written = 0
-        self.rotations = 0
-
-    def _next_segment(self) -> Path:
-        k = 1
-        while True:
-            candidate = Path(f"{self.path}.{k}.gz")
-            if not candidate.exists():
-                return candidate
-            k += 1
-
-    def rotate(self) -> Path | None:
-        """Compress the active file into the next ``.gz`` segment."""
-        active = Path(self.path)
-        try:
-            data = active.read_bytes()
-        except OSError:
-            return None
-        segment = self._next_segment()
-        with gzip.open(segment, "wb") as gz:
-            gz.write(data)
-        active.unlink()
-        self.rotations += 1
-        return segment
-
-    def write(self, record: RunRecord) -> None:
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(record.to_json() + "\n")
-            size = f.tell()
-        self.written += 1
-        if size > self.max_bytes:
-            self.rotate()
-
-    def segments(self) -> list[Path]:
-        """Every telemetry file this sink has produced, oldest first."""
-        out = sorted(
-            Path(self.path).parent.glob(Path(self.path).name + ".*.gz"),
-            key=lambda p: int(p.suffixes[-2].lstrip(".")),
-        )
-        if Path(self.path).exists():
-            out.append(Path(self.path))
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RotatingJsonlSink({self.path!r}, written={self.written}, "
-            f"rotations={self.rotations})"
-        )
-
-
 class MemorySink:
     """Collects records in a list (tests, in-process analysis)."""
 
@@ -148,37 +78,20 @@ class MemorySink:
         self.records.append(record)
 
 
-#: gzip magic bytes; rotated telemetry segments are detected by content,
-#: not just the ``.gz`` suffix, so renamed artifacts still load.
-_GZIP_MAGIC = b"\x1f\x8b"
-
-
-def _is_gzip(path: str | os.PathLike) -> bool:
-    with open(path, "rb") as f:
-        return f.read(2) == _GZIP_MAGIC
-
-
 def read_jsonl(path: str | os.PathLike) -> list[RunRecord]:
     """Parse a JSONL telemetry file back into records.
 
-    Accepts plain text and gzip-compressed files (what
-    :class:`RotatingJsonlSink` produces for rotated segments; loadgen
-    runs gzip their bulk telemetry).  Raises ``OSError`` for
-    an unreadable file and ``ValueError`` for corrupt content --
-    including a truncated or damaged gzip stream -- which is what the
-    CLI's exit-code contract distinguishes on.
+    Raises ``OSError`` for an unreadable file and ``ValueError`` for
+    corrupt content -- including bytes that are not UTF-8 text, such
+    as a compressed file -- which is what the CLI's exit-code contract
+    distinguishes on.
     """
     records: list[RunRecord] = []
-    opener = gzip.open if _is_gzip(path) else open
-    with opener(path, "rt", encoding="utf-8") as f:  # type: ignore[operator]
-        try:
-            lines = f.readlines()
-        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-            raise ValueError(f"truncated or corrupt gzip stream: {exc}") from exc
-    for line in lines:
-        line = line.strip()
-        if line:
-            records.append(RunRecord.from_dict(json.loads(line)))
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if line:
+                records.append(RunRecord.from_dict(json.loads(line)))
     return records
 
 

@@ -38,7 +38,6 @@ KNOWN_KINDS: frozenset[str] = frozenset(
         "degraded-multicast",
         "resilience-event",
         "fabric-event",
-        "service-request",
     }
 )
 

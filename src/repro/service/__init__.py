@@ -14,7 +14,6 @@ Layering (see ``docs/SERVICE.md``)::
     admission.py  the front door: caps, queue, rate limits
     planner.py    single-flight builds over the schedule cache
     protocol.py   request validation and canonical JSON encoding
-    loadgen.py    the load-generator client
 
 The repository benchmark measures the service from outside, over
 loopback: perfbench's ``serve-cold`` and ``serve-warm`` workloads
@@ -26,34 +25,9 @@ from repro.service.app import ServiceApp, ServiceConfig, ServiceThread, serve_as
 from repro.service.planner import PlannerService, PlanResult
 from repro.service.protocol import PlanRequest, ProtocolError, encode_json, parse_plan_request
 
-# The client side (loadgen) loads lazily so `python -m
-# repro.service.loadgen` does not re-import the module runpy is about
-# to execute (which would trip RuntimeWarning and double-run module
-# state).
-_LAZY = {
-    "LoadConfig": "repro.service.loadgen",
-    "LoadSummary": "repro.service.loadgen",
-    "run_load": "repro.service.loadgen",
-    "run_load_sync": "repro.service.loadgen",
-}
-
-
-def __getattr__(name: str):
-    try:
-        module = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
 __all__ = [
     "AdmissionConfig",
     "AdmissionController",
-    "LoadConfig",
-    "LoadSummary",
     "PlanRequest",
     "PlanResult",
     "PlannerService",
@@ -64,7 +38,5 @@ __all__ = [
     "ServiceThread",
     "encode_json",
     "parse_plan_request",
-    "run_load",
-    "run_load_sync",
     "serve_async",
 ]

@@ -94,6 +94,13 @@ class AdmissionConfig:
             raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
         if self.max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
+        # negated comparisons, so that NaN fails them too
+        if self.rate_per_client is not None and not self.rate_per_client > 0:
+            raise ValueError(f"rate_per_client must be positive, got {self.rate_per_client}")
+        if not self.burst >= 1:
+            raise ValueError(f"burst must be >= 1, got {self.burst}")
+        if not self.retry_after_s > 0:
+            raise ValueError(f"retry_after_s must be positive, got {self.retry_after_s}")
 
 
 class AdmissionController:

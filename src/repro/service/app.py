@@ -66,6 +66,17 @@ class ServiceConfig:
     #: test/soak knob: artificial seconds added to every build.
     build_delay_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in [0, 65535], got {self.port}")
+        if self.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {self.workers}")
+        # negated comparisons, so that NaN fails them too
+        if not self.deadline_ms > 0:
+            raise ValueError(f"--deadline-ms must be positive, got {self.deadline_ms}")
+        if not self.drain_grace_s >= 0:
+            raise ValueError(f"--drain-grace-s must be >= 0, got {self.drain_grace_s}")
+
 
 @dataclass(slots=True)
 class _ClientUsage:

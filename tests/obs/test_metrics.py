@@ -109,26 +109,6 @@ class TestHistogram:
         assert h.overflow == 0
         assert sum(h.counts) == 2
 
-    def test_quantile_nearest_rank_upper_bound(self):
-        h = Histogram("q", bounds=(1.0, 5.0, 50.0))
-        for _ in range(98):
-            h.observe(0.5)  # <= 1.0
-        h.observe(30.0)  # <= 50.0
-        h.observe(70.0)  # overflow
-        assert h.quantile(0.5) == 1.0
-        assert h.quantile(0.98) == 1.0
-        assert h.quantile(0.99) == 50.0
-        assert h.quantile(1.0) == 70.0  # past the last bound: observed max
-
-    def test_quantile_empty_and_bounds_checks(self):
-        h = Histogram("q", bounds=(1.0,))
-        assert h.quantile(0.5) == 0.0
-        h.observe(0.5)
-        with pytest.raises(ValueError):
-            h.quantile(-0.1)
-        with pytest.raises(ValueError):
-            h.quantile(1.1)
-
     def test_service_latency_buckets_are_increasing(self):
         from repro.obs.metrics import SERVICE_LATENCY_BUCKETS_MS
 

@@ -138,56 +138,11 @@ class TestSinks:
         sink.write(rec)
         assert sink.records == [rec]
 
-
-class TestRotatingSink:
-    def test_rotates_to_gz_segments_and_loses_nothing(self, tmp_path):
-        from repro.obs.sink import RotatingJsonlSink
-
-        path = str(tmp_path / "bulk.jsonl")
-        sink = RotatingJsonlSink(path, max_bytes=600)
-        records = [_make_record() for _ in range(10)]
-        for rec in records:
-            sink.write(rec)
-        assert sink.written == 10
-        assert sink.rotations >= 1
-        segments = sink.segments()
-        assert all(str(s).endswith(".gz") for s in segments[:-1])
-        recovered = [r for seg in segments for r in read_jsonl(seg)]
-        assert [r.run_id for r in recovered] == [r.run_id for r in records]
-
-    def test_gzip_segment_reads_back(self, tmp_path):
-        import gzip
-
-        rec = _make_record()
-        gz = tmp_path / "seg.1.gz"
-        with gzip.open(gz, "wt", encoding="utf-8") as f:
-            f.write(rec.to_json() + "\n")
-        back = read_jsonl(gz)
-        assert back[0].to_dict() == rec.to_dict()
-
-    def test_truncated_gzip_raises_value_error(self, tmp_path):
-        import gzip
-
-        gz = tmp_path / "torn.jsonl.gz"
-        with gzip.open(gz, "wt", encoding="utf-8") as f:
-            for _ in range(50):
-                f.write(_make_record().to_json() + "\n")
-        data = gz.read_bytes()
-        gz.write_bytes(data[: len(data) // 2])  # chop the stream mid-member
-        with pytest.raises(ValueError, match="gzip"):
-            read_jsonl(gz)
-
     def test_garbage_with_gzip_magic_raises_value_error(self, tmp_path):
         bad = tmp_path / "fake.gz"
         bad.write_bytes(b"\x1f\x8b" + b"not actually gzip at all")
         with pytest.raises(ValueError):
             read_jsonl(bad)
-
-    def test_max_bytes_validation(self, tmp_path):
-        from repro.obs.sink import RotatingJsonlSink
-
-        with pytest.raises(ValueError):
-            RotatingJsonlSink(str(tmp_path / "x.jsonl"), max_bytes=0)
 
 
 class TestToggle:

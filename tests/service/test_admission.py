@@ -44,6 +44,27 @@ class TestAdmissionConfig:
         with pytest.raises(ValueError):
             AdmissionConfig(max_queue=-1)
 
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"rate_per_client": -1.0}, "rate_per_client must be positive"),
+            ({"rate_per_client": 0.0}, "rate_per_client must be positive"),
+            ({"rate_per_client": float("nan")}, "rate_per_client must be positive"),
+            ({"rate_per_client": 1.0, "burst": -5.0}, "burst must be >= 1"),
+            ({"burst": 0.5}, "burst must be >= 1"),
+            ({"retry_after_s": 0.0}, "retry_after_s must be positive"),
+        ],
+        ids=[
+            "negative-rate", "zero-rate", "nan-rate", "negative-burst", "fractional-burst",
+            "zero-retry",
+        ],
+    )
+    def test_rejects_values_the_token_bucket_or_503_cannot_use(self, over, message):
+        """Checked when the service is configured, not on a client's
+        first rate-limited request (which would answer it with a 500)."""
+        with pytest.raises(ValueError, match=message):
+            AdmissionConfig(**over)
+
 
 def _controller(**over) -> AdmissionController:
     return AdmissionController(AdmissionConfig(**over), MetricsRegistry())

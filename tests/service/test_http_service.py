@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import http.client
 import json
 import logging
 import socket
@@ -222,6 +223,25 @@ class TestGoldenParity:
             assert json.loads(json.dumps(expected)) == body["result"]
 
 
+class TestKeepAlive:
+    def test_several_posts_share_one_connection(self):
+        """An HTTP/1.1 client that keeps its connection open gets every
+        response on it: the server holds one connection for the lot."""
+        with ServiceThread(ServiceConfig(port=0)) as svc:
+            conn = http.client.HTTPConnection(svc.host, svc.port, timeout=30)
+            try:
+                sources = []
+                for doc in (DOC, DOC, dict(DOC, destinations=[1, 2, 4])):
+                    conn.request("POST", "/v1/schedule", body=json.dumps(doc))
+                    resp = conn.getresponse()
+                    assert resp.status == 200
+                    sources.append(json.loads(resp.read())["source"])
+                    assert svc.app.server.connections == 1
+            finally:
+                conn.close()
+        assert sources == ["build", "cache", "build"]
+
+
 class TestHttpCoalescing:
     def test_concurrent_identical_requests_one_build_identical_bytes(self):
         """64 concurrent identical requests over real sockets: at most one
@@ -296,15 +316,19 @@ class TestRateLimiting:
         with ServiceThread(config) as svc:
             statuses = []
             headers = {}
+            body = {}
             for _ in range(4):
-                status, _, hdrs = _post(
+                status, doc, hdrs = _post(
                     svc, "/v1/schedule", DOC, headers={"X-Client-Id": "storm"}
                 )
                 statuses.append(status)
                 if status == 429:
-                    headers = hdrs
+                    headers, body = hdrs, doc
             assert 429 in statuses
             assert int(headers["Retry-After"]) >= 1
+            # the body carries the exact wait; the header rounds it up
+            assert isinstance(body["retry_after_s"], (int, float))
+            assert 0 < body["retry_after_s"] <= int(headers["Retry-After"])
 
 
 class TestDegradedHealth:

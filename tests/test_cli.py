@@ -14,14 +14,14 @@ from repro.cli import main
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_cli(*argv: str, cwd=None) -> subprocess.CompletedProcess:
+def _run_cli(*argv: str, cwd=None, timeout=300) -> subprocess.CompletedProcess:
     """Invoke the real ``python -m repro`` entry point (exit codes and
     stderr behavior must hold for the installed command, not just
     ``main()`` in-process)."""
     env = dict(os.environ, PYTHONPATH=str(_REPO_ROOT / "src"))
     return subprocess.run(
         [sys.executable, "-m", "repro", *argv],
-        env=env, cwd=cwd or _REPO_ROOT, capture_output=True, text=True, timeout=300,
+        env=env, cwd=cwd or _REPO_ROOT, capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -291,7 +291,8 @@ class TestExitCodes:
             ["sweep", "fig9", "--parallel"],
             ["sweep", "fig9", "--fabric-port", "0", "--fabric-wait-s", "0"],
             ["experiment", "fig9", "--parallel"],
-            ["trace", "fig9", "--parallel", "-o", "trace.json"],
+            ["sweep", "fig9", "--parallel", "--trace", "trace.json",
+             "--prometheus", "metrics.prom"],
             ["lint", ".", "--parallel"],
         ],
     )
@@ -304,6 +305,31 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "REPRO_JOBS='abc'" in err
         assert not (tmp_path / "trace.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tree", "-n", "4", "-d", "1,2", "-p", "abc"],
+            ["stats", "-n", "4", "-d", "1,2", "-p", "abc"],
+            ["collective", "broadcast", "-n", "3", "-p", "abc"],
+            ["experiment", "fig9", "--precision", "-3"],
+            ["sweep", "fig9", "--precision", "-1"],
+            ["faults", "-n", "4", "--sets", "0"],
+            ["faults", "-n", "4", "--links", "-1"],
+            ["faults", "-n", "4", "--links", ""],
+            ["report", "--figures", "nope"],
+        ],
+    )
+    def test_bad_argument_exits_two_before_any_work(self, capsys, argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects it while parsing
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert len([line for line in err.splitlines() if "error" in line]) == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("endpoint", ["127.0.0.1:99999", "127.0.0.1:0"])
     def test_worker_port_out_of_range_exits_two_without_dialing(
@@ -457,21 +483,6 @@ class TestStatsFromFile:
         assert proc.returncode == 2
         assert "error: cannot read telemetry file" in proc.stderr
 
-    def test_gzipped_telemetry_summarizes(self, capsys, tmp_path, monkeypatch):
-        """Rotated ``.gz`` segments load exactly like plain JSONL."""
-        import gzip
-
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        plain = tmp_path / "stats.jsonl"
-        assert main(["stats", "-n", "3", "-d", "1,2,3", "--telemetry", str(plain)]) == 0
-        capsys.readouterr()
-        gz = tmp_path / "stats.jsonl.1.gz"
-        with gzip.open(gz, "wb") as f:
-            f.write(plain.read_bytes())
-        rc = main(["stats", "--from", str(gz)])
-        assert rc == 0
-        assert "1 record(s)" in capsys.readouterr().out
-
     def test_truncated_gzip_exits_two(self, capsys, tmp_path, monkeypatch):
         import gzip
 
@@ -510,6 +521,22 @@ class TestServe:
         assert rc == 2
         assert "max_inflight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--rate", "-1"], "rate_per_client must be positive"),
+            (["--rate", "1", "--burst", "-5"], "burst must be >= 1"),
+            (["--drain-grace-s", "-1"], "--drain-grace-s must be >= 0"),
+            (["--deadline-ms", "nan"], "--deadline-ms must be positive"),
+        ],
+        ids=["rate", "burst", "drain-grace", "nan-deadline"],
+    )
+    def test_bad_admission_or_drain_value_exits_two_before_serving(self, flags, message):
+        proc = _run_cli("serve", "--port", "0", *flags, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""  # no "serving on" banner
+        assert f"serve: {message}" in proc.stderr
+
     def test_sigterm_drains_and_exits_zero(self):
         """Boot the real process, serve one request, SIGTERM, expect a
         clean drain and exit code 0."""
@@ -541,15 +568,18 @@ class TestServe:
 
 
 class TestTraceSubcommand:
+    """``sweep --trace PATH --prometheus PATH``: the traced sweep's
+    timeline and metrics registry."""
+
     def test_trace_writes_perfetto_loadable_json(self, capsys, tmp_path):
         import json
 
         out = tmp_path / "trace.json"
-        rc = main(["trace", "fig11", "-o", str(out)])
+        rc = main(["sweep", "fig11", "--trace", str(out)])
         assert rc == 0
         text = capsys.readouterr().out
         assert "trace " in text and "event(s) written" in text
-        assert "fig11: 10 point(s)" in text
+        assert "parallel: 10 point(s)" in text
         doc = json.loads(out.read_text())
         assert doc["traceEvents"]
         names = {e["name"] for e in doc["traceEvents"]}
@@ -563,16 +593,11 @@ class TestTraceSubcommand:
     def test_trace_prometheus_sidecar(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
         prom = tmp_path / "metrics.prom"
-        rc = main(["trace", "fig11", "-o", str(out), "--prometheus", str(prom)])
+        rc = main(["sweep", "fig11", "--trace", str(out), "--prometheus", str(prom)])
         assert rc == 0
         text = prom.read_text()
         assert "# TYPE repro_sim_parallel_cache_misses counter" in text
         assert "repro_sim_parallel_points_total 10" in text
-
-    def test_unknown_experiment_exits_two(self, capsys):
-        rc = main(["trace", "not-a-figure", "-o", "ignored.json"])
-        assert rc == 2
-        assert "unknown experiment" in capsys.readouterr().err
 
     def test_sweep_trace_flag(self, capsys, tmp_path):
         import json
