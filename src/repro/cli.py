@@ -800,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     multicast = argparse.ArgumentParser(add_help=False)
     multicast.add_argument("-a", "--algorithm", default="wsort", choices=sorted(ALGORITHMS))
     multicast.add_argument("-p", "--ports", type=_ports, default="all", help="'one', 'all', or k")
-    multicast.add_argument("--size", type=int, default=4096, help="message bytes")
+    multicast.add_argument("--size", type=_int_at_least(1), default=4096, help="message bytes")
     replay = argparse.ArgumentParser(add_help=False, parents=[multicast])
     replay.add_argument("-s", "--source", type=int, default=0)
     replay.add_argument("--ascending", action="store_true", help="nCUBE-2 resolution order")
@@ -1038,7 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--from", dest="from_path", default=None, metavar="PATH",
         help="summarize an exported telemetry JSONL file instead of running",
     )
-    p_stats.add_argument("--top", type=int, default=5, help="hotspot arcs to show")
+    p_stats.add_argument("--top", type=_int_at_least(1), default=5, help="hotspot arcs to show")
     p_stats.add_argument("--json", action="store_true", help="print the RunRecord JSON")
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -1052,11 +1052,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="failed-link counts to sweep, e.g. '0,2,4'",
     )
     p_faults.add_argument("--seed", type=int, default=9300, help="fault scenario seed")
-    p_faults.add_argument("-m", type=int, default=8, help="destinations per multicast")
+    p_faults.add_argument("-m", type=_int_at_least(1), default=8, help="destinations per multicast")
     p_faults.add_argument(
         "--sets", type=_int_at_least(1), default=3, help="destination sets per point"
     )
-    p_faults.add_argument("--size", type=int, default=4096, help="message bytes")
+    p_faults.add_argument("--size", type=_int_at_least(1), default=4096, help="message bytes")
     p_faults.add_argument("--retries", type=int, default=3, help="per-send retry cap")
     p_faults.add_argument(
         "--deadline-us", type=float, default=None, help="hard stop (simulated us)"

@@ -17,15 +17,13 @@ addresses with structural ordering guarantees.
 
 from __future__ import annotations
 
+from operator import xor
 from typing import Sequence
-
-from repro.core.addressing import require_address
 
 __all__ = [
     "dimension_compare",
     "dimension_sorted",
     "is_cube_ordered_chain",
-    "is_cube_ordered_chain_bruteforce",
     "is_dimension_ordered_chain",
     "relative_chain",
     "unrelative_chain",
@@ -82,71 +80,23 @@ def is_cube_ordered_chain(chain: Sequence[int], n: int) -> bool:
     """True if ``chain`` is a cube-ordered chain of dimension ``n`` (Def. 5).
 
     A chain is cube-ordered iff the members of every subcube appear
-    contiguously.  Checked recursively: split the chain by the top free
-    bit; the bit values along the chain must form at most two runs, and
-    each run must itself be cube-ordered one level down.  This is
-    ``O(m * n)``; the test suite validates it against the ``O(4**n * m)``
-    brute-force check below.
+    contiguously.  At each level ``k``, a chain splits into runs of
+    members of one ``k``-dimensional subcube, at least one per subcube
+    it visits and exactly one each iff they are contiguous; a run ends
+    where two neighbours differ in bit ``k`` or above.  Sorted, every
+    chain is cube-ordered (Theorem 4), so a chain is cube-ordered iff at
+    every level it has as many run ends as its sorted copy: iff both
+    have the same multiset of neighbour distances ``(a ^ b).bit_length()``.
+    This is ``O(m log m)``; the test suite validates it against an
+    ``O(4**n * m)`` transcription of the definition.
     """
     for d in chain:
         if not isinstance(d, int) or d < 0 or d >> n:
             return False
     if len(set(chain)) != len(chain):
         return False
-
-    def rec(lo: int, hi: int, dim: int) -> bool:
-        # chain[lo:hi] lies in a single subcube with `dim` free bits
-        if hi - lo <= 1 or dim == 0:
-            return True
-        b = 1 << (dim - 1)
-        first_bit = chain[lo] & b
-        split = hi
-        for i in range(lo + 1, hi):
-            if (chain[i] & b) != first_bit:
-                split = i
-                break
-        # after the split, the bit must never revert
-        other_bit = first_bit ^ b
-        for i in range(split, hi):
-            if (chain[i] & b) != other_bit:
-                return False
-        return rec(lo, split, dim - 1) and rec(split, hi, dim - 1)
-
-    return rec(0, len(chain), n)
+    return _neighbour_distances(chain) == _neighbour_distances(sorted(chain))
 
 
-def is_cube_ordered_chain_bruteforce(chain: Sequence[int], n: int) -> bool:
-    """Literal transcription of Definition 5 (exponential; tests only)."""
-    from repro.core.subcube import Subcube
-
-    for d in chain:
-        if not isinstance(d, int) or d < 0 or d >> n:
-            return False
-    if len(set(chain)) != len(chain):
-        return False
-    m = len(chain)
-    for dim in range(n + 1):
-        for mask in range(1 << (n - dim)):
-            s = Subcube(n, dim, mask)
-            member = [i for i in range(m) if chain[i] in s]
-            if member and member[-1] - member[0] + 1 != len(member):
-                return False
-    return True
-
-
-def chain_positions_in(chain: Sequence[int], lo: int, hi: int, bitmask: int, value: int) -> int:
-    """First index in ``chain[lo:hi]`` whose masked bits differ from ``value``.
-
-    Helper shared by the Maxport recursion and ``weighted_sort``; returns
-    ``hi`` when every element matches.
-    """
-    for i in range(lo, hi):
-        if (chain[i] & bitmask) != value:
-            return i
-    return hi
-
-
-def validate_chain_addresses(chain: Sequence[int], n: int) -> None:
-    """Raise unless every chain element is a valid ``n``-cube address."""
-    for d in chain:
-        require_address(d, n, "chain element")
+def _neighbour_distances(chain: Sequence[int]) -> list[int]:
+    return sorted(map(int.bit_length, map(xor, chain, chain[1:])))

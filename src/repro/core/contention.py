@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.paths import Arc, ResolutionOrder, ecube_arcs
+from repro.core.paths import Arc, ResolutionOrder, arc_id_routes, arc_of, ecube_arcs
 
 __all__ = [
     "ContentionReport",
@@ -158,7 +158,9 @@ def check_contention_free(
     report = ContentionReport(ok=True)
 
     recv_step: dict[int, int] = {source: 0}
+    spread = 0  # every dimension any unicast crosses is below its bit length
     for uc in unicasts:
+        spread |= uc.src ^ uc.dst
         if uc.dst in recv_step:
             report.ok = False
             report.causality_errors.append(
@@ -182,10 +184,15 @@ def check_contention_free(
     # Only unicasts that share an arc can violate Definition 4.  Index
     # each arc's first user, and list the users of the arcs that have
     # more than one (an E-cube path holds each arc once).
-    first: dict[Arc, int] = {}
-    shared: dict[Arc, list[int]] = {}
+    n = max(spread.bit_length(), 1)
+    routes = arc_id_routes(n, order)
+    shift = routes.shift
+    first: dict[int, int] = {}
+    shared: dict[int, list[int]] = {}
     for i, uc in enumerate(unicasts):
-        for arc in ecube_arcs(uc.src, uc.dst, order):
+        base = uc.src << shift
+        for q in routes[uc.src ^ uc.dst]:
+            arc = base ^ q
             j = first.setdefault(arc, i)
             if j != i:
                 users = shared.get(arc)
@@ -194,7 +201,7 @@ def check_contention_free(
                 else:
                     users.append(i)
     k = len(unicasts)
-    witness: dict[int, Arc] = {}  # i * k + j -> smallest arc i and j share
+    witness: dict[int, int] = {}  # i * k + j -> smallest arc id i and j share
     for arc, users in shared.items():
         for x, i in enumerate(users):
             for j in users[x + 1 :]:
@@ -216,5 +223,5 @@ def check_contention_free(
             ok = a.src in reach.get(b.src, ())
         if not ok:
             report.ok = False
-            report.violations.append((a, b, witness[pair]))
+            report.violations.append((a, b, arc_of(witness[pair], n)))
     return report

@@ -7,8 +7,11 @@ shortest path ``P(u, v)``.
 
 An *arc* is a directed channel, identified here by the pair
 ``(tail_node, dim)``: the channel leaving ``tail_node`` in dimension
-``dim``.  Two unicasts can only contend for a channel if their paths
-share an arc, so *arc-disjoint* paths are always contention-free.
+``dim``.  The kernels (greedy scheduler, verifier, simulator) use its
+*arc id* ``(tail_node << s) + dim`` instead, with ``s = n.bit_length()``
+for an ``n``-cube: an int that orders like the pair.  Two unicasts can
+only contend for a channel if their paths share an arc, so
+*arc-disjoint* paths are always contention-free.
 Theorems 1 and 2 of the paper give cheap sufficient conditions for
 arc-disjointness; this module implements both the exact (enumerative)
 check and the theorem-based predicates, which the test suite validates
@@ -18,14 +21,19 @@ against each other.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Sequence
 
 from repro.core.addressing import delta, first_dim
 from repro.core.subcube import Subcube
 
 __all__ = [
     "Arc",
+    "ArcIdRoutes",
     "ResolutionOrder",
+    "arc_id",
+    "arc_id_routes",
+    "arc_of",
     "arcs_disjoint",
     "ecube_arcs",
     "ecube_dims",
@@ -124,6 +132,38 @@ def ecube_arcs(
     return [(u ^ prefix, d) for prefix, d in _ecube_steps(u ^ v, order)]
 
 
+def arc_id(arc: Arc, n: int) -> int:
+    """The id of ``arc = (tail, dim)`` in an ``n``-cube: ``(tail << s) + dim``
+    with ``s = n.bit_length()``, so ids order like the pairs."""
+    return (arc[0] << n.bit_length()) + arc[1]
+
+
+def arc_of(arc_id: int, n: int) -> Arc:
+    """The ``(tail, dim)`` pair of an ``n``-cube arc id."""
+    return divmod(arc_id, 1 << n.bit_length())
+
+
+class ArcIdRoutes(dict):
+    """One cube's E-cube routes as arc ids, keyed by ``u ^ v`` like the
+    route table and filled from it: the ids of the path from node 0,
+    ``(prefix << shift) | dim``.  The path from ``u`` differs only in its
+    tail bits: ``[(u << shift) ^ q for q in routes[u ^ v]]``."""
+
+    def __init__(self, shift: int, order: ResolutionOrder) -> None:
+        super().__init__()
+        self.shift, self.order = shift, order
+
+    def __missing__(self, x: int) -> tuple[int, ...]:
+        ids = self[x] = tuple(p << self.shift | d for p, d in _ecube_steps(x, self.order))
+        return ids
+
+
+@cache
+def arc_id_routes(n: int, order: ResolutionOrder = ResolutionOrder.DESCENDING) -> ArcIdRoutes:
+    """The ``n``-cube's arc-id routes under ``order`` (see :func:`arc_id`)."""
+    return ArcIdRoutes(n.bit_length(), order)
+
+
 def paths_arc_disjoint(
     p1: Sequence[int],
     p2: Sequence[int],
@@ -189,11 +229,3 @@ def theorem2_guarantees_disjoint(
     paired with low-bit-fixed subcubes).
     """
     return u in s and v in s and x not in s and y not in s
-
-
-def all_arcs(n: int) -> Iterable[Arc]:
-    """All ``n * 2**n`` directed arcs of the ``n``-cube (used by the
-    channel-coverage analyses and the deadlock graph tests)."""
-    for u in range(1 << n):
-        for d in range(n):
-            yield (u, d)

@@ -67,6 +67,8 @@ def chain_loop_tree(
     """
     tree = MulticastTree(n, source, destinations)
     chain = relative_chain(source, destinations)
+    # absolute addresses: each send's address field is one slice of it
+    absolute = tuple(c ^ source for c in chain)
 
     def process(left: int, right: int) -> None:
         while left < right:
@@ -74,8 +76,7 @@ def chain_loop_tree(
             highdim = _highdim_index(chain, left, right, x) if needs_highdim else -1
             center = left + (right - left + 1) // 2  # left + ceil((right-left)/2)
             nxt = select_next(highdim, center)
-            payload = tuple(chain[i] ^ source for i in range(nxt + 1, right + 1))
-            tree.add_send(chain[left] ^ source, chain[nxt] ^ source, payload)
+            tree.add_send(absolute[left], absolute[nxt], absolute[nxt + 1 : right + 1])
             process(nxt, right)
             right = nxt - 1
 
@@ -111,30 +112,29 @@ def cube_ordered_tree(
         if __debug__ and len(chain) <= 1 << 12:
             assert is_cube_ordered_chain(chain, n), "reorder broke cube order"
 
-    def process(left: int, right: int, dim: int) -> None:
-        while left < right:
-            # descend to the level at which the holder's block splits
-            split = right + 1
-            while dim > 0:
-                b = 1 << (dim - 1)
-                head = chain[left] & b
-                split = right + 1
-                for i in range(left + 1, right + 1):
-                    if (chain[i] & b) != head:
-                        split = i
-                        break
-                if split <= right:
-                    break
-                dim -= 1
-            if split > right:  # distinct addresses always split eventually
-                raise AssertionError("cube-ordered chain failed to split")
-            payload = tuple(chain[i] ^ source for i in range(split + 1, right + 1))
-            tree.add_send(chain[left] ^ source, chain[split] ^ source, payload)
-            process(split, right, dim - 1)
-            right = split - 1
-            dim -= 1
+    absolute = tuple(c ^ source for c in chain)
 
-    process(0, len(chain) - 1, n)
+    def process(left: int, right: int) -> None:
+        while left < right:
+            # The block splits first at the highest bit where its ends
+            # differ; the holder's half is a prefix, so binary-search its end.
+            x = chain[left] ^ chain[right]
+            if not x:  # distinct addresses always split
+                raise AssertionError("cube-ordered chain failed to split")
+            b = 1 << (x.bit_length() - 1)
+            head = chain[left] & b
+            lo, hi = left + 1, right
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if chain[mid] & b == head:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            tree.add_send(absolute[left], absolute[lo], absolute[lo + 1 : right + 1])
+            process(lo, right)
+            right = lo - 1
+
+    process(0, len(chain) - 1)
     return tree
 
 

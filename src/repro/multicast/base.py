@@ -25,12 +25,11 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.core.addressing import hamming, require_address
 from repro.core.contention import ContentionReport, Unicast, check_contention_free
-from repro.core.paths import Arc, ResolutionOrder, ecube_arcs
+from repro.core.paths import ResolutionOrder, arc_id_routes
 from repro.multicast.ports import ALL_PORT, PortModel
 from repro.obs import trace_spans
 
@@ -69,8 +68,11 @@ class MulticastTree:
         self.n = n
         self.source = require_address(source, n, "source")
         self.destinations = frozenset(destinations)
+        # one test for a plain int in range, else require_address decides
+        self._nodes = nodes = 1 << n
         for d in self.destinations:
-            require_address(d, n, "destination")
+            if type(d) is not int or not 0 <= d < nodes:
+                require_address(d, n, "destination")
         if self.source in self.destinations:
             raise ValueError("source must not be among the destinations")
         self.order = order
@@ -81,8 +83,10 @@ class MulticastTree:
 
     def add_send(self, src: int, dst: int, chain: Sequence[int] = ()) -> Send:
         """Append a forwarding action (in the sender's issue order)."""
-        require_address(src, self.n, "sender")
-        require_address(dst, self.n, "receiver")
+        nodes = self._nodes
+        if not (type(src) is type(dst) is int and 0 <= src < nodes and 0 <= dst < nodes):
+            require_address(src, self.n, "sender")
+            require_address(dst, self.n, "receiver")
         if src == dst:
             raise ValueError(f"node {src} cannot send to itself")
         send = Send(src, dst, len(self._sends), tuple(chain))
@@ -183,8 +187,9 @@ class MulticastTree:
         in issue order, take the earliest step after a port frees whose
         arcs are disjoint from that step's.
         """
-        order = self.order
-        arcs_by_step: dict[int, set[Arc]] = {}
+        routes = arc_id_routes(self.n, self.order)
+        shift = routes.shift
+        arcs_by_step: dict[int, set[int]] = {}
         steps: dict[int, int] = {}
         heap: list[tuple[int, int, int]] = [(0, -1, self.source)]
         seen: set[int] = set()
@@ -194,11 +199,11 @@ class MulticastTree:
                 continue
             seen.add(node)
             node_sends = self._by_sender.get(node, ())
-            port_free = [r] * min(limit, len(node_sends))
-            heapq.heapify(port_free)
+            port_free = [r] * min(limit, len(node_sends))  # never before r
+            base = node << shift  # see ArcIdRoutes
             for send in node_sends:
-                arcs = ecube_arcs(send.src, send.dst, order)
-                s = max(r + 1, heapq.heappop(port_free) + 1)
+                arcs = [base ^ q for q in routes[node ^ send.dst]]
+                s = heapq.heappop(port_free) + 1
                 while True:
                     used = arcs_by_step.get(s)
                     if used is None or used.isdisjoint(arcs):
@@ -206,7 +211,10 @@ class MulticastTree:
                     s += 1
                 steps[send.seq] = s
                 heapq.heappush(port_free, s)
-                arcs_by_step.setdefault(s, set()).update(arcs)
+                if used is None:
+                    arcs_by_step[s] = set(arcs)
+                else:
+                    used.update(arcs)
                 heapq.heappush(heap, (s, send.seq, send.dst))
 
         unplaced = len(self._sends) - len(steps)
@@ -229,12 +237,9 @@ class Schedule:
     @property
     def unicasts(self) -> list[Unicast]:
         """The schedule as ``(src, dst, step)`` records, by step order."""
-        out = [
-            Unicast(s.src, s.dst, self._steps[s.seq])
-            for s in self.tree.sends
-        ]
-        out.sort(key=attrgetter("step", "src", "dst"))
-        return out
+        steps = self._steps
+        order = sorted([(steps[s.seq], s.src, s.dst) for s in self.tree._sends])
+        return [Unicast(src, dst, step) for step, src, dst in order]
 
     def step_of(self, send: Send) -> int:
         return self._steps[send.seq]

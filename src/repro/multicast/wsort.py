@@ -20,6 +20,7 @@ Two implementations of the sort are provided:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 from repro.core.chains import is_cube_ordered_chain
@@ -102,27 +103,24 @@ def weighted_sort_fast(chain: Sequence[int], n: int) -> list[int]:
 
     out: list[int] = []
 
-    def rec(lo: int, hi: int, n_s: int, has_source: bool) -> None:
-        # d[lo:hi] is the sorted block of one subcube with n_s free bits
+    def rec(lo: int, hi: int, has_source: bool) -> None:
+        # d[lo:hi] is the sorted block of one subcube
         if hi - lo <= 1:
             out.extend(d[lo:hi])
             return
-        b = 1 << (n_s - 1)
-        head = d[lo] & b
-        split = hi
-        for i in range(lo + 1, hi):
-            if (d[i] & b) != head:
-                split = i
-                break
-        low_n, high_n = split - lo, hi - split
-        if has_source or low_n >= high_n:
-            rec(lo, split, n_s - 1, has_source)
-            rec(split, hi, n_s - 1, False)
+        # levels above the highest bit where the block's ends differ put
+        # the whole block in one half, which comes first either way; at
+        # that bit the upper half starts at the first element with it set
+        b = 1 << ((d[lo] ^ d[hi - 1]).bit_length() - 1)
+        split = bisect_left(d, (d[lo] | b) & -b, lo + 1, hi)
+        if has_source or split - lo >= hi - split:
+            rec(lo, split, has_source)
+            rec(split, hi, False)
         else:
-            rec(split, hi, n_s - 1, False)
-            rec(lo, split, n_s - 1, False)
+            rec(split, hi, False)
+            rec(lo, split, False)
 
-    rec(0, len(d), n, True)
+    rec(0, len(d), True)
     return out
 
 

@@ -105,7 +105,7 @@ class HeapDepthProbe:
 
     def on_schedule(self, sim: "Simulator", event: "Event") -> None:
         self.scheduled += 1
-        depth = len(sim._heap)
+        depth = sum(map(len, sim._due.values()))  # pending events
         if depth > self.peak:
             self.peak = depth
 

@@ -27,7 +27,7 @@ from repro.simulator.engine import Event, Simulator
 from repro.simulator.flitlevel import FlitLevelNetwork
 from repro.simulator.message import Worm, WormState
 from repro.simulator.multirun import ConcurrentResult, simulate_concurrent_multicasts
-from repro.simulator.network import Channel, WormholeNetwork
+from repro.simulator.network import WormholeNetwork
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, STEP, Timings
 from repro.simulator.routing import ecube_routing, random_minimal_routing
@@ -38,7 +38,6 @@ from repro.simulator.traffic import LoadedResult, simulate_multicast_under_load
 from repro.simulator.validation import validate_against_model
 
 __all__ = [
-    "Channel",
     "ChannelTrace",
     "ConcurrentResult",
     "Event",

@@ -22,9 +22,12 @@ routing.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import islice
+
 import networkx as nx
 
-from repro.core.paths import Arc
+from repro.core.paths import Arc, arc_of
 from repro.simulator.message import WormState
 from repro.simulator.network import WormholeNetwork
 from repro.simulator.routing import RoutingFunction
@@ -86,12 +89,10 @@ def waiting_cycle(network: WormholeNetwork) -> list[int] | None:
     evidence of deadlock.
     """
     g = nx.DiGraph()
-    for ch in network._channels.values():
-        if ch.occupied_by is None:
-            continue
-        holder = ch.occupied_by.uid
-        for waiter in ch.queue:
-            g.add_edge(waiter.uid, holder)
+    for slot in network._owners.values():
+        if isinstance(slot, deque):  # the holder, then the headers waiting on it
+            for waiter in islice(slot, 1, None):
+                g.add_edge(waiter.uid, slot[0].uid)
     try:
         cycle_edges = nx.find_cycle(g)
     except (nx.NetworkXNoCycle, nx.NetworkXError):
@@ -120,6 +121,7 @@ def stall_report(network: WormholeNetwork) -> dict:
     network every count is zero and the verdict is ``"clear"``.
     """
     dead = network.dead_arcs
+    n = network.n
     blocked = [
         w
         for w in network.worms
@@ -133,10 +135,13 @@ def stall_report(network: WormholeNetwork) -> dict:
         cur = w
         kind = "contention"
         while True:
-            if cur.hop < cur.hops and cur.arcs[cur.hop] in dead:
+            a = cur.base ^ cur.route[cur.hop]
+            if arc_of(a, n) in dead:
                 kind = "fault-stalled"
                 break
-            holder = network._channels[cur.arcs[cur.hop]].occupied_by
+            holder = network._owners.get(a)
+            if isinstance(holder, deque):
+                holder = holder[0]
             if holder is None or holder._blocked_since < 0:
                 break  # head of the chain is progressing: plain contention
             if holder.uid in seen:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
-from repro.core.paths import Arc
+from repro.core.paths import Arc, arc_of
 
 __all__ = ["Worm", "WormState"]
 
@@ -29,7 +29,9 @@ class Worm:
         uid: unique id (issue order).
         src/dst: endpoint node addresses.
         size: message length in bytes.
-        arcs: the E-cube path's directed channels, in traversal order.
+        route, base, n: the route's channels in traversal order; channel
+            ``i`` has ``n``-cube arc id ``base ^ route[i]`` (E-cube routes
+            share :class:`~repro.core.paths.ArcIdRoutes` entries).
         payload: opaque data carried to the receiver (the multicast
             address field, reduction operands, ...).
         hop: index of the next arc the header must acquire; it moves
@@ -42,7 +44,9 @@ class Worm:
     src: int
     dst: int
     size: int
-    arcs: list[Arc]
+    route: Sequence[int]
+    base: int
+    n: int
     payload: Any = None
 
     state: WormState = WormState.PENDING
@@ -69,9 +73,15 @@ class Worm:
     _blocked_dim: int = field(default=-1, repr=False)
 
     @property
+    def arcs(self) -> list[Arc]:
+        """The route's directed channels as ``(tail, dim)`` pairs."""
+        base, n = self.base, self.n
+        return [arc_of(base ^ q, n) for q in self.route]
+
+    @property
     def hops(self) -> int:
         """Physical path length."""
-        return len(self.arcs)
+        return len(self.route)
 
     @property
     def network_latency(self) -> float:

@@ -12,6 +12,10 @@ simplification: on real hardware channel ``i`` is released as the tail
 *passes* it, a stagger of at most ``hops * t_hop`` which is negligible
 against ``size * t_byte`` and can only make the model report *more*
 contention, never less).
+
+One dict, keyed by arc id (:func:`repro.core.paths.arc_id`), maps each
+held channel to its holder -- or, once a header waits there, to a deque
+of the holder and its waiters; a free channel has no entry.
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ from collections import deque
 from typing import Callable
 
 from repro.core.addressing import require_address
-from repro.core.paths import Arc, ResolutionOrder, ecube_arcs
+from repro.core.paths import Arc, ResolutionOrder, arc_id, arc_id_routes, arc_of, ecube_arcs
 from repro.simulator.engine import Simulator
 from repro.simulator.message import Worm, WormState
 from repro.simulator.params import NCUBE2, Timings
 from repro.simulator.trace import ChannelTrace
 
-__all__ = ["Channel", "WormholeNetwork"]
+__all__ = ["WormholeNetwork"]
 
 # the states set once per worm, bound to module names: reading a member
 # off an Enum class takes a slow attribute lookup every time
@@ -38,22 +42,6 @@ def _require_arc(arc: Arc, n: int) -> None:
     require_address(node, n, "channel tail")
     if not 0 <= dim < n:
         raise ValueError(f"channel dimension {dim} out of range")
-
-
-class Channel:
-    """One directed channel with single ownership and a FIFO wait queue.
-
-    The queue is an empty tuple until a header first waits here: most
-    channels never see a waiter, and every channel lives as long as its
-    run, so a deque built for each would cost memory and collector work.
-    """
-
-    __slots__ = ("arc", "occupied_by", "queue")
-
-    def __init__(self, arc: Arc) -> None:
-        self.arc = arc
-        self.occupied_by: Worm | None = None
-        self.queue: deque[Worm] | tuple[()] = ()
 
 
 class WormholeNetwork:
@@ -105,9 +93,13 @@ class WormholeNetwork:
         #: non-E-cube function forfeits the deadlock-freedom guarantee
         #: (see repro.simulator.deadlock).
         self.route = route if route is not None else (lambda u, v: ecube_arcs(u, v, order))
-        self._channels: dict[Arc, Channel] = {}
+        # table routes are valid by construction; others are checked per arc
+        self._routes = arc_id_routes(n, order) if route is None else None
+        self._nodes = 1 << n
+        self._tracing = trace
+        #: arc id -> holding worm, or a deque of the holder and its waiters
+        self._owners: dict[int, Worm | deque[Worm]] = {}
         self._dead_arcs: set[Arc] = set()
-        self._next_uid = 0
         self.worms: list[Worm] = []
         #: number of worms aborted on dead channels so far
         self.aborted_count = 0
@@ -123,23 +115,26 @@ class WormholeNetwork:
         only (fault-aware drivers use it to re-route retries around dead
         channels).
         """
-        require_address(src, self.n, "worm source")
-        require_address(dst, self.n, "worm destination")
+        n, nodes = self.n, self._nodes
+        if not (type(src) is type(dst) is int and 0 <= src < nodes and 0 <= dst < nodes):
+            require_address(src, n, "worm source")
+            require_address(dst, n, "worm destination")
         if src == dst:
             raise ValueError("a worm needs distinct endpoints")
         if size < 1:
             raise ValueError(f"message size must be >= 1 byte, got {size}")
-        worm = Worm(
-            self._next_uid,
-            src,
-            dst,
-            size,
-            self.route(src, dst) if arcs is None else list(arcs),
-            payload,
-        )
+        routes = self._routes
+        if arcs is None and routes is not None:
+            route, base = routes[src ^ dst], src << routes.shift
+        else:
+            route, base = [], 0
+            for arc in self.route(src, dst) if arcs is None else arcs:
+                _require_arc(arc, n)
+                route.append(arc_id(arc, n))
+        worms = self.worms
+        worm = Worm(len(worms), src, dst, size, route, base, n, payload)  # uid: issue order
         worm.t_created = self.sim._now
-        self._next_uid += 1
-        self.worms.append(worm)
+        worms.append(worm)
         return worm
 
     def inject(self, worm: Worm) -> None:
@@ -149,14 +144,6 @@ class WormholeNetwork:
         worm.state = _INJECTING
         worm.t_injected = self.sim._now
         self._advance(worm)
-
-    def channel(self, arc: Arc) -> Channel:
-        """The channel ``arc``, created (and validated) on first use."""
-        ch = self._channels.get(arc)
-        if ch is None:
-            _require_arc(arc, self.n)
-            ch = self._channels[arc] = Channel(arc)
-        return ch
 
     # -- channel failures ----------------------------------------------
 
@@ -176,13 +163,14 @@ class WormholeNetwork:
         """
         _require_arc(arc, self.n)
         self._dead_arcs.add(arc)
-        ch = self._channels.get(arc)
-        if ch is None:
-            return
-        while ch.queue:
-            waiter = ch.queue.popleft()
-            waiter.mark_unblocked(self.sim.now)
-            self._abort(waiter)
+        a = arc_id(arc, self.n)
+        slot = self._owners.get(a)
+        if type(slot) is deque:
+            self._owners[a] = slot.popleft()
+            while slot:
+                waiter = slot.popleft()
+                waiter.mark_unblocked(self.sim.now)
+                self._abort(waiter)
 
     def fail_link(self, node: int, dim: int) -> None:
         """Fail the bidirectional link ``{node, node ^ (1 << dim)}``
@@ -195,7 +183,7 @@ class WormholeNetwork:
         worm.state = WormState.ABORTED
         worm.t_aborted = self.sim.now
         self.aborted_count += 1
-        held = worm.arcs[: worm.held]
+        held = worm.held
         worm.held = 0
         self._release(worm, held)
         if self.on_aborted is not None:
@@ -208,50 +196,58 @@ class WormholeNetwork:
         ``t_hop``, then advances again -- or queue it there if the
         channel is busy; at the destination router, start the body."""
         sim = self.sim
-        arcs = worm.arcs
-        if worm.hop == len(arcs):
+        route = worm.route
+        hop = worm.hop
+        if hop == len(route):
             # header at the destination router; the body pipelines in
-            sim._post(worm.size * self.timings.t_byte, self._deliver, worm)
-            return
-        arc = arcs[worm.hop]
-        if self._dead_arcs and arc in self._dead_arcs:
-            self._abort(worm)
-            return
-        ch = self._channels.get(arc)
-        if ch is None:
-            ch = self.channel(arc)
-        if ch.occupied_by is not None:
-            worm.mark_blocked(sim._now, arc[1])
-            if not ch.queue:
-                ch.queue = deque()
-            ch.queue.append(worm)
-            return
-        ch.occupied_by = worm
-        worm.held += 1
-        worm.hop += 1
-        self.trace.occupy(arc, worm.uid, sim._now)
-        sim._post(self.timings.t_hop, self._advance, worm)
+            delay, then = worm.size * self.timings.t_byte, self._deliver
+        else:
+            a = worm.base ^ route[hop]
+            if self._dead_arcs and arc_of(a, self.n) in self._dead_arcs:
+                self._abort(worm)
+                return
+            slot = self._owners.setdefault(a, worm)  # a free channel is worm's now
+            if slot is not worm and (type(slot) is not deque or slot[0] is not worm):
+                worm.mark_blocked(sim._now, arc_of(a, self.n)[1])  # busy, not handed to worm
+                if type(slot) is deque:
+                    slot.append(worm)
+                else:
+                    self._owners[a] = deque((slot, worm))
+                return
+            worm.hop = worm.held = hop + 1
+            if self._tracing:
+                self.trace.occupy(arc_of(a, self.n), worm.uid, sim._now)
+            delay, then = self.timings.t_hop, self._advance
+        if sim._probes:
+            sim.schedule(delay, then, worm)
+        else:
+            sim._due[sim._now + delay].append((next(sim._seq), then, (worm,), None))
 
     def _deliver(self, worm: Worm) -> None:
         worm.state = _DELIVERED
         worm.t_delivered = self.sim._now
         # tail has drained: release every held channel, waking waiters
-        self._release(worm, worm.arcs[: worm.held])
+        self._release(worm, worm.held)
         if self.on_delivered is not None:
             self.on_delivered(worm)
 
-    def _release(self, worm: Worm, held: list[Arc]) -> None:
-        """Free ``worm``'s channels ``held``, each passing to its first
-        waiter, whose header then moves on."""
+    def _release(self, worm: Worm, held: int) -> None:
+        """Free the first ``held`` channels of ``worm``'s route, each
+        passing to its first waiter, whose header then moves on."""
         now = self.sim._now
-        trace = self.trace
-        for arc in held:
-            ch = self._channels[arc]
-            assert ch.occupied_by is worm
-            ch.occupied_by = None
-            trace.release(arc, worm.uid, now)
-            if ch.queue:
-                nxt = ch.queue.popleft()
+        owners = self._owners
+        base = worm.base
+        for q in worm.route[:held]:
+            a = base ^ q
+            slot = owners.pop(a)
+            if slot is not worm:  # a deque: worm, then the headers waiting
+                assert type(slot) is deque and slot[0] is worm
+                slot.popleft()
+            if self._tracing:
+                self.trace.release(arc_of(a, self.n), worm.uid, now)
+            if slot is not worm and slot:
+                owners[a] = slot
+                nxt = slot[0]  # the first waiter holds it now
                 nxt.mark_unblocked(now)
                 self._advance(nxt)
 
@@ -269,7 +265,6 @@ class WormholeNetwork:
         for w in self.worms:
             if w.state not in terminal:
                 raise AssertionError(f"worm {w.uid} ({w.src}->{w.dst}) stuck in {w.state}")
-        for ch in self._channels.values():
-            if ch.occupied_by is not None or ch.queue:
-                raise AssertionError(f"channel {ch.arc} not quiescent")
+        for a in self._owners:  # free channels have no entry
+            raise AssertionError(f"channel {arc_of(a, self.n)} not quiescent")
         self.trace.finish()

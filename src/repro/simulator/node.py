@@ -70,12 +70,17 @@ class HostNode:
         free.
         """
         sim = self.sim
+        now = sim._now
         t_setup = self.network.timings.t_setup
-        t = max(ready_time, self._cpu_free_at, sim._now)
-        for dst, size, payload in sends:
+        t = max(ready_time, self._cpu_free_at, now)
+        setup_done = self._setup_done
+        for send in sends:
             t += t_setup
             # fires at now + (t - now), as schedule_at(t, ...) would
-            sim._post(t - sim._now, self._setup_done, dst, size, payload)
+            if sim._probes:
+                sim.schedule(t - now, setup_done, *send)
+            else:
+                sim._due[now + (t - now)].append((next(sim._seq), setup_done, send, None))
         self._cpu_free_at = t
 
     def _setup_done(self, dst: int, size: int, payload: Any) -> None:
@@ -102,7 +107,11 @@ class HostNode:
         """Network delivered a worm addressed to this node."""
         if worm.dst != self.address:
             raise ValueError(f"worm {worm.uid} for {worm.dst} delivered to {self.address}")
-        self.sim._post(self.network.timings.t_recv, self._received, worm)
+        sim, t_recv = self.sim, self.network.timings.t_recv
+        if sim._probes:
+            sim.schedule(t_recv, self._received, worm)
+        else:
+            sim._due[sim._now + t_recv].append((next(sim._seq), self._received, (worm,), None))
 
     def _received(self, worm: Worm) -> None:
         worm.state = _RECEIVED

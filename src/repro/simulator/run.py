@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
+from math import frexp, isfinite, ldexp
 from statistics import mean
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
@@ -199,13 +201,26 @@ class MulticastResult:
     def avg_delay(self) -> float:
         """Average delay across destinations (Figures 11 and 13)."""
         dests = self.tree.destinations
-        return mean(self.delays[d] for d in dests) if dests else 0.0
+        return _mean([self.delays[d] for d in dests]) if dests else 0.0
 
     @property
     def completion_time(self) -> float:
         """Time at which the last receiving CPU (destination or relay)
         holds the message."""
         return max(self.delays.values(), default=0.0)
+
+
+def _mean(values: list[float]) -> float:
+    """``statistics.mean(values)`` bit for bit, minus its fractions:
+    scaled by ``2**k``, positive floats are integers, and one int
+    division rounds their exact mean once, as ``statistics.mean`` does."""
+    lo = min(values)
+    if 0.0 < lo and isfinite(sum(values)):
+        e = frexp(lo)[1]
+        if frexp(max(values))[1] - e < 970:  # else the scaling could overflow
+            k = max(53 - e, 0)
+            return sum(map(int, map(ldexp, values, repeat(k)))) / (len(values) << k)
+    return mean(values)
 
 
 def simulate_multicast(

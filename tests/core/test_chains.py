@@ -10,11 +10,28 @@ from repro.core.chains import (
     dimension_compare,
     dimension_sorted,
     is_cube_ordered_chain,
-    is_cube_ordered_chain_bruteforce,
     is_dimension_ordered_chain,
     relative_chain,
     unrelative_chain,
 )
+from repro.core.subcube import Subcube
+
+
+def is_cube_ordered_chain_bruteforce(chain, n: int) -> bool:
+    """Literal transcription of Definition 5 (exponential)."""
+    for d in chain:
+        if not isinstance(d, int) or d < 0 or d >> n:
+            return False
+    if len(set(chain)) != len(chain):
+        return False
+    m = len(chain)
+    for dim in range(n + 1):
+        for mask in range(1 << (n - dim)):
+            s = Subcube(n, dim, mask)
+            member = [i for i in range(m) if chain[i] in s]
+            if member and member[-1] - member[0] + 1 != len(member):
+                return False
+    return True
 
 
 def formal_dimension_lt(a: int, b: int, n: int) -> bool:

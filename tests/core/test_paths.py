@@ -9,6 +9,9 @@ from hypothesis import given
 from repro.core.addressing import delta, hamming, reverse_bits
 from repro.core.paths import (
     ResolutionOrder,
+    arc_id,
+    arc_id_routes,
+    arc_of,
     arcs_disjoint,
     ecube_arcs,
     ecube_dims,
@@ -88,6 +91,26 @@ class TestEcubePath:
         asc = ecube_path(u, v, ASC)
         desc = ecube_path(reverse_bits(u, 10), reverse_bits(v, 10), DESC)
         assert [reverse_bits(w, 10) for w in desc] == asc
+
+
+class TestArcIds:
+    """The kernels' arc ids against the (tail, dim) pairs of ecube_arcs."""
+
+    @given(st.integers(1, 14), st.data(), st.sampled_from(list(ResolutionOrder)))
+    def test_id_routes_are_ecube_arcs(self, n, data, order):
+        u = data.draw(st.integers(0, (1 << n) - 1))
+        v = data.draw(st.integers(0, (1 << n) - 1))
+        routes = arc_id_routes(n, order)
+        ids = [(u << routes.shift) ^ q for q in routes[u ^ v]]
+        assert [arc_of(a, n) for a in ids] == ecube_arcs(u, v, order)
+        assert ids == [arc_id(arc, n) for arc in ecube_arcs(u, v, order)]
+
+    @given(st.integers(1, 14), st.data())
+    def test_ids_order_like_pairs(self, n, data):
+        arc = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, n - 1))
+        a, b = data.draw(arc), data.draw(arc)
+        assert (arc_id(a, n) < arc_id(b, n)) == (a < b)
+        assert arc_of(arc_id(a, n), n) == a
 
 
 class TestArcDisjoint:

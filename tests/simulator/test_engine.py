@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import heapq
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.obs.probes import HeapDepthProbe
 from repro.simulator.engine import Simulator
 
 
@@ -114,3 +119,80 @@ class TestRunLimits:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_processed == 3
+
+
+class _HeapQueue:
+    """Reference order: every pending event in one heap of ``(time, seq)``
+    entries, cancelled ones skipped lazily, the clock set on firing."""
+
+    def __init__(self) -> None:
+        self.now, self.heap, self.seq, self.events_processed = 0.0, [], 0, 0
+
+    def schedule(self, delay, callback, *args):
+        cancelled = [False]
+        heapq.heappush(self.heap, (self.now + delay, self.seq, callback, args, cancelled))
+        self.seq += 1
+        return cancelled
+
+    def run(self, until=None):
+        while self.heap:
+            time, _, callback, args, cancelled = self.heap[0]
+            if cancelled[0]:
+                heapq.heappop(self.heap)
+                continue
+            if until is not None and time > until:
+                break
+            heapq.heappop(self.heap)
+            self.now = time
+            self.events_processed += 1
+            callback(*args)
+        if until is not None and until > self.now:
+            self.now = until
+
+
+DELAYS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5])
+
+
+class TestOrderMatchesOneHeap:
+    """Events fire in (time, seq) order however they bunch on an instant,
+    are posted while their instant runs, or are cancelled."""
+
+    @settings(max_examples=150)
+    @given(
+        roots=st.lists(DELAYS, min_size=1, max_size=4),
+        plan=st.lists(
+            st.tuples(st.lists(DELAYS, max_size=3), st.none() | st.integers(0, 50)),
+            min_size=1,
+            max_size=8,
+        ),
+        mode=st.sampled_from(["run", "until", "step", "probe"]),
+        horizon=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+    )
+    def test_same_firing_order_clock_and_count(self, roots, plan, mode, horizon):
+        def drive(queue, cancel):
+            log, handles = [], []
+
+            def fire(i):
+                log.append((i, queue.now))
+                delays, victim = plan[i % len(plan)]
+                for d in delays:
+                    if len(handles) < 120:
+                        handles.append(queue.schedule(d, fire, len(handles)))
+                if victim is not None:
+                    cancel(handles[victim % len(handles)])
+
+            for d in roots:
+                handles.append(queue.schedule(d, fire, len(handles)))
+            if mode == "until":
+                queue.run(until=horizon)
+                log.append(("horizon", queue.now))
+            if mode == "step" and isinstance(queue, Simulator):
+                while queue.step():
+                    pass
+            else:
+                queue.run()
+            return log, queue.now, queue.events_processed
+
+        want = drive(_HeapQueue(), lambda h: h.__setitem__(0, True))
+        sim = Simulator(probes=[HeapDepthProbe()] if mode == "probe" else None)
+        assert drive(sim, lambda ev: ev.cancel()) == want

@@ -4,8 +4,11 @@ including the STEP cross-validation against the abstract scheduler."""
 from __future__ import annotations
 
 import gc
+import math
+import statistics
 import weakref
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -19,6 +22,7 @@ from repro.multicast import (
     k_port,
 )
 from repro.simulator import NCUBE2, STEP, Timings, simulate_multicast
+from repro.simulator.run import _mean
 from tests.conftest import multicast_cases
 
 FIG3_DESTS = [0b0001, 0b0011, 0b0101, 0b0111, 0b1011, 0b1100, 0b1110, 0b1111]
@@ -97,6 +101,19 @@ class TestDelays:
         assert 0 < res.avg_delay <= res.max_delay
         assert res.max_delay == max(res.delays[d] for d in FIG3_DESTS)
         assert res.completion_time >= res.max_delay
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=300))
+    def test_avg_delay_mean_is_statistics_mean(self, values):
+        """avg_delay's mean is statistics.mean bit for bit (the service
+        and the archived figures print it)."""
+        try:
+            want = statistics.mean(values)
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                _mean(values)
+            return
+        got = _mean(values)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
     def test_all_port_beats_one_port_on_average(self):
         tree = WSort().build_tree(5, 0, list(range(1, 32)))

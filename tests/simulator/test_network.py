@@ -149,7 +149,7 @@ class TestInvariants:
     def test_bad_dimension_rejected(self):
         _, net = make_net(n=2)
         with pytest.raises(ValueError):
-            net.channel((0, 5))
+            net.fail_arc((0, 5))
 
     def test_dimension_must_be_positive(self):
         with pytest.raises(ValueError):

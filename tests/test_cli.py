@@ -331,6 +331,25 @@ class TestExitCodes:
         assert len([line for line in err.splitlines() if "error" in line]) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["tree", "-n", "4", "-d", "1", "--size", "-5", "--simulate"], "--size"),
+            (["stats", "-n", "4", "-d", "1,2", "--top", "-1"], "--top"),
+            (["faults", "-n", "4", "-m", "0"], "-m"),
+            (["collective", "broadcast", "-n", "3", "--size", "0"], "--size"),
+            (["faults", "-n", "4", "--size", "0"], "--size"),
+        ],
+    )
+    def test_count_below_one_is_a_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.startswith("usage: ")
+        assert f"error: argument {option}: expected an integer >= 1, got " in err
+
     @pytest.mark.parametrize("endpoint", ["127.0.0.1:99999", "127.0.0.1:0"])
     def test_worker_port_out_of_range_exits_two_without_dialing(
         self, capsys, monkeypatch, endpoint
