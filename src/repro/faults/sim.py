@@ -32,7 +32,6 @@ delays and event counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import mean
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.paths import Arc, ecube_arcs
@@ -46,7 +45,7 @@ from repro.simulator.message import Worm
 from repro.simulator.network import WormholeNetwork
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
-from repro.simulator.run import Machine
+from repro.simulator.run import Machine, _mean
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.obs.probes import Probe
@@ -101,7 +100,7 @@ class DegradedResult:
     def avg_delay(self) -> float:
         """Average delay over the destinations actually delivered."""
         got = self.delivered
-        return mean(self.delays[d] for d in got) if got else 0.0
+        return _mean([self.delays[d] for d in got]) if got else 0.0
 
     @property
     def max_delay(self) -> float:

@@ -12,17 +12,20 @@ stale value is impossible by construction.  Change the *semantics* of
 an artifact (what a value means for the same inputs) and you must bump
 :data:`CACHE_SCHEMA`, which namespaces every key.
 
-Two layers:
+Every value is stored in one form, its canonical JSON bytes
+(:func:`canonical_json`), in two layers:
 
-- an in-process dict (always on while a cache is active);
+- an in-process map (always on while a cache is active), bounded by
+  :data:`MEMORY_BUDGET_BYTES` with least-recently-used eviction -- an
+  evicted value costs only a rebuild, or a disk read, of the same bytes;
 - an optional on-disk layer under ``cache_dir`` -- one JSON file per
   entry at ``<key[:2]>/<key>.json``, written atomically (temp file +
   ``os.replace``) and created race-safely, so any number of worker
   processes can share one directory.
 
 Every disk entry is a self-verifying envelope -- ``{"schema", "key",
-"checksum", "value"}`` with a SHA-256 checksum over the canonical JSON
-of the value -- and every disk read validates it.  A corrupt,
+"checksum", "value"}`` with a SHA-256 checksum over the value's
+canonical bytes -- and every disk read validates it.  A corrupt,
 truncated, stale-schema, or mis-keyed entry is **quarantined** (moved
 into ``<cache_dir>/_quarantine/``), counted in
 ``sim.resilience.cache_quarantined``, and treated as a miss, so the
@@ -41,6 +44,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -54,12 +58,14 @@ from repro.simulator.params import Timings
 __all__ = [
     "CACHE_SCHEMA",
     "CacheAudit",
+    "MEMORY_BUDGET_BYTES",
     "QUARANTINE_DIR",
     "ScheduleCache",
     "activate_cache",
     "cache_key",
     "cached_delay_stats",
     "cached_schedule_table",
+    "canonical_json",
     "compute_delay_stats",
     "compute_schedule_table",
     "delay_stats_key",
@@ -77,6 +83,17 @@ QUARANTINE_DIR = "_quarantine"
 #: inputs; old entries then become unreachable rather than wrong.
 CACHE_SCHEMA = 1
 
+#: Resident bytes (stored values plus their keys) the memory layer may
+#: hold before it evicts the least recently used entries: about 13,000
+#: n=10, m=512 schedule tables.
+MEMORY_BUDGET_BYTES = 64 << 20
+
+
+def canonical_json(value: object) -> bytes:
+    """The one canonical JSON encoding (sorted keys, compact) of cache
+    keys, stored values, their checksums and service response bodies."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
 
 def cache_key(kind: str, **fields: object) -> str:
     """SHA-256 hex key over the canonical JSON of ``fields``.
@@ -85,31 +102,27 @@ def cache_key(kind: str, **fields: object) -> str:
     (the encoding sorts them).
     """
     payload = {"schema": CACHE_SCHEMA, "kind": kind, **fields}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload)).hexdigest()
+
+
+def _checksum(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()[:16]
 
 
 def _value_checksum(value: object) -> str:
     """SHA-256 (truncated) over the canonical JSON of a cached value."""
-    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return _checksum(canonical_json(value))
 
 
-def _encode_entry(key: str, value: object) -> str:
-    """The self-verifying on-disk envelope for one entry."""
-    return json.dumps(
-        {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "checksum": _value_checksum(value),
-            "value": value,
-        },
-        separators=(",", ":"),
+def _encode_entry(key: str, raw: bytes) -> bytes:
+    """The self-verifying on-disk envelope for one entry's stored bytes."""
+    return b'{"schema":%d,"key":%s,"checksum":"%s","value":%s}' % (
+        CACHE_SCHEMA, json.dumps(key).encode(), _checksum(raw).encode(), raw
     )
 
 
-def _decode_entry(key: str, text: str) -> tuple[object, str | None]:
-    """``(value, None)`` for an intact entry, else ``(None, reason)``.
+def _decode_entry(key: str, data: bytes) -> tuple[bytes | None, str | None]:
+    """``(canonical bytes, None)`` for an intact entry, else ``(None, reason)``.
 
     Reasons: ``"corrupt"`` (unparseable / not an envelope / checksum
     mismatch), ``"stale-schema"`` (written under another
@@ -117,7 +130,7 @@ def _decode_entry(key: str, text: str) -> tuple[object, str | None]:
     wrong name -- a tampered or mis-copied file).
     """
     try:
-        payload = json.loads(text)
+        payload = json.loads(data)
     except ValueError:
         return None, "corrupt"
     if not isinstance(payload, dict) or "value" not in payload or "checksum" not in payload:
@@ -126,14 +139,19 @@ def _decode_entry(key: str, text: str) -> tuple[object, str | None]:
         return None, "stale-schema"
     if payload.get("key") != key:
         return None, "key-mismatch"
-    value = payload["value"]
-    if _value_checksum(value) != payload["checksum"]:
+    raw = canonical_json(payload["value"])
+    if _checksum(raw) != payload["checksum"]:
         return None, "corrupt"
-    return value, None
+    return raw, None
 
 
 class ScheduleCache:
-    """Two-layer (memory + optional disk) content-addressed cache."""
+    """Two-layer (memory + optional disk) content-addressed cache.
+
+    Both layers hold each value as its canonical JSON bytes.  The memory
+    layer keeps at most :data:`MEMORY_BUDGET_BYTES` of them, evicting the
+    least recently used first.
+    """
 
     def __init__(
         self,
@@ -149,7 +167,11 @@ class ScheduleCache:
         self.disk_hits = 0
         self.puts = 0
         self.quarantined = 0
-        self._memory: dict[str, object] = {}
+        self.evictions = 0
+        #: stored bytes by key, least recently used first
+        self._memory: OrderedDict[str, bytes] = OrderedDict()
+        #: bytes of the stored values plus their keys
+        self.resident_bytes = 0
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
 
@@ -188,52 +210,77 @@ class ScheduleCache:
             except OSError:
                 pass
 
+    def _remember(self, key: str, raw: bytes) -> None:
+        """Store ``raw`` as the most recent entry, then evict to budget."""
+        memory = self._memory
+        old = memory.pop(key, None)
+        if old is not None:
+            self.resident_bytes -= len(key) + len(old)
+        memory[key] = raw
+        self.resident_bytes += len(key) + len(raw)
+        while self.resident_bytes > MEMORY_BUDGET_BYTES:
+            evicted, value = memory.popitem(last=False)
+            self.resident_bytes -= len(evicted) + len(value)
+            self.evictions += 1
+            self._count("cache_evictions")
+
     def get(self, key: str) -> object | None:
-        """The cached value, or ``None`` on a miss.
+        """The cached value, freshly decoded, or ``None`` on a miss.
 
         (``None`` is never a cached value; every artifact here is a
-        non-empty dict.)  A disk entry that fails validation -- corrupt
-        bytes, a truncated write, a stale schema, a key mismatch -- is
-        quarantined and reported as a miss so the value recomputes.
+        non-empty dict.)  Each call returns a new object, so mutating it
+        leaves the cache unchanged.
         """
-        value = self._memory.get(key)
-        if value is not None:
+        raw = self.get_raw(key)
+        return None if raw is None else json.loads(raw)
+
+    def get_raw(self, key: str) -> bytes | None:
+        """The cached value's canonical JSON bytes, or ``None`` on a miss.
+
+        A hit makes the entry the most recently used.  A disk entry that
+        fails validation (see :func:`_decode_entry`) is quarantined and
+        reported as a miss, so the value recomputes.
+        """
+        raw = self._memory.get(key)
+        if raw is not None:
+            self._memory.move_to_end(key)
             self.hits += 1
             self._count("cache_hits")
-            return value
+            return raw
         if self.cache_dir is not None:
             path = self._disk_path(key)
             with trace_spans.span("cache.disk_read", key=key[:12]) as _sp:
                 try:
-                    with open(path, "r", encoding="utf-8") as f:
-                        text = f.read()
+                    with open(path, "rb") as f:
+                        data = f.read()
                 except OSError:
-                    text = None  # absent: plain miss
-                if text is not None:
-                    value, damage = _decode_entry(key, text)
+                    data = None  # absent: plain miss
+                if data is not None:
+                    raw, damage = _decode_entry(key, data)
                     if damage is not None:
                         self._quarantine(path, damage)
-                        value = None
                 if _sp is not None:
-                    _sp.set(hit=value is not None)
-            if value is not None:
-                self._memory[key] = value
+                    _sp.set(hit=raw is not None)
+            if raw is not None:
+                self._remember(key, raw)
                 self.hits += 1
                 self.disk_hits += 1
                 self._count("cache_hits")
                 self._count("cache_disk_hits")
-                return value
+                return raw
         self.misses += 1
         self._count("cache_misses")
         return None
 
-    def put(self, key: str, value: object) -> None:
-        """Store a JSON-safe value under ``key`` (memory, then disk)."""
-        self._memory[key] = value
+    def put(self, key: str, value: object) -> bytes:
+        """Store a JSON-safe value under ``key`` (memory, then disk) and
+        return its stored canonical bytes."""
+        raw = canonical_json(value)
+        self._remember(key, raw)
         self.puts += 1
         self._count("cache_puts")
         if self.cache_dir is None:
-            return
+            return raw
         path = self._disk_path(key)
         with trace_spans.span("cache.disk_write", key=key[:12]):
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -241,8 +288,8 @@ class ScheduleCache:
             # harmlessly -- both write identical bytes
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as f:
-                    f.write(_encode_entry(key, value))
+                with os.fdopen(fd, "wb") as f:
+                    f.write(_encode_entry(key, raw))
                 os.replace(tmp, path)
             except OSError:
                 self._count("cache_disk_errors")
@@ -250,6 +297,7 @@ class ScheduleCache:
                     os.unlink(tmp)
                 except OSError:
                     pass
+        return raw
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -273,6 +321,8 @@ class ScheduleCache:
             "disk_hits": self.disk_hits,
             "puts": self.puts,
             "quarantined": self.quarantined,
+            "evictions": self.evictions,
+            "bytes": self.resident_bytes,
             "hit_ratio": self.hit_ratio(),
         }
 
@@ -330,11 +380,11 @@ def verify_cache_dir(cache_dir: str | os.PathLike, repair: bool = False) -> Cach
     for path in _entry_files(root):
         key = path.stem
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             damage = "unreadable"
         else:
-            _, damage = _decode_entry(key, text)
+            _, damage = _decode_entry(key, data)
         if damage is None:
             audit.ok += 1
             continue

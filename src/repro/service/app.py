@@ -44,7 +44,7 @@ from repro.parallel.cache import ScheduleCache
 from repro.service.admission import AdmissionConfig, AdmissionController, Rejected
 from repro.service.http import HttpServer, Request, Response
 from repro.service.planner import PlannerService, PlanResult
-from repro.service.protocol import ProtocolError, parse_plan_request
+from repro.service.protocol import ProtocolError, encode_plan_response, parse_plan_request
 
 __all__ = ["ServiceApp", "ServiceConfig", "ServiceThread", "serve_async"]
 
@@ -241,18 +241,10 @@ class ServiceApp:
             usage.cache_hits += 1
         else:
             usage.builds += 1
-        payload = {
-            "request": plan_req.describe(),
-            "key": result.key,
-            "source": result.source,
-            "result": result.value,
-        }
-        response = Response(payload=payload)
-        body = response.encode_body()
-        response.body = body
+        body = encode_plan_response(plan_req, result.key, result.source, result.value)
         usage.bytes_out += len(body)
         self.metrics.counter("sim.service.bytes_out").inc(len(body))
-        return response
+        return Response(body=body)
 
     # -- operational endpoints -----------------------------------------
 
@@ -300,6 +292,7 @@ class ServiceApp:
         cache = self.planner.cache
         self.metrics.gauge("sim.service.cache_hit_ratio").set(cache.hit_ratio())
         self.metrics.gauge("sim.service.cache_entries").set(float(len(cache)))
+        self.metrics.gauge("sim.service.cache_bytes").set(float(cache.resident_bytes))
         self.metrics.gauge("sim.service.uptime_seconds").set(self._uptime_s())
         text = to_prometheus(self.metrics)
         return Response(body=text.encode("utf-8"), content_type="text/plain; version=0.0.4")
@@ -384,6 +377,7 @@ class ServiceThread:
         try:
             loop.run_forever()
             loop.run_until_complete(self.app.drain())
+            loop.run_until_complete(loop.shutdown_default_executor())
         finally:
             loop.close()
 

@@ -13,8 +13,8 @@ process needs on top of :mod:`repro.parallel.cache`:
 
 * **Single-flight coalescing.**  N concurrent requests for the same key
   perform exactly one build; followers await the leader's task (shielded,
-  so one caller's deadline cannot cancel everyone's build) and all see
-  the identical value object.  ``sim.service.builds`` counts actual
+  so one caller's deadline cannot cancel everyone's build) and all share
+  the one stored bytes object.  ``sim.service.builds`` counts actual
   builds, ``sim.service.coalesced`` counts followers.
 
 * **Executor offload.**  Builds are pure-Python CPU work; they run on a
@@ -84,7 +84,8 @@ def _compute_verify(req: PlanRequest) -> dict:
 
 @dataclass(slots=True)
 class PlanResult:
-    """One resolved plan: the cached value plus where it came from.
+    """One resolved plan: the cached value, as the canonical JSON bytes
+    the repository stores, plus where it came from.
 
     ``source`` is ``"cache"`` for a repository hit and ``"build"`` for
     a freshly computed value -- including for every follower coalesced
@@ -93,7 +94,7 @@ class PlanResult:
     """
 
     key: str
-    value: dict
+    value: bytes
     source: str
 
 
@@ -165,18 +166,17 @@ class PlannerService:
             time.sleep(self.build_delay_s)
         return build()
 
-    async def _build_and_store(self, key: str, build: Callable[[], dict]) -> dict:
+    async def _build_and_store(self, key: str, build: Callable[[], dict]) -> bytes:
         loop = asyncio.get_running_loop()
         t0 = time.perf_counter()
         value = await loop.run_in_executor(self._executor, self._build, build)
         self.metrics.timer("sim.service.build_seconds").record(time.perf_counter() - t0)
-        self.cache.put(key, value)
-        return value
+        return self.cache.put(key, value)
 
     async def _resolve(self, key: str, build: Callable[[], dict]) -> PlanResult:
-        value = self.cache.get(key)
-        if value is not None:
-            return PlanResult(key, value, "cache")  # type: ignore[arg-type]
+        raw = self.cache.get_raw(key)
+        if raw is not None:
+            return PlanResult(key, raw, "cache")
         task = self._inflight.get(key)
         if task is None:
             self.metrics.counter("sim.service.builds").inc()
@@ -187,8 +187,8 @@ class PlannerService:
             self.metrics.counter("sim.service.coalesced").inc()
         # shield: a cancelled waiter (deadline, dropped connection) must
         # not cancel the build the rest of the coalesced group awaits
-        value = await asyncio.shield(task)
-        return PlanResult(key, value, "build")
+        raw = await asyncio.shield(task)
+        return PlanResult(key, raw, "build")
 
     def _finish(self, key: str, task: asyncio.Task) -> None:
         self._inflight.pop(key, None)
@@ -206,14 +206,14 @@ class PlannerService:
         release the executor.
 
         Cancelling a build's task cancels its executor future, so a
-        build still queued never starts; :meth:`close` waits for those
-        already running.
+        build still queued never starts; :meth:`close` waits, off the
+        event loop, for those already running.
         """
         builds = list(self._inflight.values())
         for task in builds:
             task.cancel()
         await asyncio.gather(*builds, return_exceptions=True)
-        self.close()
+        await asyncio.to_thread(self.close)
 
     def close(self) -> None:
         self._executor.shutdown(wait=True, cancel_futures=True)

@@ -10,17 +10,19 @@ message size) that keep one request from monopolizing a worker.
 Canonical encoding: responses are serialized with sorted keys and
 compact separators (:func:`encode_json`), so two requests resolving to
 the same planner value receive byte-identical bodies -- the property
-the single-flight coalescing tests pin down.
+the single-flight coalescing tests pin down.  A planning response
+splices the planner's stored bytes into that encoding
+(:func:`encode_plan_response`) rather than encoding its value again.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.core.paths import ResolutionOrder
 from repro.multicast.ports import ALL_PORT, ONE_PORT, PortModel, k_port
+from repro.parallel.cache import canonical_json
 from repro.simulator.params import NCUBE2, Timings
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "PlanRequest",
     "ProtocolError",
     "encode_json",
+    "encode_plan_response",
     "parse_plan_request",
 ]
 
@@ -51,7 +54,7 @@ class ProtocolError(ValueError):
 
 def encode_json(payload: Any) -> bytes:
     """The canonical response encoding: sorted keys, compact, one LF."""
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return canonical_json(payload) + b"\n"
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,6 +94,15 @@ class PlanRequest:
         if self.kind == "simulate":
             doc["size"] = self.size
         return doc
+
+
+def encode_plan_response(req: PlanRequest, key: str, source: str, raw: bytes) -> bytes:
+    """The :func:`encode_json` body of a planning response whose result
+    ``value`` is stored as ``raw == canonical_json(value)``, built without
+    decoding ``raw``: its four keys are written in sorted order."""
+    return b'{"key":%s,"request":%s,"result":%s,"source":%s}\n' % (
+        canonical_json(key), canonical_json(req.describe()), raw, canonical_json(source)
+    )
 
 
 def _require_int(doc: Mapping[str, Any], field: str, lo: int, hi: int, default=None) -> int:

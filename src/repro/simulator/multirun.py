@@ -14,7 +14,6 @@ contention-aware algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import mean
 from typing import TYPE_CHECKING, Sequence
 
 from repro.multicast.base import MulticastTree
@@ -24,7 +23,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.simulator.message import Worm
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
-from repro.simulator.run import Machine
+from repro.simulator.run import Machine, _mean
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.obs.probes import Probe
@@ -46,7 +45,7 @@ class ConcurrentResult:
     @property
     def avg_delays(self) -> list[float]:
         return [
-            mean(d[x] for x in t.destinations) if t.destinations else 0.0
+            _mean([d[x] for x in t.destinations]) if t.destinations else 0.0
             for t, d in zip(self.trees, self.delays)
         ]
 

@@ -40,6 +40,8 @@ _PENDING, _INJECTING, _DELIVERED = WormState.PENDING, WormState.INJECTING, WormS
 def _require_arc(arc: Arc, n: int) -> None:
     node, dim = arc
     require_address(node, n, "channel tail")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise TypeError(f"channel dimension must be an int, got {type(dim).__name__}")
     if not 0 <= dim < n:
         raise ValueError(f"channel dimension {dim} out of range")
 
@@ -174,7 +176,7 @@ class WormholeNetwork:
 
     def fail_link(self, node: int, dim: int) -> None:
         """Fail the bidirectional link ``{node, node ^ (1 << dim)}``
-        (both directed arcs)."""
+        (both directed arcs); a bad argument fails the first arc's check."""
         self.fail_arc((node, dim))
         self.fail_arc((node ^ (1 << dim), dim))
 

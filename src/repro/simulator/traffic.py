@@ -13,7 +13,6 @@ generator, so runs are exactly reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import mean
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from repro.multicast.ports import ALL_PORT, PortModel
 from repro.simulator.message import Worm
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
-from repro.simulator.run import Machine
+from repro.simulator.run import Machine, _mean
 
 __all__ = ["LoadedResult", "simulate_multicast_under_load"]
 
@@ -114,9 +113,9 @@ def simulate_multicast_under_load(
     dest_delays = [delays[d] for d in tree.destinations]
     return LoadedResult(
         delays=delays,
-        avg_delay=mean(dest_delays) if dest_delays else 0.0,
+        avg_delay=_mean(dest_delays) if dest_delays else 0.0,
         max_delay=max(dest_delays, default=0.0),
         multicast_blocked_time=mc_blocked,
         background_messages=bg_count,
-        background_mean_latency=mean(bg_latencies) if bg_latencies else 0.0,
+        background_mean_latency=_mean(bg_latencies) if bg_latencies else 0.0,
     )

@@ -157,6 +157,20 @@ class TestFailures:
             net.fail_link(node, dim)
         assert net.dead_arcs == frozenset()
 
+    @pytest.mark.parametrize("dim", [1.0, True, "1"])
+    def test_fail_arc_dimension_type(self, dim):
+        net = net4()
+        with pytest.raises(TypeError, match="^channel dimension must be an int, got "):
+            net.fail_arc((0, dim))
+        assert net.dead_arcs == frozenset()
+
+    @pytest.mark.parametrize("dim", [2.0, True])
+    def test_fail_link_dimension_type(self, dim):
+        net = net4()
+        with pytest.raises(TypeError, match="^channel dimension must be an int, got "):
+            net.fail_link(3, dim)
+        assert net.dead_arcs == frozenset()
+
 
 class TestUnicast:
     def test_self_unicast(self):

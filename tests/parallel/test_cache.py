@@ -9,12 +9,15 @@ import pytest
 from repro.multicast.ports import ALL_PORT, ONE_PORT
 from repro.multicast.registry import get_algorithm
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel import cache as cache_module
 from repro.parallel.cache import (
     ScheduleCache,
+    _value_checksum,
     activate_cache,
     cache_key,
     cached_delay_stats,
     cached_schedule_table,
+    canonical_json,
 )
 from repro.simulator.params import NCUBE2
 from repro.simulator.run import simulate_multicast
@@ -51,7 +54,8 @@ class TestLayers:
         assert cache.get(key) == {"v": 2}
         assert cache.stats() == {
             "entries": 1, "hits": 1, "misses": 1, "disk_hits": 0, "puts": 1,
-            "quarantined": 0, "hit_ratio": 0.5,
+            "quarantined": 0, "evictions": 0, "bytes": len(key) + len(b'{"v":2}'),
+            "hit_ratio": 0.5,
         }
 
     def test_hit_ratio(self):
@@ -99,6 +103,90 @@ class TestLayers:
         assert snap["sim.parallel.cache_misses"]["value"] == 1
         assert snap["sim.parallel.cache_puts"]["value"] == 1
         assert snap["sim.parallel.cache_hits"]["value"] == 1
+
+
+class TestStoredBytes:
+    def test_mutating_a_value_leaves_the_cache_unchanged(self):
+        cache = ScheduleCache()
+        key = cache_key("t", x=1)
+        value = {"max_step": 2, "dest_steps": {"1": 1}}
+        cache.put(key, value)
+        value["max_step"] = 99  # the caller's own object
+        cache.get(key)["dest_steps"]["1"] = 7  # a returned object
+        assert cache.get(key) == {"max_step": 2, "dest_steps": {"1": 1}}
+
+    def test_put_returns_the_canonical_bytes_get_raw_serves(self):
+        cache = ScheduleCache()
+        key = cache_key("t", x=1)
+        raw = cache.put(key, {"b": [1, 2.5], "a": None})
+        assert raw == b'{"a":null,"b":[1,2.5]}' == canonical_json({"b": [1, 2.5], "a": None})
+        assert cache.get_raw(key) is raw
+
+    def test_older_envelopes_read_back_as_canonical_bytes(self, tmp_path):
+        """An entry whose value was written in insertion order (as
+        before values were stored canonically) reads back as the
+        canonical bytes, and a new entry still parses into the same
+        envelope fields with the same checksum."""
+        key = cache_key("t", x=1)
+        value = {"max_step": 2, "dest_steps": {"9": 1, "10": 2}}
+        path = tmp_path / key[:2] / f"{key}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(
+            {"schema": 1, "key": key, "checksum": _value_checksum(value), "value": value},
+            separators=(",", ":"),
+        ))
+        assert ScheduleCache(tmp_path).get_raw(key) == canonical_json(value)
+        ScheduleCache(tmp_path).put(key, value)
+        envelope = json.loads(path.read_bytes())
+        assert envelope == {
+            "schema": 1, "key": key, "checksum": _value_checksum(value), "value": value,
+        }
+
+
+class TestMemoryBudget:
+    """The memory layer keeps stored bytes under MEMORY_BUDGET_BYTES,
+    evicting the least recently used entry first."""
+
+    @staticmethod
+    def _entry(x: int) -> tuple[str, dict]:
+        return cache_key("t", x=x), {"v": [x] * 8}
+
+    def _entry_bytes(self) -> int:
+        key, value = self._entry(0)
+        return len(key) + len(canonical_json(value))  # the same for x < 10
+
+    def test_least_recently_used_goes_first(self, monkeypatch):
+        size = self._entry_bytes()
+        monkeypatch.setattr(cache_module, "MEMORY_BUDGET_BYTES", 3 * size)
+        registry = MetricsRegistry()
+        cache = ScheduleCache(metrics=registry)
+        for x in range(3):
+            cache.put(*self._entry(x))
+        assert cache.evictions == 0
+        assert cache.get(cache_key("t", x=0)) == {"v": [0] * 8}  # refreshes entry 0
+        cache.put(*self._entry(3))
+        assert cache.get(cache_key("t", x=1)) is None  # the least recently used
+        for x in (0, 2, 3):
+            assert cache.get(cache_key("t", x=x)) == {"v": [x] * 8}
+        for x in range(4, 10):
+            cache.put(*self._entry(x))
+            assert cache.resident_bytes <= 3 * size
+        assert len(cache) == 3
+        assert cache.resident_bytes == 3 * size
+        assert cache.evictions == 7
+        assert registry.counter("sim.parallel.cache_evictions").value == 7
+        assert cache.stats()["evictions"] == 7
+        assert cache.stats()["bytes"] == 3 * size
+
+    def test_an_evicted_key_is_a_disk_hit(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cache_module, "MEMORY_BUDGET_BYTES", self._entry_bytes())
+        cache = ScheduleCache(tmp_path)
+        cache.put(*self._entry(0))
+        cache.put(*self._entry(1))  # evicts entry 0 from memory only
+        assert len(cache) == 1 and cache.evictions == 1
+        assert cache.get(cache_key("t", x=0)) == {"v": [0] * 8}
+        assert cache.disk_hits == 1
+        assert cache.misses == 0
 
 
 class TestCachedArtifacts:

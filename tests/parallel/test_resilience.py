@@ -291,6 +291,19 @@ class TestCacheIntegrity:
         reader.put(key, {"v": 1})
         assert ScheduleCache(tmp_path).get(key) == {"v": 1}
 
+    def test_non_utf8_entry_is_corrupt_not_a_crash(self, tmp_path):
+        self._seed_cache(tmp_path)
+        key = cache_key("t", x=1)
+        path = tmp_path / key[:2] / f"{key}.json"
+        path.write_bytes(b'{"schema":1,"value":"\xff"}')
+        assert verify_cache_dir(tmp_path).damaged == {
+            "corrupt": [str(path.relative_to(tmp_path))]
+        }
+        reader = ScheduleCache(tmp_path)
+        assert reader.get(key) is None
+        assert reader.quarantined == 1
+        assert list((tmp_path / "_quarantine").glob("corrupt-*"))
+
     def test_checksum_mismatch_quarantined_on_read(self, tmp_path):
         self._seed_cache(tmp_path)
         key = cache_key("t", x=2)

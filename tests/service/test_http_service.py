@@ -21,6 +21,7 @@ import urllib.request
 import pytest
 
 from repro.analysis.workloads import random_destination_sets
+from repro.parallel import cache as cache_module
 from repro.parallel.cache import (
     _value_checksum,
     compute_delay_stats,
@@ -191,6 +192,45 @@ class TestErrors:
             "wsort", 5, 0, dests, ALL_PORT, ResolutionOrder.DESCENDING
         )
         assert body["result"] == json.loads(json.dumps(expected))
+
+
+def _metric_samples(svc) -> dict[str, float]:
+    status, raw = _get(svc, "/metrics")
+    assert status == 200
+    return {
+        name: float(value)
+        for name, value in (
+            line.rsplit(" ", 1) for line in raw.decode().splitlines() if not line.startswith("#")
+        )
+    }
+
+
+class TestBoundedCache:
+    def test_cache_bytes_gauge_reports_resident_bytes(self, service):
+        _post(service, "/v1/schedule", DOC)
+        samples = _metric_samples(service)
+        assert samples["repro_sim_service_cache_bytes"] > 0
+        assert samples["repro_sim_service_cache_bytes"] == service.app.planner.cache.resident_bytes
+
+    def test_evicted_key_is_rebuilt_with_the_same_bytes(self, monkeypatch):
+        """With a budget no entry fits, every value is evicted as soon as
+        it is stored, so a repeated request is built again -- into the
+        same response bytes."""
+        monkeypatch.setattr(cache_module, "MEMORY_BUDGET_BYTES", 1)
+        with ServiceThread(ServiceConfig(port=0)) as svc:
+            bodies = []
+            for _ in range(2):
+                req = urllib.request.Request(
+                    f"http://{svc.host}:{svc.port}/v1/schedule",
+                    data=json.dumps(DOC).encode(), method="POST",
+                )
+                with urllib.request.urlopen(req, timeout=30) as resp:
+                    bodies.append(resp.read())
+            samples = _metric_samples(svc)
+        assert bodies[0] == bodies[1]
+        assert json.loads(bodies[1])["source"] == "build"
+        assert samples["repro_sim_parallel_cache_evictions"] == 2
+        assert samples["repro_sim_service_cache_bytes"] == 0
 
 
 class TestGoldenParity:

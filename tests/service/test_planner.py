@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.cache import ScheduleCache, schedule_table_key
 from repro.service.planner import PlannerService
-from repro.service.protocol import encode_json, parse_plan_request
+from repro.service.protocol import parse_plan_request
 
 DOC = {"algorithm": "wsort", "n": 6, "source": 0, "destinations": [1, 3, 5, 9, 17, 33]}
 
@@ -37,8 +38,9 @@ class TestCoalescing:
         results, registry = asyncio.run(scenario())
         assert registry.counter("sim.service.builds").value == 1.0
         assert registry.counter("sim.service.coalesced").value == 63.0
-        bodies = {encode_json(r.value) for r in results}
+        bodies = {r.value for r in results}
         assert len(bodies) == 1
+        assert len({id(r.value) for r in results}) == 1  # one shared bytes object
         assert all(r.source == "build" for r in results)
         keys = {r.key for r in results}
         assert len(keys) == 1
@@ -126,6 +128,32 @@ class TestDrain:
         assert len(started) == 1
         assert len(finished) == 1
 
+    def test_drain_keeps_the_event_loop_running(self):
+        """Waiting for a running build happens off the event loop: a
+        ticker task keeps ticking while drain waits for the build."""
+
+        async def scenario():
+            svc, _ = _planner(build_delay_s=0.5, max_workers=1)
+            waiter = asyncio.ensure_future(svc.schedule(parse_plan_request(DOC, "schedule")))
+            await asyncio.sleep(0.05)  # the build is now running
+            waiter.cancel()
+            await asyncio.gather(waiter, return_exceptions=True)
+            ticks = 0
+
+            async def tick():
+                nonlocal ticks
+                while True:
+                    await asyncio.sleep(0.01)
+                    ticks += 1
+
+            ticker = asyncio.ensure_future(tick())
+            await svc.drain()
+            ticker.cancel()
+            await asyncio.gather(ticker, return_exceptions=True)
+            return ticks
+
+        assert asyncio.run(scenario()) >= 5
+
 
 class TestCacheIntegration:
     def test_second_round_is_cache_sourced(self):
@@ -142,7 +170,7 @@ class TestCacheIntegration:
         first, second, registry = asyncio.run(scenario())
         assert first.source == "build"
         assert second.source == "cache"
-        assert encode_json(first.value) == encode_json(second.value)
+        assert first.value == second.value
         assert registry.counter("sim.service.builds").value == 1.0
 
     def test_service_addresses_the_sweep_cache_entries(self):
@@ -189,10 +217,10 @@ class TestVerifyAndSimulate:
             finally:
                 svc.close()
 
-        result = asyncio.run(scenario())
-        assert result.value["ok"] is True
-        assert result.value["errors"] == []
-        assert result.value["max_step"] >= 1
+        verdict = json.loads(asyncio.run(scenario()).value)
+        assert verdict["ok"] is True
+        assert verdict["errors"] == []
+        assert verdict["max_step"] >= 1
 
     def test_simulate_returns_delay_stats(self):
         async def scenario():
@@ -203,8 +231,8 @@ class TestVerifyAndSimulate:
             finally:
                 svc.close()
 
-        result = asyncio.run(scenario())
-        assert set(result.value) >= {"avg_delay_us", "max_delay_us"}
+        stats = json.loads(asyncio.run(scenario()).value)
+        assert set(stats) >= {"avg_delay_us", "max_delay_us"}
 
 
 class TestBuildErrors:

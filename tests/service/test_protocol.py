@@ -7,11 +7,13 @@ import json
 import pytest
 
 from repro.core.paths import ResolutionOrder
+from repro.parallel.cache import canonical_json
 from repro.service.protocol import (
     MAX_DESTINATIONS,
     MAX_N,
     ProtocolError,
     encode_json,
+    encode_plan_response,
     parse_plan_request,
 )
 
@@ -110,3 +112,28 @@ class TestEncodeJson:
 
     def test_key_order_independent(self):
         assert encode_json({"x": 1, "y": 2}) == encode_json({"y": 2, "x": 1})
+
+
+class TestEncodePlanResponse:
+    """Splicing the stored bytes gives the body ``encode_json`` gives."""
+
+    @pytest.mark.parametrize(
+        "kind, value",
+        [
+            ("schedule", {"max_step": 3, "dest_steps": {"1": 1, "10": 3, "3": 2}}),
+            ("verify", {"ok": True, "errors": [], "max_step": 2}),
+            ("verify", {"ok": False, "errors": ['arc "0-1"', "\u00e9"], "max_step": None}),
+            (
+                "simulate",
+                {"avg_delay_us": 8030.400000000001, "max_delay_us": 1e-7, "total_blocked_us": 0.0},
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["build", "cache"])
+    def test_equals_encode_json(self, kind, value, source):
+        req = parse_plan_request(_doc(size=512), kind)
+        key = "ab" * 32
+        payload = {"request": req.describe(), "key": key, "source": source, "result": value}
+        body = encode_plan_response(req, key, source, canonical_json(value))
+        assert body == encode_json(payload)
+        assert json.loads(body) == payload
