@@ -1,9 +1,10 @@
-"""Parallel figure sweeps with schedule caching.
+"""Parallel figure sweeps that compute each point once.
 
 Runs the Figure 11/12 fast sweep three ways -- serial, parallel
-(worker processes), and parallel against a warm content-addressed cache --
-and shows that all three produce byte-identical tables while the
-cached run does almost no simulation.  See docs/PERFORMANCE.md.
+(worker processes), and parallel again against the point log the
+first parallel run left in its cache dir -- and shows that all three
+produce byte-identical tables while the re-run computes nothing.
+See docs/PERFORMANCE.md.
 
 Run:  PYTHONPATH=src python examples/parallel_sweep.py
 """
@@ -29,7 +30,7 @@ def main() -> None:
         t0 = perf_counter()
         cold = run_experiment("fig11", fast=True, jobs=jobs, cache_dir=cache_dir)
         t_cold = perf_counter() - t0
-        print(f"parallel cold: jobs={jobs}, cache miss-heavy, {t_cold:.2f} s")
+        print(f"parallel cold: jobs={jobs}, every point computed, {t_cold:.2f} s")
 
         registry = MetricsRegistry()
         t0 = perf_counter()
@@ -40,11 +41,12 @@ def main() -> None:
         t_warm = perf_counter() - t0
         warm = tables["fig11"]
         snap = registry.snapshot()
-        hits = snap["sim.parallel.cache_hits"]["value"]
-        misses = snap.get("sim.parallel.cache_misses", {}).get("value", 0)
+        total = snap["sim.parallel.points_total"]["value"]
+        served = snap["sim.parallel.points_served"]["value"]
         print(
             f"parallel warm: fig11 + fig12 in {t_warm:.2f} s "
-            f"({hits:g} cache hits, {misses:g} misses -- fig12 rides fig11's points)"
+            f"({served:g} of {total:g} points served from the log, "
+            f"{total - served:g} computed -- fig12 rides fig11's points)"
         )
 
     assert cold.to_json() == serial.to_json()

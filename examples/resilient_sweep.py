@@ -1,8 +1,8 @@
-"""Resilient sweeps: journaled resume and a self-healing cache.
+"""Resilient sweeps: resume from the point log, whatever state it is in.
 
 Simulates the failures a long paper-parity sweep actually meets -- a
-run killed halfway through, a torn journal tail, a corrupted cache
-entry on disk -- and shows that every recovery path yields tables
+run killed halfway through, a torn log tail, a corrupted record on
+disk -- and shows that every recovery path yields tables
 byte-identical to an undisturbed run.  See docs/RESILIENCE.md.
 
 Run:  PYTHONPATH=src python examples/resilient_sweep.py
@@ -10,76 +10,65 @@ Run:  PYTHONPATH=src python examples/resilient_sweep.py
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
-from pathlib import Path
 
-from repro.analysis.experiments import run_sweep, sweep_run_id
+from repro.analysis.experiments import run_sweep
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import (
-    WatchdogConfig,
-    gc_cache_dir,
-    load_journal,
-    verify_cache_dir,
-)
+from repro.parallel import WatchdogConfig, load_journal
+from repro.parallel.journal import POINT_LOG
+
+
+def _served(registry: MetricsRegistry) -> float:
+    return registry.snapshot().get("sim.parallel.points_served", {}).get("value", 0)
 
 
 def main() -> None:
     ids = ["fig11"]
     reference = run_sweep(ids, fast=True)["fig11"]
-    print("reference:   fig11 fast sweep, undisturbed, no journal")
+    print("reference:   fig11 fast sweep, undisturbed, no cache dir")
 
-    with tempfile.TemporaryDirectory(prefix="repro-resilient-") as root:
-        journal_dir = os.path.join(root, "journal")
-        cache_dir = os.path.join(root, "cache")
+    with tempfile.TemporaryDirectory(prefix="repro-resilient-") as cache_dir:
+        log_path = os.path.join(cache_dir, POINT_LOG)
 
-        # A journaled run checkpoints every completed point durably.
-        run_sweep(ids, fast=True, journal_dir=journal_dir, cache_dir=cache_dir)
-        run_id = sweep_run_id(ids, fast=True)
-        journal_path = os.path.join(journal_dir, f"{run_id}.jsonl")
-        checkpoints = len(load_journal(journal_path).results)
-        print(f"journaled:   run {run_id}, {checkpoints} points checkpointed")
+        # A sweep with a cache dir logs every computed point durably.
+        run_sweep(ids, fast=True, cache_dir=cache_dir)
+        checkpoints = len(load_journal(log_path).results)
+        print(f"logged:      {log_path}, {checkpoints} points checkpointed")
 
-        # Simulate a crash: keep the header and the first 4 checkpoints,
-        # as if the process had been SIGKILLed mid-sweep, and leave the
-        # next record torn in half, as if it had been mid-write.
-        with open(journal_path, encoding="utf-8") as fh:
+        # Simulate a crash: keep the first 4 records, as if the process
+        # had been SIGKILLed mid-sweep, and leave the next one torn in
+        # half, as if it had been mid-write.
+        with open(log_path, encoding="utf-8") as fh:
             lines = fh.readlines()
-        torn = lines[5][: len(lines[5]) // 2]
-        with open(journal_path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines[:5] + [torn])
+        with open(log_path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[:4] + [lines[4][: len(lines[4]) // 2]])
 
+        # Re-running the same sweep with the same cache dir resumes it.
         registry = MetricsRegistry()
-        resumed = run_sweep(
-            ids, fast=True, journal_dir=journal_dir, cache_dir=cache_dir,
-            resume=True, metrics=registry,
-        )["fig11"]
-        hits = registry.snapshot()["sim.resilience.journal_hits"]["value"]
+        resumed = run_sweep(ids, fast=True, cache_dir=cache_dir, metrics=registry)["fig11"]
         assert resumed.to_json() == reference.to_json()
         print(
-            f"resumed:     {hits:g} points served from the journal, the torn "
+            f"resumed:     {_served(registry):g} points served from the log, the torn "
             "record recomputed -- table identical  OK"
         )
 
-        # Corrupt one cache entry on disk; the next read quarantines it
-        # and recomputes rather than trusting it or crashing.
-        victim = next(
-            p for p in sorted(Path(cache_dir).rglob("*.json"))
-            if "_quarantine" not in p.parts
-        )
-        victim.write_text("{torn and unparseable", encoding="utf-8")
+        # Forge one record's result; its checksum no longer matches, so
+        # the next run skips it and recomputes rather than trusting it.
+        with open(log_path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        record = json.loads(lines[0])
+        record["result"] = {"forged": True}
+        lines[0] = json.dumps(record) + "\n"
+        with open(log_path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
         registry = MetricsRegistry()
-        healed = run_sweep(
-            ids, fast=True, cache_dir=cache_dir, metrics=registry
-        )["fig11"]
-        bad = registry.snapshot()["sim.resilience.cache_quarantined"]["value"]
+        healed = run_sweep(ids, fast=True, cache_dir=cache_dir, metrics=registry)["fig11"]
         assert healed.to_json() == reference.to_json()
-        audit = verify_cache_dir(cache_dir)
-        removed = gc_cache_dir(cache_dir)
         print(
-            f"cache chaos: {bad:g} damaged entry quarantined and recomputed "
-            f"-- table identical  OK (audit clean: {audit.clean}, "
-            f"gc dropped {removed['quarantined']} quarantined file(s))"
+            "log chaos:   the forged record skipped and recomputed -- table "
+            f"identical  OK ({_served(registry):g} of {checkpoints} points served)"
         )
 
     wd = WatchdogConfig()

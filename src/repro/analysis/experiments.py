@@ -29,10 +29,8 @@ from repro.core.paths import ResolutionOrder
 from repro.multicast.ports import ALL_PORT, ONE_PORT, k_port
 from repro.multicast.registry import PAPER_ALGORITHMS, get_algorithm
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.cache import CACHE_SCHEMA
 from repro.parallel.engine import run_points, sweep_context
 from repro.parallel.fabric import FabricConfig
-from repro.parallel.journal import SweepJournal, derive_run_id
 from repro.parallel.resilience import WatchdogConfig
 from repro.simulator.params import NCUBE2
 from repro.simulator.run import simulate_multicast
@@ -42,7 +40,6 @@ __all__ = [
     "Experiment",
     "run_experiment",
     "run_sweep",
-    "sweep_run_id",
 ]
 
 
@@ -581,10 +578,10 @@ def run_experiment(
             default ``None`` (and no ``cache_dir``) the experiment runs
             exactly as it always has: serially, in-process.  Results
             are bit-identical either way.
-        cache_dir: content-addressed schedule/delay cache directory
-            shared across runs and workers (see
-            :mod:`repro.parallel.cache`); enables caching even with
-            serial execution.
+        cache_dir: directory of the point log shared across runs (see
+            :mod:`repro.parallel.journal`): points it holds are served,
+            computed ones appended; enables the sweep context even
+            with serial execution.
 
     When a telemetry sink is active (``REPRO_TELEMETRY`` or the CLI's
     ``--telemetry``), one ``kind="experiment-point"``
@@ -598,20 +595,6 @@ def run_experiment(
         return _run_one(exp_id, fast)
 
 
-def sweep_run_id(exp_ids: Sequence[str], fast: bool | None = None) -> str:
-    """The content-addressed run id of a sweep definition.
-
-    Derived from the experiment ids (in order), the resolved fast/full
-    mode, and the cache schema -- the same inputs that determine every
-    point of the sweep -- so ``repro-hypercube sweep --resume`` can find
-    the journal of a crashed run by re-deriving its id from the same
-    command line.
-    """
-    if fast is None:
-        fast = default_fast()
-    return derive_run_id(list(exp_ids), bool(fast), CACHE_SCHEMA)
-
-
 def run_sweep(
     exp_ids: Sequence[str],
     fast: bool | None = None,
@@ -619,71 +602,50 @@ def run_sweep(
     jobs: int | None = None,
     cache_dir: str | None = None,
     metrics: MetricsRegistry | None = None,
-    journal_dir: str | None = None,
-    resume: bool = False,
     watchdog: WatchdogConfig | None = None,
     fabric: "FabricConfig | None" = None,
 ) -> dict[str, Table]:
     """Run several experiments under one shared sweep context.
 
-    One worker configuration and one schedule cache span all the
+    One worker configuration and one point store span all the
     experiments, so figures that share points (11/12, 13/14, the two
     fault figures) compute each point once.  Returns ``{id: Table}``
     in the requested order; ``metrics`` (optional) receives the
     ``sim.parallel.*`` engine counters.
 
-    With ``journal_dir`` set, every completed point is checkpointed to
-    ``<journal_dir>/<run_id>.jsonl`` (see
-    :mod:`repro.parallel.journal`); ``resume=True`` additionally loads
-    an existing journal first, so points already computed by a crashed
-    or interrupted run of the *same* sweep are served from it,
-    bit-identically.  ``watchdog`` tunes hung-worker detection and
-    requeueing (see :mod:`repro.parallel.resilience`; default
-    :meth:`~repro.parallel.resilience.WatchdogConfig.from_env`).
+    With ``cache_dir`` set, every computed point is appended to the
+    point log ``<cache_dir>/points.jsonl`` (see
+    :mod:`repro.parallel.journal`), and the points already in it --
+    from any earlier sweep, finished, crashed or killed, on any host --
+    are served from it, bit-identically.  ``watchdog`` tunes hung-worker
+    detection and requeueing (see :mod:`repro.parallel.resilience`;
+    default :meth:`~repro.parallel.resilience.WatchdogConfig.from_env`).
 
     With ``fabric`` set (a :class:`~repro.parallel.fabric.FabricConfig`)
     the points are distributed over TCP worker hosts instead of local
-    worker processes -- still bit-identically, and still journaled:
-    a resumed sweep serves points computed by *any* previous host from
-    the journal, because fingerprints are content-addressed, not
-    host-addressed.
+    worker processes -- still bit-identically, and still logged by
+    the coordinator alone.
     """
     ids = list(exp_ids)
     unknown = [exp_id for exp_id in ids if exp_id not in EXPERIMENTS]
     if unknown:
         known = ", ".join(EXPERIMENTS)
         raise KeyError(f"unknown experiment(s) {unknown}; known: {known}")
-    if resume and journal_dir is None:
-        raise ValueError("resume=True requires journal_dir")
     if fast is None:
         fast = default_fast()
-    journal = None
-    if journal_dir is not None:
-        run_id = sweep_run_id(ids, fast)
-        journal = SweepJournal(
-            os.path.join(journal_dir, f"{run_id}.jsonl"),
-            run_id=run_id,
-            meta={"ids": ids, "fast": bool(fast)},
-            resume=resume,
-        )
     if jobs is None:
         # a fabric sweep's parallelism is its worker fleet, not local
         # processes; jobs only sizes the chunks (and the degradation
         # workers), so the CPU-count default is the right fallback
         jobs = 0 if fabric is not None else 1
-    try:
-        with sweep_context(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            metrics=metrics,
-            watchdog=watchdog,
-            journal=journal,
-            fabric=fabric,
-        ):
-            return {exp_id: _run_one(exp_id, fast) for exp_id in ids}
-    finally:
-        if journal is not None:
-            journal.close()
+    with sweep_context(
+        jobs=jobs,
+        cache_dir=cache_dir,
+        metrics=metrics,
+        watchdog=watchdog,
+        fabric=fabric,
+    ):
+        return {exp_id: _run_one(exp_id, fast) for exp_id in ids}
 
 
 def _emit_table_points(

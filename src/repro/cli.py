@@ -12,12 +12,13 @@ Subcommands:
   number of failed links, oblivious (abort + retry) or repaired
   (fault-aware detour schedules); see docs/FAULTS.md.
 - ``sweep`` -- run several figure reproductions under one parallel
-  sweep context: shared worker configuration, shared schedule cache,
-  merged telemetry; see docs/PERFORMANCE.md.  ``--journal-dir``
-  checkpoints every completed point; ``--resume`` picks a crashed or
-  interrupted run back up bit-identically; the hung-worker watchdog
-  guards every parallel sweep, and ``--soft-timeout-s`` /
-  ``--hard-timeout-s`` tune it (see docs/RESILIENCE.md).
+  sweep context: shared worker configuration, each point computed
+  once, merged telemetry; see docs/PERFORMANCE.md.  ``--cache-dir``
+  logs every computed point, and a re-run with the same directory
+  serves them, which picks a crashed or interrupted run back up
+  bit-identically; the hung-worker watchdog guards every parallel
+  sweep, and ``--soft-timeout-s`` / ``--hard-timeout-s`` tune it (see
+  docs/RESILIENCE.md).
   ``--fabric-port`` distributes the points over TCP worker hosts
   instead of local workers (the sweep falls back to local workers if
   every remote one dies).  ``--prometheus PATH`` dumps the sweep's
@@ -29,9 +30,6 @@ Subcommands:
   drops while idle, and -- beyond the standard contract -- ``70``
   when the coordinator vanishes mid-chunk (the chunk is orphaned, so
   supervisors can tell lost work from a finished fleet).
-- ``cache`` -- ``verify`` (audit a schedule-cache directory for
-  corrupt/stale entries, optionally ``--repair``-quarantining them)
-  and ``gc`` (drop quarantined entries and stray temp files).
 - ``serve`` -- run the schedule-planning HTTP service (coalescing,
   admission control, graceful drain on SIGTERM); see docs/SERVICE.md.
 - ``lint`` -- run the project-invariant static analysis (determinism,
@@ -45,13 +43,14 @@ accept ``--telemetry PATH`` to export structured
 :class:`~repro.obs.telemetry.RunRecord` JSON lines (equivalently: set
 the ``REPRO_TELEMETRY`` environment variable; see
 docs/OBSERVABILITY.md).  ``experiment`` and ``sweep`` accept
-``--parallel`` / ``--jobs N`` / ``--cache-dir PATH`` to fan points
-across worker processes with content-addressed schedule caching;
-results are bit-identical to serial runs.  Both also accept
-``--trace PATH`` to write a Chrome trace-event JSON sidecar of the run
-(worker spans included, loadable in Perfetto; see docs/TRACING.md);
-the figures themselves are unchanged by it.  :func:`main` installs
-the telemetry sink and the tracer around whichever subcommand runs.
+``--parallel`` / ``--jobs N`` to fan points across worker processes,
+and ``--cache-dir PATH`` to serve points from, and log new ones to,
+``PATH/points.jsonl``; results are bit-identical to serial runs.  Both
+also accept ``--trace PATH`` to write a Chrome trace-event JSON sidecar
+of the run (worker spans included, loadable in Perfetto; see
+docs/TRACING.md); the figures themselves are unchanged by it.
+:func:`main` installs the telemetry sink and the tracer around
+whichever subcommand runs.
 
 Every subcommand exits nonzero on failure: ``1`` for a runtime error
 (the message goes to stderr), ``2`` for bad arguments (found before
@@ -69,17 +68,13 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from repro.analysis.experiments import (
-    EXPERIMENTS,
-    run_experiment,
-    run_sweep,
-    sweep_run_id,
-)
+from repro.analysis.experiments import EXPERIMENTS, run_experiment, run_sweep
 from repro.collectives.api import HypercubeCollectives
 from repro.core.paths import ResolutionOrder
 from repro.multicast.ports import ALL_PORT, ONE_PORT, k_port
 from repro.multicast.registry import ALGORITHMS, get_algorithm
 from repro.obs import sink as telemetry_sink
+from repro.parallel.journal import POINT_LOG
 from repro.simulator.params import NCUBE2
 from repro.simulator.run import simulate_multicast
 
@@ -246,9 +241,9 @@ def _resolve_fabric(args: argparse.Namespace):
     )
 
 
-def _print_digest(registry, out, *, fabric: bool, journal: str | None, run_id: str | None) -> None:
-    """The sweep's one-line ``sim.*`` digests: parallel, then fabric and
-    journal when the sweep used them."""
+def _print_digest(registry, out, *, fabric: bool, log: str | None) -> None:
+    """The sweep's one-line ``sim.*`` digests: parallel, the fabric when
+    the sweep used one, then the points served and computed."""
     snap = registry.snapshot()
 
     def val(name: str) -> float:
@@ -274,27 +269,18 @@ def _print_digest(registry, out, *, fabric: bool, journal: str | None, run_id: s
             f"degraded to local {val('fabric.degraded_to_local'):g} time(s)",
             file=out,
         )
-    if journal:
-        print(
-            f"journal: {journal}/{run_id}.jsonl (run {run_id}, "
-            f"{val('resilience.journal_hits'):g} point(s) served from journal)",
-            file=out,
-        )
+    requested, served = val("parallel.points_total"), val("parallel.points_served")
+    print(
+        f"points: {requested:g} requested, {served:g} served, "
+        f"{requested - served:g} computed" + (f", log {log}" if log else ""),
+        file=out,
+    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.obs.metrics import MetricsRegistry
 
     ids = args.ids or sorted(EXPERIMENTS)
-    resume = args.resume is not None
-    if resume and args.journal_dir is None:
-        raise _UsageError("--resume requires --journal-dir")
-    run_id = sweep_run_id(ids, fast=not args.full) if args.journal_dir else None
-    if resume and args.resume not in ("auto", run_id):
-        raise _UsageError(
-            f"--resume {args.resume} does not match this sweep (its run id is "
-            f"{run_id}); re-issue the command line of the run being resumed"
-        )
     try:
         fabric = _resolve_fabric(args)
         watchdog = _resolve_watchdog(args)
@@ -307,8 +293,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         metrics=registry,
-        journal_dir=args.journal_dir,
-        resume=resume,
         watchdog=watchdog,
         fabric=fabric,
     )
@@ -325,9 +309,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("\n\n".join(table.render(args.precision) for table in tables.values()))
     # with --json stdout is the document alone; the digest goes to stderr
     out = sys.stderr if args.json else sys.stdout
-    _print_digest(
-        registry, out, fabric=fabric is not None, journal=args.journal_dir, run_id=run_id
-    )
+    log = os.path.join(args.cache_dir, POINT_LOG) if args.cache_dir else None
+    _print_digest(registry, out, fabric=fabric is not None, log=log)
     if args.prometheus:
         from repro.obs.exporters import write_prometheus
 
@@ -339,16 +322,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.parallel.worker import run_worker
 
-    if args.beat_s <= 0:
+    # negated comparisons, so that NaN fails them too
+    if not args.beat_s > 0:
         raise _UsageError(f"worker: --beat-s must be positive, got {args.beat_s}")
-    if args.connect_timeout_s < 0:
+    if not args.connect_timeout_s >= 0:
         raise _UsageError(
             f"worker: --connect-timeout-s must be >= 0, got {args.connect_timeout_s}"
         )
     try:
         return run_worker(
             args.connect,
-            cache_dir=args.cache_dir,
             label=args.label,
             connect_timeout_s=args.connect_timeout_s,
             beat_s=args.beat_s,
@@ -437,7 +420,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = ServiceConfig(
             host=args.host,
             port=args.port,
-            cache_dir=args.cache_dir,
             workers=args.workers,
             admission=AdmissionConfig(
                 max_inflight=args.max_inflight,
@@ -467,49 +449,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if "| FAIL |" in doc:
         print("report: one or more figure checks FAILed", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_cache_verify(args: argparse.Namespace) -> int:
-    from repro.parallel.cache import verify_cache_dir
-
-    try:
-        audit = verify_cache_dir(args.cache_dir, repair=args.repair)
-    except FileNotFoundError:
-        raise _UsageError(f"no such cache directory: {args.cache_dir}") from None
-    print(f"cache {args.cache_dir}: {audit.ok} intact entr(ies)")
-    for damage, names in sorted(audit.damaged.items()):
-        action = "quarantined" if args.repair else "found"
-        print(f"  {damage}: {len(names)} {action}")
-        for name in names[:10]:
-            print(f"    {name}")
-        if len(names) > 10:
-            print(f"    ... and {len(names) - 10} more")
-    if audit.quarantined_pending:
-        print(f"  {audit.quarantined_pending} previously quarantined entr(ies) pending gc")
-    if audit.stray_tmp:
-        print(f"  {audit.stray_tmp} stray temp file(s) pending gc")
-    if audit.clean:
-        print("  no damage")
-        return 0
-    if args.repair:
-        print("damaged entries quarantined; they will recompute on next use")
-        return 0
-    print("run 'cache verify --repair' to quarantine, then 'cache gc' to reclaim")
-    return 1
-
-
-def _cmd_cache_gc(args: argparse.Namespace) -> int:
-    from repro.parallel.cache import gc_cache_dir
-
-    try:
-        removed = gc_cache_dir(args.cache_dir)
-    except FileNotFoundError:
-        raise _UsageError(f"no such cache directory: {args.cache_dir}") from None
-    print(
-        f"cache {args.cache_dir}: removed {removed['quarantined']} quarantined, "
-        f"{removed['tmp']} temp file(s), {removed['empty_dirs']} empty dir(s)"
-    )
     return 0
 
 
@@ -791,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--json", action="store_true", help="emit one JSON document")
     figures.add_argument(
         "--cache-dir", default=None, metavar="PATH",
-        help="content-addressed schedule/delay cache shared across runs and workers",
+        help="serve points from, and log computed ones to, PATH/points.jsonl "
+             "(a re-run resumes a crashed one)",
     )
     figures.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -841,15 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also dump the sweep's metrics registry in Prometheus text format",
     )
     p_sweep.add_argument(
-        "--journal-dir", default=None, metavar="PATH",
-        help="checkpoint every completed point to PATH/<run-id>.jsonl",
-    )
-    p_sweep.add_argument(
-        "--resume", nargs="?", const="auto", default=None, metavar="RUN_ID",
-        help="resume a crashed/interrupted run from its journal "
-             "(requires --journal-dir; RUN_ID optional, derived from the command)",
-    )
-    p_sweep.add_argument(
         "--soft-timeout-s", type=float, default=None, metavar="S",
         help="watchdog soft per-point timeout: flag the worker "
              "(default: REPRO_WATCHDOG_SOFT_S or 30)",
@@ -887,10 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="the sweep coordinator's fabric endpoint",
     )
     p_worker.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="local content-addressed schedule cache for this worker",
-    )
-    p_worker.add_argument(
         "--label", default=None, metavar="NAME",
         help="worker id shown in fabric telemetry (default: host-pid)",
     )
@@ -903,25 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="heartbeat interval while idle or making progress",
     )
     p_worker.set_defaults(func=_cmd_worker)
-
-    p_cache = sub.add_parser(
-        "cache", help="inspect and maintain a schedule-cache directory"
-    )
-    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-    p_cv = cache_sub.add_parser(
-        "verify", help="audit every entry's checksum, schema, and key"
-    )
-    p_cv.add_argument("cache_dir", metavar="PATH")
-    p_cv.add_argument(
-        "--repair", action="store_true",
-        help="quarantine damaged entries (they recompute on next use)",
-    )
-    p_cv.set_defaults(func=_cmd_cache_verify)
-    p_cg = cache_sub.add_parser(
-        "gc", help="remove quarantined entries, stray temp files, empty dirs"
-    )
-    p_cg.add_argument("cache_dir", metavar="PATH")
-    p_cg.set_defaults(func=_cmd_cache_gc)
 
     p_lint = sub.add_parser(
         "lint", help="project-invariant static analysis (REP001..REP006)",
@@ -961,10 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
         "--port", type=int, default=8421, help="listen port (0 = ephemeral)"
-    )
-    p_serve.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="content-addressed schedule cache shared with sweep runs",
     )
     p_serve.add_argument(
         "--workers", type=int, default=4, metavar="N",

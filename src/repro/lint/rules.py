@@ -409,8 +409,23 @@ def _check_telemetry_names(node: ast.AST, ctx: FileContext) -> Iterator[Finding]
                     )
     # every kind="..." literal must be a registered RunRecord kind: records
     # are built at RunRecord(...) calls and also through helpers that pass
-    # the kind on (Machine.record, emit_event)
+    # the kind on (Machine.record, emit_event); emit_event's counter="..."
+    # names a metric, checked like an instrument name
     for kw in node.keywords:
+        if (
+            kw.arg == "counter"
+            and isinstance(kw.value, ast.Constant)
+            and isinstance(kw.value.value, str)
+            and not _metric_name_ok(kw.value.value)
+        ):
+            families = ", ".join(sorted(METRIC_FAMILIES))
+            yield ctx.finding(
+                "REP006",
+                kw.value,
+                f"counter name {kw.value.value!r} is not in a registered family "
+                f"({families}) or the core sim.* set "
+                "(repro.obs.metrics.METRIC_FAMILIES / CORE_METRIC_NAMES)",
+            )
         if (
             kw.arg == "kind"
             and isinstance(kw.value, ast.Constant)

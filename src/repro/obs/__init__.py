@@ -16,7 +16,7 @@ through (docs/OBSERVABILITY.md documents schemas and metric names):
   utilization histogram, per-dimension busy/blocked time) from a
   :class:`~repro.simulator.trace.ChannelTrace`;
 - :mod:`repro.obs.trace_spans` -- opt-in hierarchical span tracing
-  (schedule-build / verify / simulate / cache / journal timelines) with
+  (schedule-build / verify / simulate / point-log timelines) with
   worker-snapshot replay for the parallel sweep engine;
 - :mod:`repro.obs.exporters` -- Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``) and Prometheus text-format exporters.

@@ -19,10 +19,13 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from typing import Iterator, Protocol
+from typing import TYPE_CHECKING, Iterator, Protocol
 
 from repro.obs import trace_spans
 from repro.obs.telemetry import RunRecord, new_run_id
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "ENV_VAR",
@@ -135,9 +138,18 @@ def emit(record: RunRecord) -> None:
         sink.write(record)
 
 
-def emit_event(event: str, *, kind: str, **details: object) -> None:
-    """Emit one operational event: a ``kind`` record to the active sink
-    and, while a tracer is installed, a zero-duration instant span.
+def emit_event(
+    event: str,
+    *,
+    kind: str,
+    counter: str | None = None,
+    amount: float = 1.0,
+    metrics: MetricsRegistry | None = None,
+    **details: object,
+) -> None:
+    """Emit one operational event: ``amount`` on its ``counter`` in
+    ``metrics``, a ``kind`` record to the active sink and, while a
+    tracer is installed, a zero-duration instant span.
 
     ``event`` names what happened (``"point-quarantined"``,
     ``"host-lost"``, ...) and becomes the record's ``algorithm`` and
@@ -145,9 +157,12 @@ def emit_event(event: str, *, kind: str, **details: object) -> None:
     instant is named ``<prefix>.<event>``, the prefix being ``kind``
     without its ``-event`` suffix (``resilience-event`` ->
     ``resilience.point-quarantined``), so watchdog kills, failovers,
-    and resumes show up on the traced sweep timeline.  No-op when
-    neither a sink nor a tracer is active.
+    and resumes show up on the traced sweep timeline.  The counter
+    counts whenever ``metrics`` is given; the record and the instant
+    are no-ops when neither a sink nor a tracer is active.
     """
+    if counter is not None and metrics is not None:
+        metrics.counter(counter).inc(amount)
     if trace_spans.get_tracer() is not None:
         attrs = {
             k: v if isinstance(v, (bool, int, float, str, type(None))) else str(v)

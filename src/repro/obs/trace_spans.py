@@ -1,8 +1,8 @@
 """Hierarchical span tracing for schedule/verify/simulate timelines.
 
 A :class:`Tracer` records a tree of timed spans — schedule-build, greedy
-step assignment, Definition-4 verification, simulator runs, cache and
-journal I/O — with monotonic timing and per-span metric attributes.  The
+step assignment, Definition-4 verification, simulator runs, point-log
+I/O — with monotonic timing and per-span metric attributes.  The
 module-level :func:`span` context manager is the instrumentation hook
 used throughout the codebase: it is a cheap no-op unless a tracer has
 been installed with :func:`configure_tracing` (mirroring the telemetry
@@ -11,12 +11,12 @@ instrumented hot paths produce byte-identical outputs when it is off.
 
 Span and trace ids follow the repo's deterministic-id discipline: both
 are SHA-256 digests over a canonical ``|``-joined encoding (the same
-scheme as ``repro.parallel.seeds.derive_seed`` and the journal's
-``derive_run_id``), truncated to 16 hex characters.  Worker processes
-run their own tracer and ship a JSON-safe snapshot back to the parent,
-which replays it with :meth:`Tracer.replay` — re-anchoring the worker's
-wall-clock epoch and re-parenting its root spans under the dispatching
-span, exactly the way ``MemorySink`` telemetry is already absorbed.
+scheme as ``repro.parallel.seeds.derive_seed``), truncated to 16 hex
+characters.  Worker processes run their own tracer and ship a JSON-safe
+snapshot back to the parent, which replays it with
+:meth:`Tracer.replay` — re-anchoring the worker's wall-clock epoch and
+re-parenting its root spans under the dispatching span, exactly the way
+``MemorySink`` telemetry is already absorbed.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ trial seed) -- is embarrassingly parallel; this package executes it
 that way while guaranteeing bit-identical results to the serial path:
 
 - :mod:`repro.parallel.engine` -- :func:`sweep_context` /
-  :func:`run_points`: chunked dispatch over worker processes with
+  :func:`run_points`: each point computed once per sweep (and once per
+  ``cache_dir``), chunked dispatch over worker processes with
   retry, quarantine, and in-process fallback on worker failure, plus
   per-worker telemetry and metrics merging (``sim.parallel.*``);
 - :mod:`repro.parallel.fabric` -- :class:`TcpCoordinator`, the one
@@ -16,36 +17,33 @@ that way while guaranteeing bit-identical results to the serial path:
 - :mod:`repro.parallel.worker` -- the worker side: the frame protocol,
   :func:`~repro.parallel.worker.run_chunk`, and the serve loop that
   local workers and ``repro-hypercube worker`` processes both run;
-- :mod:`repro.parallel.cache` -- a content-addressed two-layer cache
-  for multicast schedules, step tables, and simulated delay summaries,
-  shared across workers through an optional ``cache_dir``, with
-  checksum-validated disk reads and quarantine of damaged entries;
-- :mod:`repro.parallel.journal` -- crash-safe sweep checkpointing
-  (fsync'd JSONL with per-record checksums) behind ``--resume``;
+- :mod:`repro.parallel.cache` -- a content-addressed, size-bounded
+  memory cache for multicast schedules, step tables, and simulated
+  delay summaries: the service's repository and each process's memo;
+- :mod:`repro.parallel.journal` -- the sweep's point store: every
+  point by fingerprint, served without recomputing, and under a
+  ``cache_dir`` an fsync'd JSONL log with per-record checksums, so a
+  re-run resumes where a crashed one stopped;
 - :mod:`repro.parallel.resilience` -- worker watchdogs, retry budgets,
   and poison-point quarantine for the engine;
 - :mod:`repro.parallel.seeds` -- order-independent per-point seed
   derivation.
 
 See docs/PERFORMANCE.md for the execution model, the seed-derivation
-scheme, and the cache layout, and docs/RESILIENCE.md for the journal
+scheme, and the cache layout, and docs/RESILIENCE.md for the point-log
 format, resume semantics, and watchdog tuning.
 """
 
 from repro.parallel.cache import (
-    CacheAudit,
     ScheduleCache,
     cache_key,
     cached_delay_stats,
     cached_schedule_table,
-    gc_cache_dir,
     get_active_cache,
-    verify_cache_dir,
 )
 from repro.parallel.engine import (
     SweepConfig,
     default_jobs,
-    get_sweep_journal,
     get_sweep_metrics,
     run_points,
     sweep_context,
@@ -54,7 +52,6 @@ from repro.parallel.fabric import FabricConfig, TcpCoordinator
 from repro.parallel.journal import (
     JournalLoad,
     SweepJournal,
-    derive_run_id,
     load_journal,
     point_fingerprint,
 )
@@ -62,7 +59,6 @@ from repro.parallel.resilience import PointTracker, RetryPolicy, WatchdogConfig
 from repro.parallel.seeds import derive_seed, spawn_seeds
 
 __all__ = [
-    "CacheAudit",
     "FabricConfig",
     "JournalLoad",
     "PointTracker",
@@ -76,16 +72,12 @@ __all__ = [
     "cached_delay_stats",
     "cached_schedule_table",
     "default_jobs",
-    "derive_run_id",
     "derive_seed",
-    "gc_cache_dir",
     "get_active_cache",
-    "get_sweep_journal",
     "get_sweep_metrics",
     "load_journal",
     "point_fingerprint",
     "run_points",
     "spawn_seeds",
     "sweep_context",
-    "verify_cache_dir",
 ]

@@ -17,8 +17,16 @@ Guarantees:
   either way; results are reassembled in submission order; per-point
   seeds are part of the spec, never derived from scheduling.  The
   regression suite asserts byte-identical figure tables for
-  ``jobs=4`` vs serial, cache cold and warm -- and, with a journal,
-  for resumed vs uninterrupted runs, and for distributed vs serial.
+  ``jobs=4`` vs serial, for re-runs served from the point log, and for
+  distributed vs serial.
+- **Each point once.**  Inside a context, every point whose
+  fingerprint the context has seen -- computed earlier in the sweep, or
+  read from the point log under its ``cache_dir`` -- is served without
+  computing (Figures 12 and 14 and the fault-ratio figure ask for
+  exactly the points of Figures 11 and 13 and the fault-delay figure).
+  Only the rest are dispatched, and each is stored as it is absorbed,
+  so a crashed or killed sweep re-run with the same ``cache_dir``
+  resumes where it stopped (see :mod:`repro.parallel.journal`).
 - **Graceful degradation.**  A failed worker (crash, hang, dead host)
   only costs its chunk, and a deterministic point *error* still
   surfaces exactly as it would serially.  The
@@ -28,20 +36,14 @@ Guarantees:
   retry budget; points that keep failing are quarantined to in-process
   execution; and rounds that keep losing workers degrade the remainder
   to in-process.  A chunk that does not pickle runs in-process at once.
-- **Crash recovery.**  With a :class:`~repro.parallel.journal.SweepJournal`
-  active, every completed point is durably checkpointed as it is
-  absorbed, and points already journaled by a previous (crashed or
-  killed) run of the same sweep are served from the journal without
-  recomputation -- including points originally computed on a host that
-  no longer exists, because fingerprints are content-addressed.
 - **Observability.**  Workers buffer their telemetry
   (:class:`~repro.obs.sink.MemorySink`) and metric deltas per chunk and
   the parent merges both -- records into the parent's active sink,
   deltas into the context's registry -- so ``--telemetry`` output and
   ``sim.parallel.*`` metrics look the same no matter where points ran.
-  Watchdog and journal activity is reported under ``sim.resilience.*``
-  and as ``kind="resilience-event"`` telemetry; fleet-level decisions
-  under ``sim.fabric.*`` and ``kind="fabric-event"``.
+  Watchdog activity is reported under ``sim.resilience.*`` and as
+  ``kind="resilience-event"`` telemetry; fleet-level decisions under
+  ``sim.fabric.*`` and ``kind="fabric-event"``.
 
 Points are dispatched in chunks (default: ~4 chunks per worker) to
 amortize inter-process overhead on sub-millisecond points.  Workers
@@ -52,6 +54,7 @@ the coordinator distinguish a slow chunk from a hung one.
 from __future__ import annotations
 
 import os
+import sys
 import time as _time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -66,13 +69,12 @@ from repro.obs.sink import emit_event
 from repro.obs.telemetry import RunRecord
 from repro.parallel.cache import ScheduleCache, activate_cache
 from repro.parallel.fabric import FabricConfig, TcpCoordinator
-from repro.parallel.journal import SweepJournal, point_fingerprint
+from repro.parallel.journal import POINT_LOG, SweepJournal, point_fingerprint
 from repro.parallel.resilience import PointTracker, WatchdogConfig, _env_number
 
 __all__ = [
     "SweepConfig",
     "default_jobs",
-    "get_sweep_journal",
     "get_sweep_metrics",
     "run_points",
     "sweep_context",
@@ -91,7 +93,6 @@ class SweepConfig:
     """
 
     jobs: int
-    cache_dir: str | None = None
     chunk_size: int | None = None
     watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
     communicator: TcpCoordinator | None = None
@@ -113,11 +114,6 @@ def get_sweep_metrics() -> MetricsRegistry | None:
     return _metrics
 
 
-def get_sweep_journal() -> SweepJournal | None:
-    """The active context's checkpoint journal, if any."""
-    return _journal
-
-
 @contextmanager
 def sweep_context(
     jobs: int | None = None,
@@ -125,17 +121,20 @@ def sweep_context(
     chunk_size: int | None = None,
     metrics: MetricsRegistry | None = None,
     watchdog: WatchdogConfig | None = None,
-    journal: SweepJournal | None = None,
     fabric: FabricConfig | TcpCoordinator | None = None,
 ) -> Iterator[MetricsRegistry]:
     """Activate the sweep engine for the dynamic extent of the block.
 
     Args:
         jobs: worker processes (``None``/``0`` -> :func:`default_jobs`;
-            ``1`` -> serial execution, still with schedule caching).
-        cache_dir: optional shared on-disk cache directory (see
-            :mod:`repro.parallel.cache`); with ``None`` the cache is
-            in-memory only (per process).
+            ``1`` -> serial execution, still with point and schedule
+            memos).
+        cache_dir: directory of the sweep's point log
+            (``<cache_dir>/points.jsonl``, see
+            :mod:`repro.parallel.journal`), read once on entry: the
+            points it holds are served, and every newly computed point
+            is appended.  With ``None`` the point memo lives only as
+            long as the context.
         chunk_size: points per dispatched chunk (default: ~4 chunks per
             worker).
         metrics: registry to record engine/cache metrics into (default:
@@ -144,9 +143,6 @@ def sweep_context(
             :mod:`repro.parallel.resilience`); ``None`` ->
             :meth:`WatchdogConfig.from_env` defaults.  It guards every
             parallel sweep.
-        journal: checkpoint journal for crash-safe resume (see
-            :mod:`repro.parallel.journal`); the caller owns its
-            lifecycle (open/close).
         fabric: distribute chunks over TCP workers instead of local
             ones -- either a :class:`~repro.parallel.fabric.FabricConfig`
             (the context builds the coordinator) or a pre-built
@@ -164,6 +160,7 @@ def sweep_context(
     registry = metrics if metrics is not None else MetricsRegistry()
     if watchdog is None:
         watchdog = WatchdogConfig.from_env()
+    journal = SweepJournal(None if cache_dir is None else os.path.join(cache_dir, POINT_LOG))
     communicator: TcpCoordinator | None = None
     if isinstance(fabric, TcpCoordinator):
         communicator = fabric
@@ -179,7 +176,6 @@ def sweep_context(
         registry.gauge("sim.fabric.workers_connected").set(float(joined))
     _config = SweepConfig(
         jobs=resolved_jobs,
-        cache_dir=os.fspath(cache_dir) if cache_dir is not None else None,
         chunk_size=chunk_size,
         watchdog=watchdog,
         communicator=communicator,
@@ -187,12 +183,13 @@ def sweep_context(
     _metrics = registry
     _journal = journal
     registry.gauge("sim.parallel.jobs").set(resolved_jobs)
-    prev_cache = activate_cache(ScheduleCache(cache_dir, metrics=registry))
+    prev_cache = activate_cache(ScheduleCache(metrics=registry))
     try:
         yield registry
     finally:
         _config, _metrics, _journal = prev_config, prev_metrics, prev_journal
         activate_cache(prev_cache)
+        journal.close()
         if communicator is not None:
             communicator.stop()
 
@@ -204,13 +201,17 @@ def run_points(
 ) -> list[R]:
     """Evaluate ``fn`` over ``specs``, preserving order.
 
-    Serial (a plain comprehension) when no :func:`sweep_context` is
-    active, when ``jobs <= 1`` with no fabric attached, or for
-    single-point sweeps; otherwise fanned across the context's
-    coordinator.  ``label`` names the sweep in per-sweep metrics.
-    With an active journal, points already checkpointed by a previous
-    run of the same sweep are served from the journal, and every fresh
-    completion is checkpointed as it lands.
+    Outside a :func:`sweep_context` this is a plain comprehension.
+    Inside one, every point the context has already seen -- earlier in
+    the sweep, or in the point log under its ``cache_dir`` -- is served
+    without computing.  The rest run serially (``jobs <= 1`` with no
+    fabric, or a single point) or across the context's coordinator,
+    and each is stored as the parent absorbs it.  Only the points of a
+    function found again by module and qualified name (no lambda,
+    closure or bound method) whose spec
+    :func:`~repro.parallel.journal.point_fingerprint` accepts are
+    stored; the others always compute.  ``label`` names the sweep in
+    per-sweep metrics.
     """
     specs = list(specs)
     config, metrics, journal = _config, _metrics, _journal
@@ -218,64 +219,67 @@ def run_points(
         metrics.counter("sim.parallel.points_total").inc(len(specs))
         if label:
             metrics.counter(f"sim.parallel.points.{label}").inc(len(specs))
-    if journal is not None:
-        return _run_journaled(fn, specs, config, metrics, journal, label)
-    if _is_serial(config, len(specs)):
+    if config is None or journal is None:
         return [fn(spec) for spec in specs]
-    return _run_parallel(fn, specs, config, metrics)
-
-
-def _is_serial(config: SweepConfig | None, points: int) -> bool:
-    """Whether a sweep of ``points`` runs as a plain comprehension."""
-    return config is None or points <= 1 or config.communicator is None
-
-
-def _run_journaled(
-    fn: Callable[[S], R],
-    specs: list[S],
-    config: SweepConfig | None,
-    metrics: MetricsRegistry | None,
-    journal: SweepJournal,
-    label: str | None,
-) -> list[R]:
-    """Journal-aware evaluation: skip checkpointed points, checkpoint
-    fresh completions the moment the parent absorbs them."""
-    fingerprints = [point_fingerprint(fn, spec) for spec in specs]
+    fingerprints = _fingerprints(fn, specs)
     results: list[R | None] = [None] * len(specs)
     todo: list[int] = []
+    from_log = 0
     for i, fingerprint in enumerate(fingerprints):
         hit = journal.lookup(fingerprint)
         if SweepJournal.is_miss(hit):
             todo.append(i)
         else:
             results[i] = hit  # type: ignore[assignment]
-    skipped = len(specs) - len(todo)
-    if skipped:
-        if metrics is not None:
-            metrics.counter("sim.resilience.journal_hits").inc(skipped)
+            from_log += journal.from_log(fingerprint)
+    served = len(specs) - len(todo)
+    if from_log:
         emit_event(
             "sweep-resumed",
             kind="resilience-event",
-            run_id=journal.run_id,
+            counter="sim.parallel.points_served",
+            amount=served,
+            metrics=metrics,
             label=label,
-            skipped=skipped,
+            skipped=from_log,
             total=len(specs),
         )
+    elif served and metrics is not None:
+        metrics.counter("sim.parallel.points_served").inc(served)
     if todo:
 
         def on_point(sub_index: int, value: R) -> None:
             index = todo[sub_index]
             results[index] = value
-            if journal.append(fingerprints[index], value) and metrics is not None:
-                metrics.counter("sim.resilience.journal_appends").inc()
+            if fingerprints[index] is not None:
+                journal.append(fingerprints[index], value)
 
         todo_specs = [specs[i] for i in todo]
-        if _is_serial(config, len(todo_specs)):
+        if len(todo_specs) <= 1 or config.communicator is None:
             for sub_index, spec in enumerate(todo_specs):
                 on_point(sub_index, fn(spec))
         else:
-            _run_parallel(fn, todo_specs, config, metrics, on_point=on_point)
+            _run_parallel(fn, todo_specs, config, metrics, on_point)
     return results  # type: ignore[return-value]
+
+
+def _fingerprints(fn: Callable, specs: list) -> list[str | None]:
+    """Each spec's point fingerprint, or ``None`` for a point that must
+    never be stored: ``fn`` is not found again by its module and
+    qualified name (two lambdas, or two closures of one function, share
+    a name and not a meaning), or the spec does not fingerprint."""
+    target = sys.modules.get(getattr(fn, "__module__", None) or "")
+    for part in getattr(fn, "__qualname__", "").split("."):
+        target = getattr(target, part, None)
+    if target is not fn:
+        return [None] * len(specs)
+    fingerprints: list[str | None] = []
+    for spec in specs:
+        try:
+            fingerprints.append(point_fingerprint(fn, spec))
+        except TypeError:
+            fingerprints.append(None)
+    return fingerprints
 
 
 def _chunked(indexed: list[tuple[int, S]], size: int) -> list[list[tuple[int, S]]]:
@@ -287,15 +291,16 @@ def _run_parallel(
     specs: list[S],
     config: SweepConfig,
     metrics: MetricsRegistry | None,
-    on_point: Callable[[int, R], None] | None = None,
-) -> list[R]:
-    """Fan ``specs`` over the coordinator, under one
+    on_point: Callable[[int, R], None],
+) -> None:
+    """Fan ``specs`` over the coordinator, handing each result to
+    ``on_point(index, value)`` as it is absorbed, under one
     ``parallel.dispatch`` span when the parent is tracing (worker spans
     replay beneath it)."""
     with trace_spans.span(
         "parallel.dispatch", points=len(specs), jobs=min(config.jobs, len(specs))
     ) as dispatch_span:
-        return _dispatch(fn, specs, config, metrics, on_point, dispatch_span)
+        _dispatch(fn, specs, config, metrics, on_point, dispatch_span)
 
 
 def _dispatch(
@@ -303,15 +308,14 @@ def _dispatch(
     specs: list[S],
     config: SweepConfig,
     metrics: MetricsRegistry | None,
-    on_point: Callable[[int, R], None] | None,
+    on_point: Callable[[int, R], None],
     dispatch_span,
-) -> list[R]:
+) -> None:
     wd = config.watchdog
     jobs = min(config.jobs, len(specs))
     chunk_size = config.chunk_size or max(1, ceil(len(specs) / (jobs * 4)))
     indexed = list(enumerate(specs))
     chunks = _chunked(indexed, chunk_size)
-    results: list[R | None] = [None] * len(specs)
     done = [False] * len(specs)
     parent_sink = _sink_mod.get_sink()
     tracer = trace_spans.get_tracer()
@@ -321,11 +325,9 @@ def _dispatch(
 
     def absorb(chunk_results, records, snapshot, spans=None) -> None:
         for index, value in chunk_results:
-            results[index] = value
             done[index] = True
             remote["points"] += 1
-            if on_point is not None:
-                on_point(index, value)
+            on_point(index, value)
         if parent_sink is not None:
             for payload in records:
                 parent_sink.write(RunRecord.from_dict(payload))
@@ -357,7 +359,7 @@ def _dispatch(
     while outstanding:
         round_no += 1
         outcome = config.communicator.run_round(
-            fn, outstanding, absorb, trace_id=trace_id, jobs=jobs, cache_dir=config.cache_dir
+            fn, outstanding, absorb, trace_id=trace_id, jobs=jobs
         )
         if outcome.lost:
             pool_losses += 1
@@ -370,10 +372,11 @@ def _dispatch(
                 if done[index]:
                     continue
                 if tracker.record_failure(index):
-                    count("sim.resilience.quarantined_points")
                     emit_event(
                         "point-quarantined",
                         kind="resilience-event",
+                        counter="sim.resilience.quarantined_points",
+                        metrics=metrics,
                         point=index,
                         failures=tracker.failures[index],
                     )
@@ -383,10 +386,12 @@ def _dispatch(
         if requeue:
             exhausted = round_no > wd.retry.max_retries
             if pool_losses >= wd.pool_loss_limit or exhausted:
-                count("sim.resilience.degraded_points", float(len(requeue)))
                 emit_event(
                     "pool-degraded",
                     kind="resilience-event",
+                    counter="sim.resilience.degraded_points",
+                    amount=float(len(requeue)),
+                    metrics=metrics,
                     points=len(requeue),
                     pool_losses=pool_losses,
                     rounds=round_no,
@@ -406,11 +411,8 @@ def _dispatch(
         for index, spec in chunk:
             if not done[index]:
                 # in-process: the parent's cache and sink apply directly
-                value = fn(spec)
-                results[index] = value
                 done[index] = True
-                if on_point is not None:
-                    on_point(index, value)
+                on_point(index, fn(spec))
 
     if metrics is not None:
         metrics.counter("sim.parallel.points_remote").inc(remote["points"])
@@ -418,4 +420,3 @@ def _dispatch(
     missing = [i for i, flag in enumerate(done) if not flag]
     if missing:  # pragma: no cover - defensive; fallback covers all paths
         raise RuntimeError(f"sweep engine lost points {missing[:5]}...")
-    return results  # type: ignore[return-value]

@@ -11,8 +11,8 @@ load-balances itself.  Links come from two places:
 - **Local workers.**  A round with no remote worker to run on forks
   ``min(jobs, chunks)`` workers, each serving one end of a
   ``socket.socketpair()``.  They live for that round, start with a
-  fresh memory cache over the shared ``cache_dir``, and never write to
-  stdout.  ``sweep --jobs N`` runs this way.
+  fresh memory cache, and never write to stdout.  ``sweep --jobs N``
+  runs this way.
 - **Remote workers.**  With a :class:`FabricConfig` the coordinator
   also listens on TCP, and ``repro-hypercube worker --connect
   HOST:PORT`` processes join at any time, mid-sweep included.  A
@@ -109,7 +109,8 @@ class FabricConfig:
             raise ValueError(f"bind_port must be in [0, 65535], got {self.bind_port}")
         if self.min_workers < 0:
             raise ValueError(f"min_workers must be >= 0, got {self.min_workers}")
-        if self.wait_s < 0:
+        # a negated comparison, so that NaN fails it too
+        if not self.wait_s >= 0:
             raise ValueError(f"wait_s must be >= 0, got {self.wait_s}")
 
 
@@ -167,7 +168,7 @@ class TcpCoordinator:
     socket for the whole sweep and an accept thread admits remote
     workers at any time.  One reader thread per link funnels frames into
     a single inbox queue, so :meth:`run_round` -- and therefore
-    ``absorb``, the journal, and the telemetry sink -- runs entirely on
+    ``absorb``, the point log, and the telemetry sink -- runs entirely on
     the engine's thread.
     """
 
@@ -277,11 +278,12 @@ class TcpCoordinator:
             # then reports it gone (requeueing any chunk it held)
             _close(stale.sock)
         self._degraded = False
-        self._count("sim.fabric.workers_joined")
         self._gauge_workers()
         emit_event(
             "worker-joined",
             kind="fabric-event",
+            counter="sim.fabric.workers_joined",
+            metrics=self.metrics,
             worker=worker_id,
             host=hello.get("host"),
             pid=hello.get("pid"),
@@ -324,7 +326,7 @@ class TcpCoordinator:
         deadline = _time.monotonic() + budget
         while self.worker_count < target:
             remaining = deadline - _time.monotonic()
-            if remaining <= 0:
+            if not remaining > 0:  # NaN included: Event.wait(nan) never blocks
                 break
             self._joined.clear()
             self._joined.wait(timeout=min(remaining, 0.25))
@@ -337,15 +339,16 @@ class TcpCoordinator:
 
     # -- local workers -------------------------------------------------
 
-    def _attach_local(self, count: int, cache_dir: str | None) -> list[_WorkerLink]:
+    def _attach_local(self, count: int) -> list[_WorkerLink]:
         """Fork ``count`` local workers for one round, each serving one
         end of a socketpair, and register their links."""
         if self.config is not None and not self._degraded:
             self._degraded = True
-            self._count("sim.fabric.degraded_to_local")
             emit_event(
                 "fabric-degraded-local",
                 kind="fabric-event",
+                counter="sim.fabric.degraded_to_local",
+                metrics=self.metrics,
                 host=self.config.bind_host,
                 port=self.port,
             )
@@ -361,7 +364,7 @@ class TcpCoordinator:
             ours, theirs = socket.socketpair()
             proc = context.Process(
                 target=serve_local,
-                args=(theirs, inherited + [ours], cache_dir, worker_id, self.watchdog.poll_s),
+                args=(theirs, inherited + [ours], worker_id, self.watchdog.poll_s),
                 name=worker_id,
             )
             try:
@@ -399,11 +402,12 @@ class TcpCoordinator:
         """Sever a failed worker's link; returns its orphaned chunk, if any."""
         self._sever(link)
         orphan, link.chunk, link.chunk_id = link.chunk, None, None
-        self._count("sim.fabric.hosts_lost")
         self._gauge_workers()
         emit_event(
             "host-lost",
             kind="fabric-event",
+            counter="sim.fabric.hosts_lost",
+            metrics=self.metrics,
             worker=link.worker_id,
             reason=reason,
             orphaned_points=len(orphan) if orphan else 0,
@@ -420,13 +424,12 @@ class TcpCoordinator:
         absorb: Callable,
         trace_id: str | None = None,
         jobs: int = 1,
-        cache_dir: str | None = None,
     ) -> RoundOutcome:
         """Execute one batch of chunks, absorbing completions inline.
 
         With no remote worker connected, the round forks
-        ``min(jobs, chunks)`` local workers over ``cache_dir`` and
-        reaps them before it returns.
+        ``min(jobs, chunks)`` local workers and reaps them before it
+        returns.
         """
         wd = self.watchdog
         retryable: list[list[tuple[int, object]]] = []
@@ -482,18 +485,20 @@ class TcpCoordinator:
                 age = now - link.last_seen
                 if age > wd.soft_timeout_s and not link.soft_flagged:
                     link.soft_flagged = True
-                    self._count("sim.resilience.soft_timeouts")
                     emit_event(
                         "host-slow",
                         kind="resilience-event",
+                        counter="sim.resilience.soft_timeouts",
+                        metrics=self.metrics,
                         worker=link.worker_id,
                         beat_age_s=round(age, 3),
                     )
                 if age > wd.hard_timeout_s:
-                    self._count("sim.resilience.hung_chunks")
                     emit_event(
                         "host-timeout",
                         kind="resilience-event",
+                        counter="sim.resilience.hung_chunks",
+                        metrics=self.metrics,
                         worker=link.worker_id,
                         beat_age_s=round(age, 3),
                         hard_timeout_s=wd.hard_timeout_s,
@@ -502,7 +507,7 @@ class TcpCoordinator:
 
         local: list[_WorkerLink] = []
         if pending and not self.worker_count:
-            local = self._attach_local(min(jobs, len(pending)), cache_dir)
+            local = self._attach_local(min(jobs, len(pending)))
         try:
             while pending or busy:
                 dispatch()
@@ -536,10 +541,11 @@ class TcpCoordinator:
                             fatal.append(chunk)  # type: ignore[arg-type]
                     else:
                         self._count("sim.parallel.worker_failures")
-                        self._count("sim.fabric.chunk_errors")
                         emit_event(
                             "chunk-error",
                             kind="fabric-event",
+                            counter="sim.fabric.chunk_errors",
+                            metrics=self.metrics,
                             worker=link.worker_id,
                             error=str(msg.get("error"))[:200],
                         )

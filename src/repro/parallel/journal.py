@@ -1,37 +1,37 @@
-"""Sweep journal: crash-safe checkpointing for ``run_points`` sweeps.
+"""Sweep point log: every computed sweep point, by content address.
 
-A long figure sweep is a sequence of pure, deterministic points; losing
-the whole run to a crash, a kill, or a Ctrl-C is pure waste.  The
-journal makes sweeps resumable: every completed point is appended to a
-JSON-Lines file -- one fsync'd line per point, each carrying its own
-checksum -- keyed by a **point fingerprint** (a SHA-256 over the point
-function's identity and the canonical encoding of its spec).  On
-resume, any point whose fingerprint is already journaled is served from
-the journal instead of recomputed; because cached results round-trip
-JSON exactly (the same property the schedule cache relies on), a
-resumed sweep is bit-identical to an uninterrupted one.
+Inside a :func:`~repro.parallel.engine.sweep_context` the engine serves
+every point it has already seen -- earlier in the same sweep, or in the
+log an earlier sweep left under the same ``cache_dir`` -- and computes
+only the rest.  A point is addressed by its **point fingerprint**
+(:func:`point_fingerprint`): a SHA-256 over the point function's
+identity, the canonical encoding of its spec, :data:`JOURNAL_SCHEMA`
+and :data:`~repro.parallel.cache.CACHE_SCHEMA`.  Point functions are
+pure functions of their spec, so any intact record of a fingerprint is
+the right result for it: there are no run ids and no resume flag, and
+a re-run with the same ``cache_dir`` picks up whatever a finished,
+crashed or killed sweep left there.
 
-Robustness properties:
+The log is ``<cache_dir>/points.jsonl`` (:data:`POINT_LOG`), one JSON
+line per point: ``{"schema", "fp", "result", "sum"}``, where ``sum`` is
+a checksum over the fingerprint and the result.
 
-- **Atomic, durable appends.**  A record is one ``write()`` of one full
-  line, flushed and ``fsync``'d before :meth:`SweepJournal.append`
-  returns, so a crash can lose at most the point in flight, never a
-  completed one.
-- **Self-healing loads.**  A truncated tail (torn write), a corrupt
-  line, a checksum mismatch, or a stale schema is *skipped and
-  counted*, never fatal: the affected points simply recompute.  If two
-  concurrent runs ever interleave in one file, records written under
-  the other run's header are skipped too (counted as ``foreign``)
-  rather than served as this run's results.  The journal is an
-  optimization, not a source of truth.
-- **Content-addressed run ids.**  :func:`derive_run_id` hashes the
-  sweep definition (experiment ids, mode, cache schema) the same way
-  the schedule cache hashes artifacts, so ``--resume`` can re-derive
-  the id of the run it is resuming without any side channel.
+- **Atomic, durable appends.**  A line goes out in a single
+  ``os.write`` on an ``O_APPEND`` descriptor and is ``fsync``'d before
+  :meth:`SweepJournal.append` returns, so two sweeps sharing a
+  directory interleave whole lines, and a killed sweep loses at most
+  the line in flight.
+- **Self-healing loads.**  A torn, unparseable, checksum-failing or
+  stale-schema line is skipped and counted, never fatal: its point
+  simply recomputes.  A torn final line is sealed with a newline when
+  the log is opened, so no record is spliced onto the stump.
+- **JSON results only.**  A result that does not serialize is
+  remembered for the rest of the sweep but never logged.  ``json``
+  round-trips ``int`` and ``float`` exactly, which is what makes a
+  point served from the log bit-identical to a computed one.
 
-The journal composes with the schedule cache (which deduplicates
-*artifacts* within and across runs) by deduplicating *points* across
-process lifetimes of the same run.
+The sweep's coordinator is the log's only writer: workers ship their
+results home, and the engine appends each one as it absorbs it.
 """
 
 from __future__ import annotations
@@ -45,22 +45,25 @@ from pathlib import Path
 from typing import Callable
 
 from repro.obs import trace_spans
+from repro.parallel import cache as _cache
 
 __all__ = [
     "JOURNAL_SCHEMA",
     "JournalLoad",
+    "POINT_LOG",
     "SweepJournal",
-    "derive_run_id",
     "load_journal",
     "point_fingerprint",
 ]
 
-#: Bump when the journal record format (or the meaning of a stored
-#: result) changes; old journals then resume nothing rather than
-#: resuming wrongly.
+#: Bump when the log's record format changes; old lines then count as
+#: damaged and recompute rather than being misread.
 JOURNAL_SCHEMA = 1
 
-#: Sentinel distinguishing "not journaled" from a journaled ``None``.
+#: File name of the point log inside a sweep's ``cache_dir``.
+POINT_LOG = "points.jsonl"
+
+#: Sentinel distinguishing "not stored" from a stored ``None``.
 _MISS = object()
 
 
@@ -101,28 +104,21 @@ def point_fingerprint(fn: Callable, spec: object) -> str:
     *which spec*.
 
     Stable across processes, platforms, and Python versions; moving or
-    renaming the point function deliberately invalidates its journal
-    entries (its results may have changed meaning).
+    renaming the point function, or bumping either schema, deliberately
+    orphans its stored results (they may have changed meaning).
     """
     identity = [
         getattr(fn, "__module__", ""),
         getattr(fn, "__qualname__", repr(fn)),
     ]
     return _digest(
-        {"schema": JOURNAL_SCHEMA, "fn": identity, "spec": _canonical(spec)}
+        {
+            "schema": JOURNAL_SCHEMA,
+            "cache": _cache.CACHE_SCHEMA,
+            "fn": identity,
+            "spec": _canonical(spec),
+        }
     )
-
-
-def derive_run_id(*components: object) -> str:
-    """A 12-hex-char run id content-addressed by the sweep definition.
-
-    The same definition always derives the same id, which is what lets
-    ``--resume`` find the journal of a crashed run without the user
-    copying anything: re-issue the same command with ``--resume``.
-    """
-    return _digest({"schema": JOURNAL_SCHEMA, "run": [_canonical(c) for c in components]})[
-        :12
-    ]
 
 
 def _record_checksum(fingerprint: str, result: object) -> str:
@@ -131,72 +127,43 @@ def _record_checksum(fingerprint: str, result: object) -> str:
 
 @dataclasses.dataclass(slots=True)
 class JournalLoad:
-    """Outcome of reading a journal file back."""
+    """Outcome of reading a point log back."""
 
     results: dict[str, object]
     records: int = 0
     corrupt: int = 0
-    #: intact records belonging to a *different* run id (two writers
-    #: interleaved in one file); skipped, never adopted.
-    foreign: int = 0
-    run_id: str | None = None
-    meta: dict | None = None
 
 
-def load_journal(path: str | os.PathLike, run_id: str | None = None) -> JournalLoad:
-    """Read a journal file, skipping (and counting) damaged records.
+def load_journal(path: str | os.PathLike) -> JournalLoad:
+    """Read a point log, skipping (and counting) damaged lines.
 
     Never raises on damaged content: unparseable lines, checksum
-    mismatches, and stale schemas are quarantined into the ``corrupt``
-    count.  A missing file is an empty load.
-
-    When ``run_id`` is given, only records written under a header with
-    that id are adopted: if two concurrent runs ever interleave in one
-    file (a misconfigured shared journal path), the other run's
-    records are counted in ``foreign`` and skipped rather than served
-    as this run's results.  Without ``run_id`` every intact record is
-    adopted (the single-writer common case).
+    mismatches, and stale schemas are counted in ``corrupt``.  A
+    missing file is an empty load.
     """
     with trace_spans.span("journal.load", path=str(path)) as sp:
-        state = _load_journal(path, run_id)
+        state = _load_journal(path)
         if sp is not None:
-            sp.set(records=state.records, corrupt=state.corrupt, foreign=state.foreign)
+            sp.set(records=state.records, corrupt=state.corrupt)
         return state
 
 
-def _load_journal(path: str | os.PathLike, run_id: str | None = None) -> JournalLoad:
+def _load_journal(path: str | os.PathLike) -> JournalLoad:
     state = JournalLoad(results={})
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
+        data = Path(path).read_bytes()
     except OSError:
         return state
-    # records before any header, or under a matching/anonymous header,
-    # are "active"; a header naming a different run deactivates until a
-    # matching header appears again.
-    active = True
-    for line in lines:
-        line = line.strip()
-        if not line:
+    for line in data.splitlines():
+        if not line.strip():
             continue
         try:
             payload = json.loads(line)
-        except ValueError:
+        except ValueError:  # includes a line torn inside a UTF-8 sequence
             state.corrupt += 1
             continue
         if not isinstance(payload, dict) or payload.get("schema") != JOURNAL_SCHEMA:
             state.corrupt += 1
-            continue
-        if payload.get("header"):
-            header_id = payload.get("run_id")
-            active = (
-                run_id is None or not isinstance(header_id, str) or header_id == run_id
-            )
-            if state.run_id is None or active:
-                state.run_id = header_id
-            if active:
-                meta = payload.get("meta")
-                state.meta = meta if isinstance(meta, dict) else None
             continue
         fingerprint = payload.get("fp")
         checksum = payload.get("sum")
@@ -207,125 +174,93 @@ def _load_journal(path: str | os.PathLike, run_id: str | None = None) -> Journal
         if _record_checksum(fingerprint, result) != checksum:
             state.corrupt += 1
             continue
-        if not active:
-            state.foreign += 1
-            continue
         state.results[fingerprint] = result
         state.records += 1
     return state
 
 
 class SweepJournal:
-    """Append-only checkpoint log for one sweep run.
+    """The point store of one sweep context.
 
-    One instance is the single writer for its file (the parent process
-    of a sweep; workers never touch the journal).  Opening with
-    ``resume=True`` loads every intact record first, so
-    :meth:`lookup` can serve already-computed points; opening without
-    ``resume`` truncates any previous file so two distinct runs never
-    interleave in one journal.
+    It remembers every point stored in it, by fingerprint.  With a
+    ``path`` it also reads that log once, at construction, serving its
+    intact records, and appends every JSON-serializable point stored
+    afterwards.  One instance lives in the sweep's parent process;
+    workers never touch it.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        run_id: str | None = None,
-        meta: dict | None = None,
-        resume: bool = False,
-    ) -> None:
-        self.path = Path(path)
-        self.run_id = run_id
-        self.meta = meta
+    def __init__(self, path: str | os.PathLike | None = None) -> None:
+        self.path = Path(path) if path is not None else None
         self.resumed_records = 0
         self.corrupt_records = 0
-        self.foreign_records = 0
         self.appended = 0
         self.skipped_appends = 0
         self._seen: dict[str, object] = {}
-        self._file = None
+        self._logged: frozenset[str] = frozenset()
+        self._fd: int | None = None
+        if self.path is None:
+            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if resume:
-            load = load_journal(self.path, run_id=self.run_id)
-            self._seen = load.results
-            self.resumed_records = load.records
-            self.corrupt_records = load.corrupt
-            self.foreign_records = load.foreign
-            if self.run_id is None:
-                self.run_id = load.run_id
+        load = load_journal(self.path)
+        self._seen = load.results
+        self._logged = frozenset(load.results)
+        self.resumed_records = load.records
+        self.corrupt_records = load.corrupt
+        self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         # a torn final line (killed mid-write) has no trailing newline;
         # appending straight after it would splice the next record onto
         # the stump and destroy both.  Seal the tear first.
-        torn_tail = False
-        if resume:
-            try:
-                with open(self.path, "rb") as raw:
-                    raw.seek(-1, os.SEEK_END)
-                    torn_tail = raw.read(1) != b"\n"
-            except (OSError, ValueError):
-                torn_tail = False
-        self._file = open(self.path, "a" if resume else "w", encoding="utf-8")
-        if torn_tail:
-            self._file.write("\n")
-        if not resume or (self.resumed_records == 0 and self.corrupt_records == 0):
-            self._write_line(
-                {
-                    "schema": JOURNAL_SCHEMA,
-                    "header": True,
-                    "run_id": self.run_id,
-                    "meta": self.meta,
-                }
-            )
-
-    # -- writing -------------------------------------------------------
-
-    def _write_line(self, payload: dict) -> None:
-        assert self._file is not None
-        self._file.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        size = os.fstat(self._fd).st_size
+        if size and os.pread(self._fd, 1, size - 1) != b"\n":
+            os.write(self._fd, b"\n")
 
     def append(self, fingerprint: str, result: object) -> bool:
-        """Durably record one completed point; returns ``False`` (and
-        records nothing) when the result is not JSON-serializable --
-        the point will simply recompute on resume."""
-        if self._file is None or self._file.closed:
+        """Store one computed point and, with a log, durably append it.
+
+        Returns whether a line was written: ``False`` without a log, and
+        for a result that is not JSON-serializable (it is served for the
+        rest of the sweep and recomputes in the next one).
+        """
+        self._seen[fingerprint] = result
+        if self._fd is None:
             return False
         try:
-            checksum = _record_checksum(fingerprint, result)
             payload = {
                 "schema": JOURNAL_SCHEMA,
                 "fp": fingerprint,
                 "result": result,
-                "sum": checksum,
+                "sum": _record_checksum(fingerprint, result),
             }
-            line = json.dumps(payload, separators=(",", ":"))
+            line = json.dumps(payload, separators=(",", ":")) + "\n"
         except (TypeError, ValueError):
             self.skipped_appends += 1
             return False
         with trace_spans.span("journal.append", fp=fingerprint[:12]):
-            self._file.write(line + "\n")
-            self._file.flush()
-            os.fsync(self._file.fileno())
-        self._seen[fingerprint] = result
+            os.write(self._fd, line.encode())
+            os.fsync(self._fd)
         self.appended += 1
         return True
 
-    # -- reading -------------------------------------------------------
-
-    def lookup(self, fingerprint: str) -> object:
-        """The journaled result, or the module-private miss sentinel."""
+    def lookup(self, fingerprint: str | None) -> object:
+        """The stored result, or the module-private miss sentinel (always
+        for ``None``, the fingerprint of a point that is never stored)."""
         return self._seen.get(fingerprint, _MISS)
 
     @staticmethod
     def is_miss(value: object) -> bool:
         return value is _MISS
 
+    def from_log(self, fingerprint: str) -> bool:
+        """Whether the point's result was read from the log at entry."""
+        return fingerprint in self._logged
+
     def __len__(self) -> int:
         return len(self._seen)
 
     def close(self) -> None:
-        if self._file is not None and not self._file.closed:
-            self._file.close()
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     def __enter__(self) -> "SweepJournal":
         return self

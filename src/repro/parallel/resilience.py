@@ -50,7 +50,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
+        # negated comparisons, so that NaN fails them too
+        if not (self.backoff_base_s >= 0 and self.backoff_cap_s >= 0):
             raise ValueError("backoff durations must be >= 0")
 
     def backoff(self, attempt: int) -> float:
@@ -89,16 +90,18 @@ class WatchdogConfig:
     pool_loss_limit: int = 3
 
     def __post_init__(self) -> None:
-        if self.soft_timeout_s <= 0:
+        # negated comparisons, so that NaN fails them too: a NaN timeout
+        # would never expire, and a NaN poll would spin
+        if not self.soft_timeout_s > 0:
             raise ValueError(f"soft timeout must be > 0, got {self.soft_timeout_s}s")
-        if self.hard_timeout_s <= 0:
+        if not self.hard_timeout_s > 0:
             raise ValueError(f"hard timeout must be > 0, got {self.hard_timeout_s}s")
         if self.hard_timeout_s < self.soft_timeout_s:
             raise ValueError(
                 f"hard timeout ({self.hard_timeout_s}s) must be >= "
                 f"soft timeout ({self.soft_timeout_s}s)"
             )
-        if self.poll_s <= 0:
+        if not self.poll_s > 0:
             raise ValueError(f"poll_s must be > 0, got {self.poll_s}")
         if self.quarantine_after < 1:
             raise ValueError(f"quarantine_after must be >= 1, got {self.quarantine_after}")

@@ -318,7 +318,6 @@ def serve(
 def serve_local(
     sock: socket.socket,
     inherited: list[socket.socket],
-    cache_dir: str | None,
     worker_id: str,
     beat_s: float,
 ) -> None:
@@ -326,12 +325,12 @@ def serve_local(
 
     Closes the coordinator's sockets the fork copied (``inherited``),
     so a dead coordinator's links read EOF rather than stay open in a
-    sibling, and starts a fresh memory cache over the shared
-    ``cache_dir`` so parent state never leaks in.
+    sibling, and starts a fresh memory cache so parent state never
+    leaks in.
     """
     for other in inherited:
         other.close()
-    activate_cache(ScheduleCache(cache_dir))
+    activate_cache(ScheduleCache())
     serve(sock, worker_id, beat_s)
 
 
@@ -367,7 +366,6 @@ def _say(message: str) -> None:
 
 def run_worker(
     connect: str,
-    cache_dir: str | None = None,
     label: str | None = None,
     connect_timeout_s: float = 30.0,
     beat_s: float = 0.25,
@@ -394,6 +392,6 @@ def run_worker(
     if not isinstance(welcome, dict) or welcome.get("type") != "welcome":
         _say("worker: coordinator rejected handshake")
         return 1
-    activate_cache(ScheduleCache(cache_dir))
+    activate_cache(ScheduleCache())
     _say(f"worker {worker_id}: serving {connect}")
     return serve(sock, worker_id, beat_s, log=_say)

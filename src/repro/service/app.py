@@ -55,7 +55,6 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8421
-    cache_dir: str | None = None
     workers: int = 4
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: default per-request deadline; ``X-Deadline-Ms`` can lower it.
@@ -111,7 +110,7 @@ class ServiceApp:
         self.config = config if config is not None else ServiceConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.planner = PlannerService(
-            cache=ScheduleCache(self.config.cache_dir, metrics=self.metrics),
+            cache=ScheduleCache(metrics=self.metrics),
             metrics=self.metrics,
             max_workers=self.config.workers,
             build_delay_s=self.config.build_delay_s,

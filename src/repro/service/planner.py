@@ -4,12 +4,12 @@ This is the service's middle layer -- handlers call it, it calls the
 library -- and it adds the three production mechanics a long-lived
 process needs on top of :mod:`repro.parallel.cache`:
 
-* **Repository.**  The content-addressed
-  :class:`~repro.parallel.cache.ScheduleCache` (memory + checksummed
-  disk) is the backing store.  Keys come from the *same* key functions
-  the sweep engine uses (:func:`~repro.parallel.cache.schedule_table_key`,
-  :func:`~repro.parallel.cache.delay_stats_key`), so a warm sweep cache
-  directory serves the service and vice versa.
+* **Repository.**  The content-addressed, size-bounded
+  :class:`~repro.parallel.cache.ScheduleCache` is the backing store.
+  Keys come from the *same* key functions the sweep points use
+  (:func:`~repro.parallel.cache.schedule_table_key`,
+  :func:`~repro.parallel.cache.delay_stats_key`), so one input always
+  addresses one entry.
 
 * **Single-flight coalescing.**  N concurrent requests for the same key
   perform exactly one build; followers await the leader's task (shielded,

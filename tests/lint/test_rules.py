@@ -415,6 +415,25 @@ class TestRep006TelemetryNaming:
         assert len(found) == 1
         assert "mystery-run" in found[0].message
 
+    def test_flags_unregistered_event_counter(self):
+        """``emit_event(counter=...)`` names the metric it counts, so the
+        literal is checked like an instrument name."""
+        found = _findings(
+            """
+            from repro.obs.sink import emit_event
+
+            def emit(metrics):
+                emit_event("host-lost", kind="fabric-event",
+                           counter="sim.fabric.hosts_lost", metrics=metrics)
+                emit_event("host-lost", kind="fabric-event",
+                           counter="fabric.hosts_lost", metrics=metrics)
+            """,
+            "REP006",
+        )
+        assert len(found) == 1
+        assert "fabric.hosts_lost" in found[0].message
+        assert found[0].message.startswith("counter name")
+
 
 class TestRep000Integrity:
     def test_syntax_error_is_a_finding_not_a_crash(self):

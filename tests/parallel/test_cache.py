@@ -1,8 +1,6 @@
-"""The content-addressed schedule/delay cache: layers, keys, artifacts."""
+"""The content-addressed schedule/delay cache: memory layer, keys, artifacts."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.parallel import cache as cache_module
 from repro.parallel.cache import (
     ScheduleCache,
-    _value_checksum,
     activate_cache,
     cache_key,
     cached_delay_stats,
@@ -26,9 +23,9 @@ FIG8 = (4, 0, [1, 3, 5, 7, 11, 12, 14, 15])
 
 
 @pytest.fixture
-def active_cache(tmp_path):
-    """A disk-backed cache installed as the process-wide active cache."""
-    cache = ScheduleCache(tmp_path / "cache", metrics=MetricsRegistry())
+def active_cache():
+    """A cache installed as the process-wide active cache."""
+    cache = ScheduleCache(metrics=MetricsRegistry())
     previous = activate_cache(cache)
     try:
         yield cache
@@ -53,8 +50,8 @@ class TestLayers:
         cache.put(key, {"v": 2})
         assert cache.get(key) == {"v": 2}
         assert cache.stats() == {
-            "entries": 1, "hits": 1, "misses": 1, "disk_hits": 0, "puts": 1,
-            "quarantined": 0, "evictions": 0, "bytes": len(key) + len(b'{"v":2}'),
+            "entries": 1, "hits": 1, "misses": 1, "puts": 1,
+            "evictions": 0, "bytes": len(key) + len(b'{"v":2}'),
             "hit_ratio": 0.5,
         }
 
@@ -69,28 +66,12 @@ class TestLayers:
         assert cache.hit_ratio() == pytest.approx(2 / 3)
         assert cache.stats()["hit_ratio"] == pytest.approx(2 / 3)
 
-    def test_disk_shared_between_instances(self, tmp_path):
-        writer = ScheduleCache(tmp_path)
-        key = cache_key("t", x=1)
-        writer.put(key, {"v": [1, 2.5]})
-        reader = ScheduleCache(tmp_path)  # fresh memory layer, same dir
-        assert reader.get(key) == {"v": [1, 2.5]}
-        assert reader.disk_hits == 1
-
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = ScheduleCache(tmp_path)
-        key = cache_key("t", x=1)
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{not json")
-        assert ScheduleCache(tmp_path).get(key) is None
-
-    def test_values_survive_json_exactly(self, tmp_path):
+    def test_values_survive_json_exactly(self):
         value = {"f": 8030.400000000001, "i": 1 << 40}
-        cache = ScheduleCache(tmp_path)
+        cache = ScheduleCache()
         key = cache_key("t", x=2)
         cache.put(key, value)
-        assert ScheduleCache(tmp_path).get(key) == value
+        assert cache.get(key) == value
 
     def test_metrics_counters(self):
         registry = MetricsRegistry()
@@ -121,26 +102,6 @@ class TestStoredBytes:
         raw = cache.put(key, {"b": [1, 2.5], "a": None})
         assert raw == b'{"a":null,"b":[1,2.5]}' == canonical_json({"b": [1, 2.5], "a": None})
         assert cache.get_raw(key) is raw
-
-    def test_older_envelopes_read_back_as_canonical_bytes(self, tmp_path):
-        """An entry whose value was written in insertion order (as
-        before values were stored canonically) reads back as the
-        canonical bytes, and a new entry still parses into the same
-        envelope fields with the same checksum."""
-        key = cache_key("t", x=1)
-        value = {"max_step": 2, "dest_steps": {"9": 1, "10": 2}}
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps(
-            {"schema": 1, "key": key, "checksum": _value_checksum(value), "value": value},
-            separators=(",", ":"),
-        ))
-        assert ScheduleCache(tmp_path).get_raw(key) == canonical_json(value)
-        ScheduleCache(tmp_path).put(key, value)
-        envelope = json.loads(path.read_bytes())
-        assert envelope == {
-            "schema": 1, "key": key, "checksum": _value_checksum(value), "value": value,
-        }
 
 
 class TestMemoryBudget:
@@ -177,16 +138,6 @@ class TestMemoryBudget:
         assert registry.counter("sim.parallel.cache_evictions").value == 7
         assert cache.stats()["evictions"] == 7
         assert cache.stats()["bytes"] == 3 * size
-
-    def test_an_evicted_key_is_a_disk_hit(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(cache_module, "MEMORY_BUDGET_BYTES", self._entry_bytes())
-        cache = ScheduleCache(tmp_path)
-        cache.put(*self._entry(0))
-        cache.put(*self._entry(1))  # evicts entry 0 from memory only
-        assert len(cache) == 1 and cache.evictions == 1
-        assert cache.get(cache_key("t", x=0)) == {"v": [0] * 8}
-        assert cache.disk_hits == 1
-        assert cache.misses == 0
 
 
 class TestCachedArtifacts:
@@ -233,13 +184,3 @@ class TestCachedArtifacts:
         n, source, dests = FIG8
         table = cached_schedule_table("wsort", n, source, dests, ALL_PORT)
         assert table["max_step"] == 2
-
-    def test_disk_entries_are_checksummed_envelopes(self, active_cache):
-        n, source, dests = FIG8
-        cached_schedule_table("ucube", n, source, dests, ALL_PORT)
-        files = list(active_cache.cache_dir.rglob("*.json"))
-        assert len(files) == 1
-        envelope = json.loads(files[0].read_text())
-        assert envelope["key"] == files[0].stem
-        assert "checksum" in envelope
-        assert "max_step" in envelope["value"]

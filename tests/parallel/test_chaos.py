@@ -1,8 +1,8 @@
 """Chaos tests: the sweep runtime under injected process-level failure.
 
 Every test here damages the runtime mid-flight -- killed workers,
-injected hangs, a crashed sweep process, truncated journals, corrupted
-cache entries -- and asserts the same two invariants each time:
+injected hangs, a crashed sweep process, truncated or corrupted point
+logs -- and asserts the same two invariants each time:
 
 1. the sweep still *terminates*, and
 2. the results are **byte-identical** to an undisturbed serial run.
@@ -26,13 +26,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import run_sweep, sweep_run_id
+from repro.analysis.experiments import run_sweep
 from repro.obs.exporters import to_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import capture
 from repro.obs.trace_spans import trace_capture
 from repro.parallel.engine import run_points, sweep_context
-from repro.parallel.journal import load_journal
+from repro.parallel.journal import POINT_LOG, load_journal
 from repro.parallel.resilience import RetryPolicy, WatchdogConfig
 
 _PARENT_PID = os.getpid()
@@ -177,7 +177,7 @@ class TestWatchdogEngine:
 def _crashing_delay_point(monkeypatch, crash_after: int):
     """Replace the fig11/fig12 point function with a wrapper that
     raises after ``crash_after`` successful points.  functools.wraps
-    keeps the journal fingerprint identical to the real function, as a
+    keeps the point fingerprint identical to the real function, as a
     real crash-and-resume would see."""
     from repro.analysis import delay as delay_mod
 
@@ -196,45 +196,37 @@ def _crashing_delay_point(monkeypatch, crash_after: int):
 
 class TestCrashResume:
     def test_fig11_crash_then_resume_is_byte_identical(self, tmp_path, monkeypatch):
-        """The acceptance scenario, in-process: a journaled fig11 sweep
-        dies mid-run; resuming it completes from the checkpoint and
-        renders byte-identically to an undisturbed serial run."""
+        """The acceptance scenario, in-process: a fig11 sweep logging to
+        a cache dir dies mid-run; re-running it with the same directory
+        completes from the log and renders byte-identically to an
+        undisturbed serial run."""
         reference = run_sweep(["fig11"], fast=True)["fig11"].to_json()
 
-        journal_dir = tmp_path / "journal"
+        cache_dir = tmp_path / "cache"
         _crashing_delay_point(monkeypatch, crash_after=4)
         with pytest.raises(RuntimeError, match="injected"):
-            run_sweep(["fig11"], fast=True, journal_dir=str(journal_dir))
+            run_sweep(["fig11"], fast=True, cache_dir=str(cache_dir))
         monkeypatch.undo()
 
-        run_id = sweep_run_id(["fig11"], fast=True)
-        journal_path = journal_dir / f"{run_id}.jsonl"
-        crashed = load_journal(journal_path)
+        crashed = load_journal(cache_dir / POINT_LOG)
         assert crashed.records == 4  # every pre-crash point was fsync'd
-        assert crashed.run_id == run_id
 
         registry = MetricsRegistry()
         resumed = run_sweep(
-            ["fig11"],
-            fast=True,
-            journal_dir=str(journal_dir),
-            resume=True,
-            metrics=registry,
+            ["fig11"], fast=True, cache_dir=str(cache_dir), metrics=registry
         )["fig11"]
         assert resumed.to_json() == reference
         snap = registry.snapshot()
-        assert snap["sim.resilience.journal_hits"]["value"] == 4
+        assert snap["sim.parallel.points_served"]["value"] == 4
 
     def test_resume_emits_sweep_resumed_event(self, tmp_path, monkeypatch):
-        journal_dir = tmp_path / "journal"
+        cache_dir = tmp_path / "cache"
         _crashing_delay_point(monkeypatch, crash_after=2)
         with pytest.raises(RuntimeError):
-            run_sweep(["fig11"], fast=True, journal_dir=str(journal_dir))
+            run_sweep(["fig11"], fast=True, cache_dir=str(cache_dir))
         monkeypatch.undo()
         with capture() as sink:
-            run_sweep(
-                ["fig11"], fast=True, journal_dir=str(journal_dir), resume=True
-            )
+            run_sweep(["fig11"], fast=True, cache_dir=str(cache_dir))
         resumes = [r for r in sink.records if r.kind == "resilience-event"
                    and r.extra["event"] == "sweep-resumed"]
         assert resumes and resumes[0].extra["skipped"] == 2
@@ -243,37 +235,34 @@ class TestCrashResume:
         """A torn final write (the classic crash artifact) costs one
         point of recompute, never correctness."""
         reference = run_sweep(["fig11"], fast=True)["fig11"].to_json()
-        journal_dir = tmp_path / "journal"
-        run_sweep(["fig11"], fast=True, journal_dir=str(journal_dir))
-        journal_path = journal_dir / f"{sweep_run_id(['fig11'], fast=True)}.jsonl"
-        raw = journal_path.read_bytes()
-        journal_path.write_bytes(raw[: int(len(raw) * 0.8)])  # tear the tail
+        cache_dir = tmp_path / "cache"
+        run_sweep(["fig11"], fast=True, cache_dir=str(cache_dir))
+        log_path = cache_dir / POINT_LOG
+        raw = log_path.read_bytes()
+        log_path.write_bytes(raw[: int(len(raw) * 0.8)])  # tear the tail
 
         registry = MetricsRegistry()
         resumed = run_sweep(
-            ["fig11"], fast=True, journal_dir=str(journal_dir),
-            resume=True, metrics=registry,
+            ["fig11"], fast=True, cache_dir=str(cache_dir), metrics=registry
         )["fig11"]
         assert resumed.to_json() == reference
-        hits = registry.snapshot()["sim.resilience.journal_hits"]["value"]
+        hits = registry.snapshot()["sim.parallel.points_served"]["value"]
         assert 0 < hits < 10  # some resumed, the torn tail recomputed
 
     def test_corrupted_journal_records_recompute_not_crash(self, tmp_path):
         reference = run_sweep(["fig11"], fast=True)["fig11"].to_json()
-        journal_dir = tmp_path / "journal"
-        run_sweep(["fig11"], fast=True, journal_dir=str(journal_dir))
-        journal_path = journal_dir / f"{sweep_run_id(['fig11'], fast=True)}.jsonl"
-        lines = journal_path.read_text().splitlines()
+        cache_dir = tmp_path / "cache"
+        run_sweep(["fig11"], fast=True, cache_dir=str(cache_dir))
+        log_path = cache_dir / POINT_LOG
+        lines = log_path.read_text().splitlines()
         # tamper with two records: one unparseable, one checksum-stale
         lines[2] = lines[2][: len(lines[2]) // 2]
         record = json.loads(lines[3])
         record["result"] = {"forged": True}
         lines[3] = json.dumps(record)
-        journal_path.write_text("\n".join(lines) + "\n")
+        log_path.write_text("\n".join(lines) + "\n")
 
-        resumed = run_sweep(
-            ["fig11"], fast=True, journal_dir=str(journal_dir), resume=True
-        )["fig11"]
+        resumed = run_sweep(["fig11"], fast=True, cache_dir=str(cache_dir))["fig11"]
         assert resumed.to_json() == reference
 
 
@@ -332,86 +321,51 @@ class TestTraceChaos:
         assert all(s.finished or s.attrs.get("partial") for s in tracer.spans)
 
 
-class TestCacheChaos:
-    def test_corrupt_cache_entries_quarantined_and_recomputed(self, tmp_path):
-        """The acceptance scenario for cache integrity: damage on disk
-        is contained (quarantined) and recomputed, never fatal, and the
-        re-run renders byte-identically."""
-        cache_dir = tmp_path / "cache"
-        reference = run_sweep(["fig11"], fast=True, cache_dir=str(cache_dir))[
-            "fig11"
-        ].to_json()
-        entries = sorted(
-            p for p in cache_dir.rglob("*.json") if "_quarantine" not in p.parts
-        )
-        assert entries
-        entries[0].write_text("{torn mid-write", encoding="utf-8")
-        envelope = json.loads(entries[1].read_text())
-        envelope["value"] = {"forged": "payload"}
-        entries[1].write_text(json.dumps(envelope), encoding="utf-8")
-
-        registry = MetricsRegistry()
-        rerun = run_sweep(
-            ["fig11"], fast=True, cache_dir=str(cache_dir), metrics=registry
-        )["fig11"]
-        assert rerun.to_json() == reference
-        snap = registry.snapshot()
-        assert snap["sim.resilience.cache_quarantined"]["value"] == 2
-        quarantined = list((cache_dir / "_quarantine").iterdir())
-        assert len(quarantined) == 2
-
-
 @pytest.mark.slow
 class TestKilledSweepProcess:
     def test_sigkilled_sweep_resumes_via_cli_byte_identically(self, tmp_path):
         """The full acceptance scenario, end to end through the CLI: a
-        journaled parallel fig11 sweep is SIGKILLed mid-run (taking its
-        worker pool with it), then ``sweep --resume`` completes it with
-        output byte-identical to an undisturbed run."""
-        journal_dir = tmp_path / "journal"
+        parallel fig11 sweep logging to a cache dir is SIGKILLed mid-run
+        (taking its workers with it), then the same command completes
+        it from the log with output byte-identical to an undisturbed
+        run."""
         cache_dir = tmp_path / "cache"
+        log_path = cache_dir / POINT_LOG
         env = dict(os.environ, PYTHONPATH=str(_REPO_ROOT / "src"))
         env.pop("REPRO_FULL", None)
         argv = [
             sys.executable, "-m", "repro", "sweep", "fig11", "--json",
-            "--jobs", "2", "--journal-dir", str(journal_dir),
-            "--cache-dir", str(cache_dir),
+            "--jobs", "2", "--cache-dir", str(cache_dir),
         ]
         victim = subprocess.Popen(
             argv, env=env, cwd=_REPO_ROOT, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        run_id = None
         try:
-            # wait for a few checkpointed points, then kill the whole
-            # process group (sweep parent + pool workers) mid-run
+            # wait for a few logged points, then kill the whole process
+            # group (sweep parent + workers) mid-run
             deadline = time.time() + 60.0
-            journal_path = None
             while time.time() < deadline:
-                candidates = list(journal_dir.glob("*.jsonl"))
-                if candidates:
-                    journal_path = candidates[0]
-                    if len(journal_path.read_text().splitlines()) >= 3:
-                        break
+                if log_path.exists() and len(log_path.read_text().splitlines()) >= 3:
+                    break
                 if victim.poll() is not None:
                     break  # finished before we could kill it; still fine
                 time.sleep(0.02)
-            assert journal_path is not None, "sweep never opened its journal"
-            run_id = journal_path.stem
+            assert log_path.exists(), "sweep never opened its point log"
             if victim.poll() is None:
                 os.killpg(victim.pid, signal.SIGKILL)
         finally:
             victim.wait(timeout=30)
 
-        load = load_journal(journal_path)
-        assert load.run_id == run_id
+        logged = load_journal(log_path).records
+        assert logged >= 3
 
         resumed = subprocess.run(
-            argv + ["--resume", run_id], env=env, cwd=_REPO_ROOT,
+            argv, env=env, cwd=_REPO_ROOT,
             capture_output=True, text=True, timeout=300,
         )
         assert resumed.returncode == 0, resumed.stderr
-        assert "served from journal" in resumed.stderr
+        assert f"requested, {logged} served" in resumed.stderr
 
         reference = run_sweep(["fig11"], fast=True)["fig11"]
         document = json.loads(resumed.stdout)

@@ -15,6 +15,7 @@ from repro.obs.metrics import MetricsRegistry, merge_snapshot
 from repro.obs.sink import MemorySink, capture
 from repro.obs.telemetry import RunRecord, new_run_id
 from repro.parallel.engine import default_jobs, run_points, sweep_context
+from repro.parallel.journal import POINT_LOG, load_journal
 
 _PARENT_PID = os.getpid()
 
@@ -118,6 +119,90 @@ class TestFallback:
         with sweep_context(jobs=2, chunk_size=2):
             with pytest.raises(ValueError, match="seven"):
                 run_points(_fail_on_seven, range(10))
+
+
+def _times(k: int):
+    def scale(x: int) -> int:
+        return k * x
+
+    return scale
+
+
+class TestPointMemo:
+    """Inside a context each point is computed once: later requests for
+    its fingerprint are served from the context's point store."""
+
+    def test_a_point_is_computed_once_per_context(self):
+        with sweep_context(jobs=2, chunk_size=1) as registry:
+            first = run_points(_square, range(4))
+            assert run_points(_square, [3, 1, 7]) == [9, 1, 49]
+        assert first == [0, 1, 4, 9]
+        snap = registry.snapshot()
+        assert snap["sim.parallel.points_total"]["value"] == 7
+        assert snap["sim.parallel.points_served"]["value"] == 2
+        assert snap["sim.parallel.points_remote"]["value"] == 4  # 7 ran in-process
+
+    def test_lambdas_and_closures_are_never_memoized(self):
+        """Two lambdas, or two closures of one function, share a name
+        and not a meaning: each call returns its own results."""
+        with sweep_context(jobs=1) as registry:
+            assert run_points(lambda x: x + 1, [1, 2]) == [2, 3]
+            assert run_points(lambda x: x * 10, [1, 2]) == [10, 20]
+            assert run_points(_times(2), [1, 2]) == [2, 4]
+            assert run_points(_times(3), [1, 2]) == [3, 6]
+            run_points(_square, [1, 2])
+            assert run_points(_square, [1, 2]) == [1, 4]
+        assert registry.counter("sim.parallel.points_served").value == 2  # _square's
+
+    def test_a_spec_that_does_not_fingerprint_always_computes(self):
+        class Opaque:
+            pass
+
+        with sweep_context(jobs=1) as registry:
+            ids = run_points(id, [Opaque()]) + run_points(id, [Opaque()])
+        assert len(ids) == 2
+        assert registry.counter("sim.parallel.points_served").value == 0
+
+    def test_fig11_fig12_at_jobs2_compute_each_point_once(self):
+        """fig12 asks for exactly fig11's points: none is dispatched
+        twice, and telemetry holds one record per simulation run."""
+        with capture() as sink:
+            registry = MetricsRegistry()
+            run_sweep(["fig11", "fig12"], fast=True, jobs=2, metrics=registry)
+        snap = registry.snapshot()
+        assert snap["sim.parallel.points_total"]["value"] == 20
+        assert snap["sim.parallel.points_served"]["value"] == 10
+        assert snap["sim.parallel.points_remote"]["value"] == 10
+        simulations = [r for r in sink.records if r.kind == "multicast"]
+        assert len(simulations) == snap["sim.parallel.cache_misses"]["value"]
+
+    def test_rerun_with_same_cache_dir_computes_nothing(self, tmp_path):
+        first = run_sweep(["fig9", "fig11"], fast=True, jobs=2, cache_dir=tmp_path)
+        assert load_journal(tmp_path / POINT_LOG).records == 28  # 18 + 10 points
+        registry = MetricsRegistry()
+        second = run_sweep(
+            ["fig9", "fig11"], fast=True, jobs=2, cache_dir=tmp_path, metrics=registry
+        )
+        snap = registry.snapshot()
+        assert snap["sim.parallel.points_served"]["value"] == 28
+        assert snap["sim.parallel.points_total"]["value"] == 28
+        assert "sim.parallel.chunks" not in snap  # nothing was dispatched
+        for fig in first:
+            assert second[fig].to_json() == first[fig].to_json()
+            assert second[fig].render() == first[fig].render()
+
+    def test_a_line_logged_under_another_cache_schema_is_not_served(
+        self, tmp_path, monkeypatch
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.parallel.cache.CACHE_SCHEMA", 999)
+            with sweep_context(jobs=1, cache_dir=tmp_path):
+                run_points(_square, range(3))
+        assert load_journal(tmp_path / POINT_LOG).records == 3
+        with sweep_context(jobs=1, cache_dir=tmp_path) as registry:
+            assert run_points(_square, range(3)) == [0, 1, 4]
+        assert registry.counter("sim.parallel.points_served").value == 0
+        assert load_journal(tmp_path / POINT_LOG).records == 6
 
 
 class TestMergeSnapshot:

@@ -5,8 +5,8 @@ sweep distributed over real worker *processes* on a real socket must
 terminate and produce results byte-identical to the serial run, no
 matter which side of the wire dies.  The suite covers the frame
 protocol, worker loss (SIGKILL mid-sweep), total fleet loss
-(degradation to local workers), coordinator loss (SIGKILL then
-``--resume``, plus orphaned workers noticing and exiting), chunks that
+(degradation to local workers), coordinator loss (SIGKILL then a
+re-run from the point log, plus orphaned workers noticing and exiting), chunks that
 do not pickle, and the coordinator's own shutdown.
 """
 
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import run_sweep, sweep_run_id
+from repro.analysis.experiments import run_sweep
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import capture
 from repro.parallel.engine import run_points, sweep_context
@@ -35,7 +35,7 @@ from repro.parallel.fabric import (
     recv_frame,
     send_frame,
 )
-from repro.parallel.journal import load_journal
+from repro.parallel.journal import POINT_LOG, load_journal
 from repro.parallel.resilience import RetryPolicy, WatchdogConfig
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -151,6 +151,22 @@ class TestFabricConfig:
             FabricConfig(min_workers=-1)
         with pytest.raises(ValueError, match="wait_s"):
             FabricConfig(wait_s=-0.1)
+        with pytest.raises(ValueError, match="wait_s"):
+            FabricConfig(wait_s=float("nan"))
+
+    def test_nan_wait_does_not_spin(self):
+        """``Event.wait(nan)`` returns at once, so a NaN budget must end
+        the wait rather than loop on it (checked in a daemon thread, so
+        a regression fails instead of hanging the suite)."""
+        comm = TcpCoordinator(FabricConfig(min_workers=1, wait_s=0.0))
+        joined: list[int] = []
+        waiter = threading.Thread(
+            target=lambda: joined.append(comm.wait_for_workers(wait_s=float("nan"))),
+            daemon=True,
+        )
+        waiter.start()
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive() and joined == [0]
 
 
 class TestCoordinatorLifecycle:
@@ -299,17 +315,19 @@ class TestUnpicklableChunks:
 @pytest.mark.slow
 class TestKilledCoordinator:
     def test_sigkilled_coordinator_resumes_byte_identically(self, tmp_path):
-        """The acceptance scenario across hosts: a journaled fabric
-        sweep's coordinator is SIGKILLed mid-run; orphaned workers
-        notice the dead link and exit on their own; ``sweep --resume``
-        then completes the run bit-identically from the journal."""
-        journal_dir = tmp_path / "journal"
+        """The acceptance scenario across hosts: a fabric sweep logging
+        to a cache dir has its coordinator SIGKILLed mid-run; orphaned
+        workers notice the dead link and exit on their own; the same
+        sweep re-run with that cache dir then completes bit-identically
+        from the log."""
+        cache_dir = tmp_path / "cache"
+        log_path = cache_dir / POINT_LOG
         port = _free_port()
         env = _worker_env()
         workers = [_spawn_worker(port), _spawn_worker(port)]
         argv = [
             sys.executable, "-m", "repro", "sweep", "fig11", "--json",
-            "--journal-dir", str(journal_dir),
+            "--cache-dir", str(cache_dir),
             "--fabric-port", str(port), "--fabric-min-workers", "2",
             "--fabric-wait-s", "30",
         ]
@@ -318,19 +336,15 @@ class TestKilledCoordinator:
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
-            # wait for checkpointed points, then SIGKILL the coordinator
+            # wait for logged points, then SIGKILL the coordinator
             deadline = time.monotonic() + 90.0
-            journal_path = None
             while time.monotonic() < deadline:
-                candidates = list(journal_dir.glob("*.jsonl"))
-                if candidates:
-                    journal_path = candidates[0]
-                    if len(journal_path.read_text().splitlines()) >= 3:
-                        break
+                if log_path.exists() and len(log_path.read_text().splitlines()) >= 3:
+                    break
                 if coordinator.poll() is not None:
-                    break  # finished before the kill; resume still exercised
+                    break  # finished before the kill; the re-run still resumes
                 time.sleep(0.02)
-            assert journal_path is not None, "coordinator never opened its journal"
+            assert log_path.exists(), "coordinator never opened its point log"
             if coordinator.poll() is None:
                 os.killpg(coordinator.pid, signal.SIGKILL)
         finally:
@@ -341,20 +355,18 @@ class TestKilledCoordinator:
         codes = _reap(workers, timeout=30.0)
         assert all(code is not None for code in codes), "orphaned worker leaked"
 
-        run_id = journal_path.stem
-        assert load_journal(journal_path, run_id=run_id).run_id == run_id
-
+        logged = load_journal(log_path).records
         resume_argv = [
             sys.executable, "-m", "repro", "sweep", "fig11", "--json",
-            "--journal-dir", str(journal_dir), "--resume", run_id,
+            "--cache-dir", str(cache_dir),
         ]
         resumed = subprocess.run(
             resume_argv, env=env, cwd=_REPO_ROOT,
             capture_output=True, text=True, timeout=300,
         )
         assert resumed.returncode == 0, resumed.stderr
+        assert f"requested, {logged} served" in resumed.stderr
 
         reference = run_sweep(["fig11"], fast=True)["fig11"]
-        assert sweep_run_id(["fig11"], fast=True) == run_id
         document = json.loads(resumed.stdout)
         assert document["fig11"] == json.loads(reference.to_json())

@@ -1,16 +1,15 @@
-"""Journal self-healing: damaged or foreign content never aborts resume.
+"""Point-log self-healing: damaged content never aborts a re-run.
 
-The journal's contract (src/repro/parallel/journal.py) is that loading
-is *total*: any line that cannot be proven to be an intact record of
-this run is skipped and counted, and the affected points recompute.
-These tests drive the three damage classes the fleet actually
-produces:
+The log's contract (src/repro/parallel/journal.py) is that loading is
+*total*: any line that cannot be proven to be an intact record is
+skipped and counted, and the affected points recompute.  These tests
+drive the damage classes a killed or mismatched writer produces:
 
 - a **torn final line** -- the coordinator was SIGKILLed mid-``write``;
-- **interleaved records from two run ids** -- two sweeps
-  misconfigured onto one journal path;
-- a **checksum-valid-but-stale-schema record** -- a journal written by
-  a newer (or older) format whose per-record checksum still verifies.
+- **interleaved records from two sweeps** -- two sweeps sharing one
+  cache dir;
+- a **checksum-valid-but-stale-schema record** -- a log written by a
+  newer (or older) format whose per-record checksum still verifies.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ def _fps(count: int) -> list[str]:
 
 
 def _record_line(fingerprint: str, result: object, schema: int = JOURNAL_SCHEMA) -> str:
-    """A raw journal record line with a *valid* checksum."""
+    """A raw log record line with a *valid* checksum."""
     return json.dumps(
         {
             "schema": schema,
@@ -47,101 +46,59 @@ def _record_line(fingerprint: str, result: object, schema: int = JOURNAL_SCHEMA)
     )
 
 
-def _header_line(run_id: str) -> str:
-    return json.dumps(
-        {"schema": JOURNAL_SCHEMA, "header": True, "run_id": run_id, "meta": None},
-        separators=(",", ":"),
-    )
-
-
 class TestTornFinalLine:
     def test_torn_tail_skipped_and_resume_continues(self, tmp_path):
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "points.jsonl"
         fps = _fps(4)
-        with SweepJournal(path, run_id="r1") as journal:
+        with SweepJournal(path) as journal:
             for x, fp in enumerate(fps[:3]):
                 journal.append(fp, _point(x))
         # SIGKILL mid-write: the final record loses its last bytes
         raw = path.read_bytes()
         path.write_bytes(raw[:-9])
 
-        with SweepJournal(path, run_id="r1", resume=True) as resumed:
+        with SweepJournal(path) as resumed:
             assert resumed.resumed_records == 2
             assert resumed.corrupt_records == 1
             assert resumed.lookup(fps[0]) == 0
             assert resumed.lookup(fps[1]) == 1
-            # the torn point recomputes and re-journals...
+            # the torn point recomputes and is logged again...
             assert SweepJournal.is_miss(resumed.lookup(fps[2]))
             resumed.append(fps[2], _point(2))
             resumed.append(fps[3], _point(3))
 
         # ...and the healed file loads fully intact
-        load = load_journal(path, run_id="r1")
+        load = load_journal(path)
         assert load.corrupt == 1  # the torn stump is still on disk
         assert load.records == 4
         assert load.results[fps[2]] == 4 and load.results[fps[3]] == 9
 
-    def test_torn_header_means_empty_but_loadable(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with SweepJournal(path, run_id="r1"):
-            pass
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-5])
-        load = load_journal(path)
-        assert load.records == 0
-        assert load.corrupt == 1
-        assert load.run_id is None
-
 
 class TestInterleavedRuns:
-    def _interleaved_file(self, tmp_path):
-        """One file accidentally shared by runs "aaa" and "bbb"."""
-        path = tmp_path / "shared.jsonl"
-        fps = _fps(4)
-        lines = [
-            _header_line("aaa"),
-            _record_line(fps[0], 0),
-            _header_line("bbb"),
-            _record_line(fps[1], -111),  # bbb's (wrong) value for point 1
-            _record_line(fps[2], -222),
-            _header_line("aaa"),
-            _record_line(fps[1], 1),  # aaa's value for point 1
-            _record_line(fps[3], 9),
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        return path, fps
-
-    def test_foreign_records_skipped_not_adopted(self, tmp_path):
-        path, fps = self._interleaved_file(tmp_path)
-        load = load_journal(path, run_id="aaa")
-        assert load.records == 3
-        assert load.foreign == 2
-        assert load.corrupt == 0
-        assert load.results == {fps[0]: 0, fps[1]: 1, fps[3]: 9}
-        assert fps[2] not in load.results  # bbb-only point recomputes
-
-    def test_resume_with_run_id_never_sees_foreign_results(self, tmp_path):
-        path, fps = self._interleaved_file(tmp_path)
-        with SweepJournal(path, run_id="aaa", resume=True) as journal:
-            assert journal.foreign_records == 2
-            assert journal.lookup(fps[1]) == 1  # aaa's value, not bbb's -111
-            assert SweepJournal.is_miss(journal.lookup(fps[2]))
-
     def test_anonymous_load_keeps_single_writer_behaviour(self, tmp_path):
-        # without an expected run id every intact record is adopted --
-        # the single-writer common case must not change
-        path, fps = self._interleaved_file(tmp_path)
+        """Two sweeps sharing one cache dir append whole lines to one
+        log; a load adopts every intact record, whichever sweep wrote
+        it, exactly as it does for a single writer: a fingerprint is a
+        content address, so any intact record is the right result."""
+        path = tmp_path / "points.jsonl"
+        fps = _fps(4)
+        with SweepJournal(path) as a, SweepJournal(path) as b:
+            a.append(fps[0], 0)
+            b.append(fps[1], 1)
+            a.append(fps[2], 4)
+            b.append(fps[2], 4)  # both computed point 2: same result
+            b.append(fps[3], 9)
         load = load_journal(path)
         assert load.records == 5
-        assert load.foreign == 0
+        assert load.corrupt == 0
+        assert load.results == {fps[0]: 0, fps[1]: 1, fps[2]: 4, fps[3]: 9}
 
 
 class TestStaleSchemaRecord:
     def test_checksum_valid_stale_schema_is_skipped(self, tmp_path):
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "points.jsonl"
         fps = _fps(3)
         lines = [
-            _header_line("r1"),
             _record_line(fps[0], 0),
             # a future-format record whose checksum genuinely verifies:
             # the schema gate must win before the checksum is consulted
@@ -149,47 +106,42 @@ class TestStaleSchemaRecord:
             _record_line(fps[2], 4),
         ]
         path.write_text("\n".join(lines) + "\n")
-        load = load_journal(path, run_id="r1")
+        load = load_journal(path)
         assert load.records == 2
         assert load.corrupt == 1
         assert fps[1] not in load.results
 
     def test_resume_recomputes_the_stale_point(self, tmp_path):
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "points.jsonl"
         fps = _fps(2)
         lines = [
-            _header_line("r1"),
             _record_line(fps[0], 0),
             _record_line(fps[1], 1, schema=JOURNAL_SCHEMA + 1),
         ]
         path.write_text("\n".join(lines) + "\n")
-        with SweepJournal(path, run_id="r1", resume=True) as journal:
+        with SweepJournal(path) as journal:
             assert journal.resumed_records == 1
             assert journal.corrupt_records == 1
             assert SweepJournal.is_miss(journal.lookup(fps[1]))
             journal.append(fps[1], _point(1))
-        assert load_journal(path, run_id="r1").results[fps[1]] == 1
+        assert load_journal(path).results[fps[1]] == 1
 
 
 class TestMixedDamage:
     def test_all_three_classes_in_one_file(self, tmp_path):
-        """One load survives tearing, interleaving, and stale schemas."""
-        path = tmp_path / "run.jsonl"
+        """One load survives tearing, garbage and stale schemas."""
+        path = tmp_path / "points.jsonl"
         fps = _fps(5)
         lines = [
-            _header_line("aaa"),
             _record_line(fps[0], 0),
             _record_line(fps[1], 1, schema=JOURNAL_SCHEMA + 7),  # stale schema
-            _header_line("bbb"),
-            _record_line(fps[2], -4),  # foreign
-            _header_line("aaa"),
+            '{"schema":1,"fp":',  # unparseable
             _record_line(fps[3], 9),
         ]
         text = "\n".join(lines) + "\n"
         text += _record_line(fps[4], 16)[:-11]  # torn final line
         path.write_text(text)
-        load = load_journal(path, run_id="aaa")
+        load = load_journal(path)
         assert load.results == {fps[0]: 0, fps[3]: 9}
         assert load.records == 2
-        assert load.corrupt == 2  # stale schema + torn tail
-        assert load.foreign == 1
+        assert load.corrupt == 3  # stale schema + garbage + torn tail

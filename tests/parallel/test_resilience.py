@@ -1,5 +1,5 @@
 """Unit tests for the resilience layer: retry/watchdog policies, the
-sweep journal, and cache integrity auditing.
+event API, and the sweep point log.
 
 Chaos-style integration tests (killed workers, injected hangs, corrupt
 files mid-sweep) live in test_chaos.py; this file covers the building
@@ -9,22 +9,19 @@ blocks in isolation.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from enum import Enum
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import capture, emit_event
-from repro.parallel.cache import (
-    ScheduleCache,
-    cache_key,
-    gc_cache_dir,
-    verify_cache_dir,
-)
+from repro.obs.trace_spans import trace_capture
+from repro.parallel import journal as journal_mod
 from repro.parallel.journal import (
     JOURNAL_SCHEMA,
     SweepJournal,
-    derive_run_id,
     load_journal,
     point_fingerprint,
 )
@@ -57,6 +54,10 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(backoff_base_s=-0.1)
         with pytest.raises(ValueError):
+            RetryPolicy(backoff_base_s=float("nan"))
+        with pytest.raises(ValueError):
+            RetryPolicy(backoff_cap_s=float("nan"))
+        with pytest.raises(ValueError):
             RetryPolicy().backoff(0)
 
 
@@ -72,6 +73,14 @@ class TestWatchdogConfig:
             WatchdogConfig(soft_timeout_s=0.5, hard_timeout_s=0.0)
         with pytest.raises(ValueError):
             WatchdogConfig(poll_s=0.0)
+        # NaN fails every comparison: a NaN timeout would never expire
+        nan = float("nan")
+        with pytest.raises(ValueError, match="soft timeout must be > 0"):
+            WatchdogConfig(soft_timeout_s=nan)
+        with pytest.raises(ValueError, match="hard timeout must be > 0"):
+            WatchdogConfig(hard_timeout_s=nan)
+        with pytest.raises(ValueError, match="poll_s must be > 0"):
+            WatchdogConfig(poll_s=nan)
         with pytest.raises(ValueError):
             WatchdogConfig(quarantine_after=0)
         with pytest.raises(ValueError):
@@ -92,6 +101,12 @@ class TestWatchdogConfig:
         ):
             monkeypatch.setenv(name, bad)
             with pytest.raises(ValueError, match=name):
+                WatchdogConfig.from_env()
+            monkeypatch.delenv(name)
+        # "nan" parses as a float, and max(nan, soft) is nan
+        for name in ("REPRO_WATCHDOG_SOFT_S", "REPRO_WATCHDOG_HARD_S"):
+            monkeypatch.setenv(name, "nan")
+            with pytest.raises(ValueError, match="timeout must be > 0"):
                 WatchdogConfig.from_env()
             monkeypatch.delenv(name)
 
@@ -133,6 +148,26 @@ class TestResilienceEvents:
     def test_no_sink_is_a_noop(self):
         emit_event("hung-pool-killed", kind="resilience-event")  # must not raise
 
+    def test_counter_is_counted_once_beside_record_and_instant(self):
+        registry = MetricsRegistry()
+        with capture() as sink, trace_capture() as tracer:
+            emit_event(
+                "pool-degraded", kind="resilience-event",
+                counter="sim.resilience.degraded_points", amount=3.0,
+                metrics=registry, points=3,
+            )
+        assert registry.counter("sim.resilience.degraded_points").value == 3.0
+        (record,) = sink.records
+        assert record.extra == {"event": "pool-degraded", "points": 3}
+        (instant,) = [s for s in tracer.spans if s.name == "resilience.pool-degraded"]
+        assert instant.attrs == {"points": 3}
+        # without a sink or a tracer the counter still counts
+        emit_event(
+            "pool-degraded", kind="resilience-event",
+            counter="sim.resilience.degraded_points", metrics=registry,
+        )
+        assert registry.counter("sim.resilience.degraded_points").value == 4.0
+
 
 class _Color(Enum):
     RED = 1
@@ -172,20 +207,17 @@ class TestPointFingerprint:
         with pytest.raises(TypeError, match="cannot fingerprint spec component"):
             point_fingerprint(_point, object())
 
-
-class TestDeriveRunId:
-    def test_content_addressed(self):
-        a = derive_run_id(["fig11"], True, 1)
-        assert a == derive_run_id(["fig11"], True, 1)
-        assert a != derive_run_id(["fig11"], False, 1)
-        assert a != derive_run_id(["fig12"], True, 1)
-        assert len(a) == 12
+    def test_cache_schema_namespaces_the_fingerprint(self, monkeypatch):
+        """A stored point must not outlive a change in what it means."""
+        before = point_fingerprint(_point, 3)
+        monkeypatch.setattr("repro.parallel.cache.CACHE_SCHEMA", 999)
+        assert point_fingerprint(_point, 3) != before
 
 
 class TestSweepJournal:
     def test_append_lookup_roundtrip(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        with SweepJournal(path, run_id="abc") as journal:
+        with SweepJournal(path) as journal:
             fp = point_fingerprint(_point, 3)
             assert SweepJournal.is_miss(journal.lookup(fp))
             assert journal.append(fp, {"v": 9}) is True
@@ -195,21 +227,20 @@ class TestSweepJournal:
     def test_resume_serves_prior_records(self, tmp_path):
         path = tmp_path / "run.jsonl"
         fp = point_fingerprint(_point, 5)
-        with SweepJournal(path, run_id="abc", meta={"ids": ["fig11"]}) as journal:
+        with SweepJournal(path) as journal:
             journal.append(fp, [25, 2.5])
-        with SweepJournal(path, resume=True) as resumed:
-            assert resumed.run_id == "abc"
+            assert not journal.from_log(fp)
+        with SweepJournal(path) as resumed:
             assert resumed.resumed_records == 1
             assert resumed.lookup(fp) == [25, 2.5]
+            assert resumed.from_log(fp)
 
-    def test_fresh_open_truncates(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        fp = point_fingerprint(_point, 5)
-        with SweepJournal(path, run_id="old") as journal:
-            journal.append(fp, 25)
-        with SweepJournal(path, run_id="new") as fresh:
-            assert SweepJournal.is_miss(fresh.lookup(fp))
-        assert load_journal(path).run_id == "new"
+    def test_without_a_path_points_are_remembered_not_logged(self):
+        journal = SweepJournal()
+        fp = point_fingerprint(_point, 4)
+        assert journal.append(fp, 16) is False
+        assert journal.lookup(fp) == 16 and journal.appended == 0
+        journal.close()
 
     def test_journaled_none_is_not_a_miss(self, tmp_path):
         with SweepJournal(tmp_path / "j.jsonl") as journal:
@@ -224,10 +255,29 @@ class TestSweepJournal:
             assert journal.skipped_appends == 1
         assert load_journal(tmp_path / "j.jsonl").records == 0
 
+    def test_a_line_is_one_os_write(self, tmp_path, monkeypatch):
+        """Whole lines, so two sweeps sharing a log interleave records,
+        never bytes."""
+        writes: list[bytes] = []
+        real_write = os.write
+
+        def recording_write(fd, data):
+            writes.append(bytes(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(journal_mod.os, "write", recording_write)
+        path = tmp_path / "j.jsonl"
+        with SweepJournal(path) as journal:
+            journal.append(point_fingerprint(_point, 2), {"v": [4, 0.5]})
+            journal.append(point_fingerprint(_point, 3), 9)
+        assert len(writes) == 2
+        assert b"".join(writes) == path.read_bytes()
+        assert all(w.endswith(b"\n") and w.count(b"\n") == 1 for w in writes)
+
     def test_torn_tail_is_skipped_on_load(self, tmp_path):
         path = tmp_path / "j.jsonl"
         fps = [point_fingerprint(_point, x) for x in range(3)]
-        with SweepJournal(path, run_id="r") as journal:
+        with SweepJournal(path) as journal:
             for x, fp in enumerate(fps):
                 journal.append(fp, x * x)
         # simulate a torn final write: cut the file mid-line
@@ -241,12 +291,12 @@ class TestSweepJournal:
     def test_checksum_mismatch_is_skipped_on_load(self, tmp_path):
         path = tmp_path / "j.jsonl"
         fp = point_fingerprint(_point, 2)
-        with SweepJournal(path, run_id="r") as journal:
+        with SweepJournal(path) as journal:
             journal.append(fp, 4)
         lines = path.read_text().splitlines()
-        payload = json.loads(lines[1])
+        payload = json.loads(lines[0])
         payload["result"] = 5  # tampered result, stale checksum
-        lines[1] = json.dumps(payload)
+        lines[0] = json.dumps(payload)
         path.write_text("\n".join(lines) + "\n")
         load = load_journal(path)
         assert load.records == 0
@@ -255,7 +305,7 @@ class TestSweepJournal:
     def test_stale_schema_is_skipped_on_load(self, tmp_path):
         path = tmp_path / "j.jsonl"
         fp = point_fingerprint(_point, 2)
-        with SweepJournal(path, run_id="r") as journal:
+        with SweepJournal(path) as journal:
             journal.append(fp, 4)
         text = path.read_text().replace(
             f'"schema":{JOURNAL_SCHEMA}', f'"schema":{JOURNAL_SCHEMA + 1}'
@@ -263,7 +313,7 @@ class TestSweepJournal:
         path.write_text(text)
         load = load_journal(path)
         assert load.records == 0
-        assert load.corrupt == 2  # header + record
+        assert load.corrupt == 1
 
     def test_missing_file_loads_empty(self, tmp_path):
         load = load_journal(tmp_path / "absent.jsonl")
@@ -271,89 +321,21 @@ class TestSweepJournal:
 
 
 class TestCacheIntegrity:
-    def _seed_cache(self, tmp_path, n: int = 3) -> ScheduleCache:
-        cache = ScheduleCache(tmp_path)
-        for x in range(n):
-            cache.put(cache_key("t", x=x), {"v": x})
-        return cache
-
-    def test_corrupt_entry_quarantined_on_read(self, tmp_path):
-        self._seed_cache(tmp_path)
-        key = cache_key("t", x=1)
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.write_text("{torn", encoding="utf-8")
-        reader = ScheduleCache(tmp_path)
-        assert reader.get(key) is None  # a miss, not a crash
-        assert reader.quarantined == 1
-        assert not path.exists()
-        assert list((tmp_path / "_quarantine").glob("corrupt-*"))
-        # the caller recomputes and the cache heals
-        reader.put(key, {"v": 1})
-        assert ScheduleCache(tmp_path).get(key) == {"v": 1}
+    """What a sweep keeps under its cache dir is the point log: damage
+    there is counted and recomputed, never served and never fatal."""
 
     def test_non_utf8_entry_is_corrupt_not_a_crash(self, tmp_path):
-        self._seed_cache(tmp_path)
-        key = cache_key("t", x=1)
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.write_bytes(b'{"schema":1,"value":"\xff"}')
-        assert verify_cache_dir(tmp_path).damaged == {
-            "corrupt": [str(path.relative_to(tmp_path))]
-        }
-        reader = ScheduleCache(tmp_path)
-        assert reader.get(key) is None
-        assert reader.quarantined == 1
-        assert list((tmp_path / "_quarantine").glob("corrupt-*"))
-
-    def test_checksum_mismatch_quarantined_on_read(self, tmp_path):
-        self._seed_cache(tmp_path)
-        key = cache_key("t", x=2)
-        path = tmp_path / key[:2] / f"{key}.json"
-        envelope = json.loads(path.read_text())
-        envelope["value"] = {"v": 999}  # tampered, checksum now stale
-        path.write_text(json.dumps(envelope))
-        reader = ScheduleCache(tmp_path)
-        assert reader.get(key) is None
-        assert reader.quarantined == 1
-
-    def test_verify_clean_directory(self, tmp_path):
-        self._seed_cache(tmp_path)
-        audit = verify_cache_dir(tmp_path)
-        assert audit.ok == 3
-        assert audit.clean
-        assert audit.damaged_total == 0
-
-    def test_verify_finds_each_damage_class(self, tmp_path):
-        self._seed_cache(tmp_path)
-        keys = [cache_key("t", x=x) for x in range(3)]
-        paths = [tmp_path / k[:2] / f"{k}.json" for k in keys]
-        paths[0].write_text("{torn")
-        env = json.loads(paths[1].read_text())
-        env["schema"] = 999
-        paths[1].write_text(json.dumps(env))
-        # entry filed under the wrong key (e.g. a botched manual copy)
-        wrong = tmp_path / keys[2][:2] / ("0" * 64 + ".json")
-        wrong.write_text(paths[2].read_text())
-        audit = verify_cache_dir(tmp_path)
-        assert audit.ok == 1  # only the untouched copy of key 2
-        assert set(audit.damaged) == {"corrupt", "stale-schema", "key-mismatch"}
-
-    def test_verify_repair_then_gc(self, tmp_path):
-        self._seed_cache(tmp_path)
-        key = cache_key("t", x=0)
-        (tmp_path / key[:2] / f"{key}.json").write_text("{torn")
-        (tmp_path / "stray.tmp").write_text("partial write")
-        audit = verify_cache_dir(tmp_path, repair=True)
-        assert audit.repaired == 1
-        assert audit.stray_tmp == 1
-        # repaired damage is contained, not gone: verify reports it
-        # pending gc (but no longer as damage)
-        after = verify_cache_dir(tmp_path)
-        assert after.clean and after.quarantined_pending == 1
-        removed = gc_cache_dir(tmp_path)
-        assert removed["quarantined"] == 1
-        assert removed["tmp"] == 1
-        assert verify_cache_dir(tmp_path).clean
-
-    def test_verify_missing_dir_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            verify_cache_dir(tmp_path / "absent")
+        path = tmp_path / "points.jsonl"
+        fps = [point_fingerprint(_point, x) for x in range(2)]
+        with SweepJournal(path) as journal:
+            journal.append(fps[0], 0)
+            journal.append(fps[1], 1)
+        raw = path.read_bytes()
+        # a garbage line, then a final record torn inside a UTF-8 sequence
+        first = raw.splitlines(keepends=True)[0]
+        path.write_bytes(first + b"\xff\xfe\n" + raw[-40:-3] + b"\xe2\x82")
+        load = load_journal(path)
+        assert load.results == {fps[0]: 0}
+        assert load.corrupt == 2
+        with SweepJournal(path) as reopened:
+            assert SweepJournal.is_miss(reopened.lookup(fps[1]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import hashlib
 import http.client
 import json
 import logging
@@ -23,7 +24,7 @@ import pytest
 from repro.analysis.workloads import random_destination_sets
 from repro.parallel import cache as cache_module
 from repro.parallel.cache import (
-    _value_checksum,
+    canonical_json,
     compute_delay_stats,
     compute_schedule_table,
     schedule_table_key,
@@ -143,6 +144,7 @@ class TestErrors:
         )
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(req, timeout=30)
+        exc_info.value.close()  # the error is the open 400 response
         assert exc_info.value.code == 400
 
     def test_oversized_body_413(self, service):
@@ -157,6 +159,7 @@ class TestErrors:
             urllib.request.urlopen(req, timeout=30)
             outcome = 200
         except urllib.error.HTTPError as exc:
+            exc.close()
             outcome = exc.code
         except (urllib.error.URLError, ConnectionError):
             outcome = "closed"
@@ -177,13 +180,15 @@ class TestErrors:
         doc = {"algorithm": "wsort", "n": 5, "source": 0, "destinations": dests}
         key = schedule_table_key("wsort", 5, 0, dests, ALL_PORT, ResolutionOrder.DESCENDING)
         forged = {"max_step": 1, "dest_steps": {str(d): 1 for d in dests}}
-        envelope = {"key": key, "checksum": _value_checksum(forged), "value": forged}
+        checksum = hashlib.sha256(canonical_json(forged)).hexdigest()[:16]
+        envelope = {"key": key, "checksum": checksum, "value": forged}
         req = urllib.request.Request(
             f"http://{service.host}:{service.port}/v1/cache/{key}",
             data=json.dumps(envelope).encode(), method="PUT",
         )
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(req, timeout=30)
+        exc_info.value.close()  # the error is the open 404 response
         assert exc_info.value.code == 404
         status, body, _ = _post(service, "/v1/schedule", doc)
         assert status == 200

@@ -263,11 +263,6 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "unknown experiment" in proc.stderr
 
-    def test_resume_without_journal_dir_exits_two(self):
-        proc = _run_cli("sweep", "fig11", "--resume")
-        assert proc.returncode == 2
-        assert "--journal-dir" in proc.stderr
-
     def test_report_fail_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "repro.analysis.report.markdown_report",
@@ -361,72 +356,88 @@ class TestExitCodes:
         assert main(["worker", "--connect", endpoint]) == 2
         assert f"worker: expected HOST:PORT, got {endpoint!r}" in capsys.readouterr().err
 
-    def test_mismatched_resume_run_id_exits_two(self, capsys, tmp_path):
-        rc = main(
-            ["sweep", "fig11", "--journal-dir", str(tmp_path),
-             "--resume", "feedc0ffee99"]
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            pytest.param(["sweep", "fig9", "--hard-timeout-s", "nan"], {}, id="hard-timeout"),
+            pytest.param(["sweep", "fig9", "--soft-timeout-s", "nan"], {}, id="soft-timeout"),
+            pytest.param(
+                ["sweep", "fig9", "--jobs", "2"], {"REPRO_WATCHDOG_HARD_S": "nan"},
+                id="watchdog-env",
+            ),
+            pytest.param(
+                ["worker", "--connect", "127.0.0.1:9", "--beat-s", "nan"], {}, id="beat"
+            ),
+            pytest.param(
+                ["worker", "--connect", "127.0.0.1:9", "--connect-timeout-s", "nan"], {},
+                id="connect-timeout",
+            ),
+        ],
+    )
+    def test_nan_exits_two_before_any_work(self, capsys, monkeypatch, argv, env):
+        """NaN fails every comparison, so each check is a negated one: a
+        NaN timeout would never fire, and a NaN beat would spin."""
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started despite a NaN argument")
+
+        monkeypatch.setattr("repro.cli.run_sweep", no_work)
+        monkeypatch.setattr("repro.parallel.worker._connect", no_work)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "nan" in err
+
+    def test_nan_fabric_wait_exits_two_instead_of_spinning(self):
+        proc = _run_cli(
+            "sweep", "fig9", "--fabric-port", "0", "--fabric-min-workers", "1",
+            "--fabric-wait-s", "nan", timeout=60,
         )
-        assert rc == 2
-        assert "does not match" in capsys.readouterr().err
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "wait_s must be >= 0, got nan" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["cache", "verify", "x"], id="cache-verify"),
+            pytest.param(["serve", "--cache-dir", "x"], id="serve-cache-dir"),
+            pytest.param(
+                ["worker", "--connect", "127.0.0.1:9", "--cache-dir", "x"],
+                id="worker-cache-dir",
+            ),
+            pytest.param(["sweep", "fig9", "--journal-dir", "x"], id="sweep-journal-dir"),
+            pytest.param(["sweep", "fig9", "--resume"], id="sweep-resume"),
+        ],
+    )
+    def test_retired_options_exit_two_before_any_work(self, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started for a retired option")
 
-class TestCacheSubcommand:
-    def _seed(self, tmp_path) -> Path:
-        from repro.parallel.cache import ScheduleCache, cache_key
-
-        cache_dir = tmp_path / "cache"
-        cache = ScheduleCache(cache_dir)
-        for x in range(3):
-            cache.put(cache_key("t", x=x), {"v": x})
-        return cache_dir
-
-    def test_verify_clean_cache(self, capsys, tmp_path):
-        cache_dir = self._seed(tmp_path)
-        assert main(["cache", "verify", str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "3 intact" in out and "no damage" in out
-
-    def test_verify_reports_damage_and_repairs(self, capsys, tmp_path):
-        cache_dir = self._seed(tmp_path)
-        victim = next(p for p in sorted(cache_dir.rglob("*.json")))
-        victim.write_text("{torn")
-        assert main(["cache", "verify", str(cache_dir)]) == 1
-        assert "corrupt: 1 found" in capsys.readouterr().out
-        assert main(["cache", "verify", str(cache_dir), "--repair"]) == 0
-        assert "quarantined" in capsys.readouterr().out
-        assert not victim.exists()
-
-    def test_gc_reclaims_quarantine(self, capsys, tmp_path):
-        cache_dir = self._seed(tmp_path)
-        next(iter(sorted(cache_dir.rglob("*.json")))).write_text("{torn")
-        main(["cache", "verify", str(cache_dir), "--repair"])
-        capsys.readouterr()
-        assert main(["cache", "gc", str(cache_dir)]) == 0
-        assert "removed 1 quarantined" in capsys.readouterr().out
-        assert not (cache_dir / "_quarantine").exists() or not list(
-            (cache_dir / "_quarantine").iterdir()
-        )
-
-    def test_missing_directory_exits_two(self, capsys, tmp_path):
-        assert main(["cache", "verify", str(tmp_path / "absent")]) == 2
-        assert main(["cache", "gc", str(tmp_path / "absent")]) == 2
+        monkeypatch.setattr("repro.cli.run_sweep", no_work)
+        monkeypatch.setattr("repro.service.serve_async", no_work)
+        monkeypatch.setattr("repro.parallel.worker._connect", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("usage: ")
 
 
 class TestSweepResumeCli:
     def test_sweep_journal_then_resume(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_FULL", raising=False)
-        journal_dir = str(tmp_path / "journal")
-        assert main(["sweep", "fig11", "--journal-dir", journal_dir]) == 0
+        cache_dir = str(tmp_path / "cache")
+        assert main(["sweep", "fig11", "--cache-dir", cache_dir]) == 0
         first = capsys.readouterr().out
-        assert "0 point(s) served from journal" in first
-        assert main(
-            ["sweep", "fig11", "--journal-dir", journal_dir, "--resume"]
-        ) == 0
+        assert "10 requested, 0 served, 10 computed" in first
+        assert f"log {os.path.join(cache_dir, 'points.jsonl')}" in first
+        assert main(["sweep", "fig11", "--cache-dir", cache_dir]) == 0
         second = capsys.readouterr().out
-        assert "10 point(s) served from journal" in second
+        assert "10 requested, 10 served, 0 computed" in second
 
         def table(text: str) -> list[str]:
-            return [ln for ln in text.splitlines() if "journal:" not in ln
+            return [ln for ln in text.splitlines() if "points:" not in ln
                     and "parallel:" not in ln]
 
         assert table(first) == table(second)  # resumed output byte-identical
