@@ -1,9 +1,9 @@
 """End-to-end tour of the observability layer (repro.obs).
 
-Runs a handful of operations with (1) a shared metrics registry,
-(2) a JSONL telemetry sink, and (3) event-kernel profiling probes, then
-shows what each surface collected: aggregated metrics, parsed
-RunRecords, probe summaries, and channel-level rollups.
+Runs a handful of operations with (1) a shared metrics registry and
+(2) a JSONL telemetry sink, then (3) replays one multicast with channel
+tracing, and shows what each surface collected: aggregated metrics,
+parsed RunRecords, and channel-level rollups.
 
 Run:  PYTHONPATH=src python examples/telemetry_export.py
 """
@@ -15,12 +15,7 @@ from pathlib import Path
 
 from repro import HypercubeCollectives, MetricsRegistry
 from repro.multicast.registry import get_algorithm
-from repro.obs import (
-    capture,
-    channel_rollup,
-    default_probes,
-    probe_summaries,
-)
+from repro.obs import capture, channel_rollup
 from repro.obs.sink import read_jsonl
 from repro.simulator import NCUBE2, simulate_multicast
 from repro.multicast.ports import ALL_PORT
@@ -57,18 +52,11 @@ def main() -> None:
             f"n={rec.n}  events={rec.events}  finish={where:.0f} us"
         )
 
-    # -- 3. profiling probes + channel rollup on a single replay ---------
-    print("\n== profiled replay (probes + channel rollup) ==")
+    # -- 3. channel rollup on a single traced replay ---------------------
+    print("\n== traced replay (channel rollup) ==")
     tree = get_algorithm("wsort").build_tree(6, 0, [1, 3, 5, 9, 17, 33, 63])
-    probes = default_probes()
-    res = simulate_multicast(
-        tree, size=4096, timings=NCUBE2, ports=ALL_PORT, trace=True, probes=probes
-    )
-    for name, summary in probe_summaries(probes).items():
-        print(f"probe {name}: {summary if name != 'callback_time' else ''}")
-        if name == "callback_time":
-            for label, entry in summary["by_callback"].items():
-                print(f"    {label:<35} {entry['fires']:>4} fires")
+    res = simulate_multicast(tree, size=4096, timings=NCUBE2, ports=ALL_PORT, trace=True)
+    print(f"events fired:  {res.events}")
     rollup = channel_rollup(res.network, horizon=res.completion_time, top=3)
     print(f"channels used: {rollup['channels_used']}")
     hot = ", ".join(

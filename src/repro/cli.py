@@ -6,8 +6,8 @@ Subcommands:
 - ``tree`` -- build and print one multicast tree and its schedule.
 - ``experiment`` -- run a figure reproduction and print its table.
 - ``collective`` -- time one collective operation.
-- ``stats`` -- replay one multicast fully instrumented (metrics,
-  profiling probes, channel rollups) and print/export the telemetry.
+- ``stats`` -- replay one multicast fully instrumented (metrics and
+  channel rollups) and print/export the telemetry.
 - ``faults`` -- sweep delivery time and delivery ratio against the
   number of failed links, oblivious (abort + retry) or repaired
   (fault-aware detour schedules); see docs/FAULTS.md.
@@ -64,12 +64,14 @@ Benchmarking is not a subcommand: the repository benchmark is
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, Sequence
 
 from repro.analysis.experiments import EXPERIMENTS, run_experiment, run_sweep
 from repro.collectives.api import HypercubeCollectives
+from repro.core.addressing import MAX_N
 from repro.core.paths import ResolutionOrder
 from repro.multicast.ports import ALL_PORT, ONE_PORT, k_port
 from repro.multicast.registry import ALGORITHMS, get_algorithm
@@ -117,14 +119,34 @@ def _link_counts(text: str) -> list[int]:
     return sorted(set(counts))
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
+def _int_in(low: int, high: float = math.inf) -> Callable[[str], int]:
+    """An integer in ``low..high``."""
+    want = f">= {low}" if high == math.inf else f"in {low}..{high}"
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected an integer {want}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _float_in(low: float, high: float, *, closed: bool) -> Callable[[str], float]:
+    """A number in ``[low, high]`` (``closed``) or ``(low, high)``; NaN
+    is in neither."""
+    want = f"[{low:g}, {high:g}]" if closed else f"({low:g}, {high:g})"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (low <= value <= high if closed else low < value < high):
+            raise argparse.ArgumentTypeError(f"expected a number in {want}, got {text!r}")
         return value
 
     return parse
@@ -546,7 +568,6 @@ def _stats_from_file(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.probes import default_probes, probe_summaries
     from repro.obs.rollup import channel_rollup
 
     if args.from_path is not None:
@@ -556,9 +577,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     tree = _build_tree(args)
 
     registry = MetricsRegistry()
-    probes = default_probes()
-    # capture the driver's own record so we can enrich it with probe
-    # and channel-level data before exporting
+    # capture the driver's own record so we can enrich it with
+    # channel-level data before exporting
     with telemetry_sink.capture() as mem:
         res = simulate_multicast(
             tree,
@@ -567,11 +587,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             args.ports,
             trace=True,
             metrics=registry,
-            probes=probes,
             label=f"stats/{args.algorithm}",
         )
     record = mem.records[0]
-    record.extra["probes"] = probe_summaries(probes)
     record.extra["channels"] = channel_rollup(
         res.network, horizon=res.completion_time, top=args.top
     )
@@ -601,18 +619,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print("metrics:")
     for name, snap in record.metrics.items():
         print(_format_metric(name, snap))
-    print("probes:")
-    cb = record.extra["probes"]["callback_time"]
-    print(f"  callback wall time: {cb['total_wall_seconds']:.6f} s")
-    for label, entry in cb["by_callback"].items():
-        print(f"    {label}: {entry['fires']} fire(s), {entry['wall_seconds']:.6f} s")
-    hd = record.extra["probes"]["heap_depth"]
-    print(f"  heap depth: peak {hd['peak']} ({hd['scheduled']} scheduled)")
-    ca = record.extra["probes"]["cancellation"]
-    print(
-        f"  cancellation: {ca['cancelled']}/{ca['scheduled']} "
-        f"({100.0 * ca['cancellation_rate']:.1f}%)"
-    )
     ch = record.extra["channels"]
     print(
         f"channels: {ch['channels_used']} used, {ch['occupancies']} occupanc(ies)"
@@ -726,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures = argparse.ArgumentParser(add_help=False, parents=[jobs, telemetry])
     figures.add_argument("--full", action="store_true", help="paper-parity parameters")
-    figures.add_argument("--precision", type=_int_at_least(0), default=2)
+    figures.add_argument("--precision", type=_int_in(0), default=2)
     figures.add_argument("--json", action="store_true", help="emit one JSON document")
     figures.add_argument(
         "--cache-dir", default=None, metavar="PATH",
@@ -740,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     multicast = argparse.ArgumentParser(add_help=False)
     multicast.add_argument("-a", "--algorithm", default="wsort", choices=sorted(ALGORITHMS))
     multicast.add_argument("-p", "--ports", type=_ports, default="all", help="'one', 'all', or k")
-    multicast.add_argument("--size", type=_int_at_least(1), default=4096, help="message bytes")
+    multicast.add_argument("--size", type=_int_in(1), default=4096, help="message bytes")
     replay = argparse.ArgumentParser(add_help=False, parents=[multicast])
     replay.add_argument("-s", "--source", type=int, default=0)
     replay.add_argument("--ascending", action="store_true", help="nCUBE-2 resolution order")
@@ -755,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=_cmd_list)
 
     p_tree = sub.add_parser("tree", help="build and print a multicast tree", parents=[replay])
-    p_tree.add_argument("-n", type=int, required=True, help="cube dimension")
+    p_tree.add_argument("-n", type=_int_in(1, MAX_N), required=True, help="cube dimension")
     p_tree.add_argument(
         "-d", "--destinations", type=_int_list, required=True, help="e.g. '1,3,5' or '0b101 7'"
     )
@@ -925,7 +931,7 @@ def build_parser() -> argparse.ArgumentParser:
             "barrier",
         ],
     )
-    p_col.add_argument("-n", type=int, required=True)
+    p_col.add_argument("-n", type=_int_in(1, MAX_N), required=True, help="cube dimension")
     p_col.add_argument("--root", type=int, default=0)
     p_col.add_argument("-d", "--destinations", type=_int_list, default=None)
     p_col.set_defaults(func=_cmd_collective)
@@ -934,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="replay one multicast with full instrumentation",
         parents=[replay, telemetry],
     )
-    p_stats.add_argument("-n", type=int, default=None, help="cube dimension")
+    p_stats.add_argument("-n", type=_int_in(1, MAX_N), default=None, help="cube dimension")
     p_stats.add_argument(
         "-d", "--destinations", type=_int_list, default=None, help="e.g. '1,3,5' or '0b101 7'"
     )
@@ -942,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--from", dest="from_path", default=None, metavar="PATH",
         help="summarize an exported telemetry JSONL file instead of running",
     )
-    p_stats.add_argument("--top", type=_int_at_least(1), default=5, help="hotspot arcs to show")
+    p_stats.add_argument("--top", type=_int_in(1), default=5, help="hotspot arcs to show")
     p_stats.add_argument("--json", action="store_true", help="print the RunRecord JSON")
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -950,20 +956,21 @@ def build_parser() -> argparse.ArgumentParser:
         "faults", help="sweep delivery vs failed links on a degraded cube",
         parents=[telemetry],
     )
-    p_faults.add_argument("-n", type=int, required=True, help="cube dimension")
+    p_faults.add_argument("-n", type=_int_in(1, MAX_N), required=True, help="cube dimension")
     p_faults.add_argument(
         "--links", type=_link_counts, default="0,1,2,3",
         help="failed-link counts to sweep, e.g. '0,2,4'",
     )
     p_faults.add_argument("--seed", type=int, default=9300, help="fault scenario seed")
-    p_faults.add_argument("-m", type=_int_at_least(1), default=8, help="destinations per multicast")
+    p_faults.add_argument("-m", type=_int_in(1), default=8, help="destinations per multicast")
     p_faults.add_argument(
-        "--sets", type=_int_at_least(1), default=3, help="destination sets per point"
+        "--sets", type=_int_in(1), default=3, help="destination sets per point"
     )
-    p_faults.add_argument("--size", type=_int_at_least(1), default=4096, help="message bytes")
-    p_faults.add_argument("--retries", type=int, default=3, help="per-send retry cap")
+    p_faults.add_argument("--size", type=_int_in(1), default=4096, help="message bytes")
+    p_faults.add_argument("--retries", type=_int_in(0), default=3, help="per-send retry cap")
     p_faults.add_argument(
-        "--deadline-us", type=float, default=None, help="hard stop (simulated us)"
+        "--deadline-us", type=_float_in(0, math.inf, closed=False), default=None,
+        help="hard stop (simulated us)",
     )
     p_faults.add_argument(
         "--repair", action="store_true",
@@ -974,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="single algorithm (default: the four paper algorithms)",
     )
     p_faults.add_argument(
-        "--min-ratio", type=float, default=0.0,
+        "--min-ratio", type=_float_in(0, 1, closed=True), default=0.0,
         help="exit nonzero if any point's delivery ratio falls below this",
     )
     p_faults.set_defaults(func=_cmd_faults)

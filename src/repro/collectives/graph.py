@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import mean
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.paths import ResolutionOrder
 from repro.multicast.ports import ALL_PORT, PortModel
@@ -25,9 +25,6 @@ from repro.simulator.message import Worm
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
 from repro.simulator.run import Machine
-
-if TYPE_CHECKING:  # pragma: no cover - type-only
-    from repro.obs.probes import Probe
 
 __all__ = ["CommGraph", "CommResult", "CommSend", "simulate_comm"]
 
@@ -182,12 +179,11 @@ def simulate_comm(
     trace: bool = False,
     max_events: int | None = 10_000_000,
     metrics: MetricsRegistry | None = None,
-    probes: "Sequence[Probe] | None" = None,
     label: str | None = None,
 ) -> CommResult:
     """Execute a :class:`CommGraph` on the wormhole network model.
 
-    ``metrics``, ``probes``, and ``label`` mirror
+    ``metrics`` and ``label`` mirror
     :func:`repro.simulator.run.simulate_multicast`; with a telemetry
     sink active one ``kind="comm"`` record is emitted per call.
     """
@@ -233,7 +229,6 @@ def simulate_comm(
         on_receive,
         order=graph.order,
         trace=trace,
-        probes=probes,
     )
     sim, network = machine.sim, machine.network
     _submit([s.sid for s in graph.sends if not s.deps], 0.0)

@@ -15,6 +15,7 @@ high-to-low E-cube routing is the *first* dimension a message travels in.
 from __future__ import annotations
 
 __all__ = [
+    "MAX_N",
     "bit",
     "delta",
     "first_dim",
@@ -25,6 +26,11 @@ __all__ = [
     "require_address",
     "reverse_bits",
 ]
+
+#: Largest cube dimension the service and the command line accept.
+#: 2^12 = 4096 nodes; beyond that a single pure-Python build can take
+#: seconds, and a list of every node id (``-n 40``) exhausts memory.
+MAX_N = 12
 
 
 def popcount(x: int) -> int:

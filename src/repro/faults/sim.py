@@ -32,7 +32,7 @@ delays and event counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.core.paths import Arc, ecube_arcs
 from repro.faults.degraded import DegradedHypercube, detour_path
@@ -46,9 +46,6 @@ from repro.simulator.network import WormholeNetwork
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
 from repro.simulator.run import Machine, _mean
-
-if TYPE_CHECKING:  # pragma: no cover - type-only
-    from repro.obs.probes import Probe
 
 __all__ = ["DegradedResult", "simulate_degraded_multicast"]
 
@@ -125,7 +122,6 @@ def simulate_degraded_multicast(
     trace: bool = False,
     max_events: int | None = 10_000_000,
     metrics: MetricsRegistry | None = None,
-    probes: "Sequence[Probe] | None" = None,
     label: str | None = None,
     unreachable_hint: Sequence[int] = (),
 ) -> DegradedResult:
@@ -136,18 +132,29 @@ def simulate_degraded_multicast(
             abort and retry) or a :func:`~repro.faults.repair.repair_multicast`
             output (whose sends avoid all static dead arcs).
         scenario: the faults to inject; None means fault-free.
-        max_retries: per-send cap on retransmissions after aborts.
+        max_retries: per-send cap on retransmissions after aborts
+            (``>= 0``).
         backoff_us: base retry backoff; attempt ``k`` waits
             ``min(backoff_us * 2**(k-1), backoff_cap_us)``.
-        deadline_us: optional hard stop; undelivered destinations are
-            reported rather than raising.
+        deadline_us: optional hard stop (``> 0``); undelivered
+            destinations are reported rather than raising.
         unreachable_hint: destinations the caller already dropped from
             the tree as unreachable (e.g. from a
             :class:`~repro.faults.repair.RepairReport`); folded into the
             result's accounting so delivery ratios stay comparable.
 
     The remaining arguments match :func:`~repro.simulator.run.simulate_multicast`.
+
+    Raises:
+        ValueError: for a negative ``max_retries``, a ``deadline_us``
+            that is not ``> 0`` (NaN included), or a scenario for
+            another cube.
     """
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    # a negated comparison, so that NaN fails it too
+    if deadline_us is not None and not deadline_us > 0:
+        raise ValueError(f"deadline_us must be > 0, got {deadline_us}")
     if scenario is None:
         scenario = FaultScenario(tree.n)
     if scenario.n != tree.n:
@@ -202,7 +209,6 @@ def simulate_degraded_multicast(
         on_receive,
         order=tree.order,
         trace=trace,
-        probes=probes,
         route=route,
         on_aborted=on_aborted,
     )

@@ -1,4 +1,4 @@
-"""Unified observability layer: metrics, run telemetry, profiling probes.
+"""Unified observability layer: metrics, run telemetry, channel rollups, spans.
 
 ``repro.obs`` is the one place the reproduction's measurements flow
 through (docs/OBSERVABILITY.md documents schemas and metric names):
@@ -10,8 +10,6 @@ through (docs/OBSERVABILITY.md documents schemas and metric names):
   every simulation driver and experiment can emit;
 - :mod:`repro.obs.sink` -- JSONL / in-memory sinks plus the
   ``REPRO_TELEMETRY`` environment toggle and ``--telemetry`` CLI flags;
-- :mod:`repro.obs.probes` -- opt-in event-kernel profiling (per-callback
-  wall time, peak heap depth, cancellation rate);
 - :mod:`repro.obs.rollup` -- channel-level aggregates (hotspot arcs,
   utilization histogram, per-dimension busy/blocked time) from a
   :class:`~repro.simulator.trace.ChannelTrace`;
@@ -22,9 +20,11 @@ through (docs/OBSERVABILITY.md documents schemas and metric names):
   ``chrome://tracing``) and Prometheus text-format exporters.
 
 The package is dependency-free (stdlib only, no imports from the
-simulator), and every integration point is opt-in: with no registry, no
-probes, no sink, and no tracer configured, an instrumented code path
-performs the same operations it did before this layer existed.
+simulator), and every integration point is opt-in: with no registry,
+no sink, and no tracer configured, an instrumented code path performs
+the same operations it did before this layer existed.  The event
+kernel itself has no profiling hook; ``python -m cProfile`` profiles
+it from the outside.
 
 The repository benchmark is not part of the package: ``perfbench/``
 (see perfbench/README.md) drives the program through its public entry
@@ -41,14 +41,6 @@ from repro.obs.metrics import (
     Timer,
     is_registered_metric,
     merge_snapshot,
-)
-from repro.obs.probes import (
-    CallbackTimeProbe,
-    CancellationProbe,
-    HeapDepthProbe,
-    Probe,
-    default_probes,
-    probe_summaries,
 )
 from repro.obs.rollup import (
     channel_rollup,
@@ -89,18 +81,14 @@ from repro.obs.trace_spans import (
 
 __all__ = [
     "CORE_METRIC_NAMES",
-    "CallbackTimeProbe",
-    "CancellationProbe",
     "Counter",
     "Gauge",
-    "HeapDepthProbe",
     "Histogram",
     "JsonlSink",
     "KNOWN_KINDS",
     "METRIC_FAMILIES",
     "MemorySink",
     "MetricsRegistry",
-    "Probe",
     "RunRecord",
     "Span",
     "TelemetrySink",
@@ -112,7 +100,6 @@ __all__ = [
     "configure_tracing",
     "current_span",
     "current_trace_id",
-    "default_probes",
     "derive_trace_id",
     "emit_event",
     "get_sink",
@@ -125,7 +112,6 @@ __all__ = [
     "per_dimension_blocked_time",
     "per_dimension_busy_time",
     "phase_rollup",
-    "probe_summaries",
     "span",
     "summarize_delays",
     "to_chrome_trace",

@@ -93,7 +93,7 @@ class RunRecord:
         events: discrete events fired, if a simulation ran.
         metrics: a :meth:`MetricsRegistry.snapshot` (possibly empty).
         extra: kind-specific payload (delay summaries, figure columns,
-            probe summaries, channel rollups, ...).
+            channel rollups, ...).
         trace_id: id of the span trace active when the run was recorded
             (see :mod:`repro.obs.trace_spans`), or ``None``; joins this
             record to its Chrome-trace export.

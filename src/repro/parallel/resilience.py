@@ -111,11 +111,22 @@ class WatchdogConfig:
     @classmethod
     def from_env(cls) -> "WatchdogConfig":
         """Defaults overridable via ``REPRO_WATCHDOG_{SOFT,HARD}_S`` and
-        ``REPRO_WATCHDOG_RETRIES`` (for ops tuning without code)."""
+        ``REPRO_WATCHDOG_RETRIES`` (for ops tuning without code).  A
+        value it rejects raises a ValueError that names the variable
+        and its raw value."""
         defaults = cls()
         soft = _env_number("REPRO_WATCHDOG_SOFT_S", float, defaults.soft_timeout_s)
         hard = _env_number("REPRO_WATCHDOG_HARD_S", float, defaults.hard_timeout_s)
         retries = _env_number("REPRO_WATCHDOG_RETRIES", int, defaults.retry.max_retries)
+        # the defaults pass, so a value failing here came from its
+        # variable; NaN fails every comparison
+        for name, ok, rule in (
+            ("REPRO_WATCHDOG_SOFT_S", soft > 0, "soft timeout must be > 0"),
+            ("REPRO_WATCHDOG_HARD_S", hard > 0, "hard timeout must be > 0"),
+            ("REPRO_WATCHDOG_RETRIES", retries >= 0, "retries must be >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name}={os.environ[name]!r}: {rule}")
         return cls(
             soft_timeout_s=soft,
             hard_timeout_s=max(hard, soft),

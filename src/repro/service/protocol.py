@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.core.addressing import MAX_N
 from repro.core.paths import ResolutionOrder
 from repro.multicast.ports import ALL_PORT, ONE_PORT, PortModel, k_port
 from repro.parallel.cache import canonical_json
@@ -35,11 +36,6 @@ __all__ = [
     "encode_plan_response",
     "parse_plan_request",
 ]
-
-#: Largest cube dimension the service will plan for.  2^12 = 4096
-#: nodes; beyond that a single pure-Python build can take seconds and
-#: belongs in the batch sweep engine, not a request/response service.
-MAX_N = 12
 
 #: Cap on destinations per request (also bounded by ``2^n - 1``).
 MAX_DESTINATIONS = 4096

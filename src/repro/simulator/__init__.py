@@ -23,7 +23,7 @@ abstract step schedule, which the test suite uses for cross-validation.
 """
 
 from repro.simulator.deadlock import is_deadlock_free, stall_report, waiting_cycle
-from repro.simulator.engine import Event, Simulator
+from repro.simulator.engine import Simulator
 from repro.simulator.flitlevel import FlitLevelNetwork
 from repro.simulator.message import Worm, WormState
 from repro.simulator.multirun import ConcurrentResult, simulate_concurrent_multicasts
@@ -40,7 +40,6 @@ from repro.simulator.validation import validate_against_model
 __all__ = [
     "ChannelTrace",
     "ConcurrentResult",
-    "Event",
     "FlitLevelNetwork",
     "HostNode",
     "LoadedResult",

@@ -14,7 +14,7 @@ contention-aware algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.multicast.base import MulticastTree
 from repro.multicast.ports import ALL_PORT, PortModel
@@ -24,9 +24,6 @@ from repro.simulator.message import Worm
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
 from repro.simulator.run import Machine, _mean
-
-if TYPE_CHECKING:  # pragma: no cover - type-only
-    from repro.obs.probes import Probe
 
 __all__ = ["ConcurrentResult", "simulate_concurrent_multicasts"]
 
@@ -73,7 +70,6 @@ def simulate_concurrent_multicasts(
     start_times: Sequence[float] | None = None,
     max_events: int | None = 10_000_000,
     metrics: MetricsRegistry | None = None,
-    probes: "Sequence[Probe] | None" = None,
     label: str | None = None,
 ) -> ConcurrentResult:
     """Run several multicast trees over one wormhole network.
@@ -85,7 +81,6 @@ def simulate_concurrent_multicasts(
     Args:
         start_times: per-tree injection start (default: all at 0.0).
         metrics: optional registry to record run metrics into.
-        probes: optional event-kernel profiling probes.
         label: algorithm/operation name stamped on exported telemetry.
 
     When a telemetry sink is active, one ``kind="concurrent"``
@@ -116,7 +111,7 @@ def simulate_concurrent_multicasts(
             if sends:
                 host.submit_sends(sends, sim.now)
 
-        machine = Machine(n, timings, ports.limit(n), on_receive, order=order, probes=probes)
+        machine = Machine(n, timings, ports.limit(n), on_receive, order=order)
         sim, network = machine.sim, machine.network
         for ti, tree in enumerate(trees):
             sends = [(s.dst, size, ti) for s in tree.sends_from(tree.source)]
@@ -165,8 +160,4 @@ def simulate_concurrent_multicasts(
                 makespan_us=result.makespan,
                 total_blocked_us=result.total_blocked_time,
             )
-            if probes:
-                from repro.obs.probes import probe_summaries
-
-                _span.set(probes=probe_summaries(probes))
         return result

@@ -220,10 +220,7 @@ class WormholeNetwork:
             if self._tracing:
                 self.trace.occupy(arc_of(a, self.n), worm.uid, sim._now)
             delay, then = self.timings.t_hop, self._advance
-        if sim._probes:
-            sim.schedule(delay, then, worm)
-        else:
-            sim._due[sim._now + delay].append((next(sim._seq), then, (worm,), None))
+        sim._due[sim._now + delay].append((then, (worm,)))
 
     def _deliver(self, worm: Worm) -> None:
         worm.state = _DELIVERED

@@ -77,10 +77,7 @@ class HostNode:
         for send in sends:
             t += t_setup
             # fires at now + (t - now), as schedule_at(t, ...) would
-            if sim._probes:
-                sim.schedule(t - now, setup_done, *send)
-            else:
-                sim._due[now + (t - now)].append((next(sim._seq), setup_done, send, None))
+            sim._due[now + (t - now)].append((setup_done, send))
         self._cpu_free_at = t
 
     def _setup_done(self, dst: int, size: int, payload: Any) -> None:
@@ -107,11 +104,8 @@ class HostNode:
         """Network delivered a worm addressed to this node."""
         if worm.dst != self.address:
             raise ValueError(f"worm {worm.uid} for {worm.dst} delivered to {self.address}")
-        sim, t_recv = self.sim, self.network.timings.t_recv
-        if sim._probes:
-            sim.schedule(t_recv, self._received, worm)
-        else:
-            sim._due[sim._now + t_recv].append((next(sim._seq), self._received, (worm,), None))
+        sim = self.sim
+        sim._due[sim._now + self.network.timings.t_recv].append((self._received, (worm,)))
 
     def _received(self, worm: Worm) -> None:
         worm.state = _RECEIVED

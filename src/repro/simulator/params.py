@@ -48,8 +48,9 @@ class Timings:
 
     def __post_init__(self) -> None:
         for name in ("t_setup", "t_recv", "t_byte", "t_hop"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            # a negated comparison, so that NaN fails it too
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     def unicast_latency(self, size: int, hops: int) -> float:
         """Contention-free latency of one unicast (CPU to CPU)."""

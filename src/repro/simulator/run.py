@@ -27,7 +27,7 @@ from itertools import repeat
 from math import frexp, isfinite, ldexp
 from statistics import mean
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.core.paths import Arc, ResolutionOrder
 from repro.multicast.base import MulticastTree
@@ -41,9 +41,6 @@ from repro.simulator.message import Worm
 from repro.simulator.network import WormholeNetwork
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
-
-if TYPE_CHECKING:  # pragma: no cover - type-only
-    from repro.obs.probes import Probe
 
 __all__ = ["Machine", "MulticastResult", "simulate_multicast"]
 
@@ -62,7 +59,6 @@ class Machine:
         on_receive: ``(node, worm)`` callback for every received message.
         order: E-cube resolution order.
         trace: record channel occupancies.
-        probes: optional event-kernel profiling probes.
         route, on_aborted: passed to :class:`WormholeNetwork` (the
             faults driver's detours and retries).
     """
@@ -76,12 +72,11 @@ class Machine:
         *,
         order: ResolutionOrder = ResolutionOrder.DESCENDING,
         trace: bool = False,
-        probes: "Sequence[Probe] | None" = None,
         route: Callable[[int, int], list[Arc]] | None = None,
         on_aborted: Callable[[Worm], None] | None = None,
     ) -> None:
         self._wall_start = perf_counter()
-        self.sim = Simulator(probes)
+        self.sim = Simulator()
         self.port_limit = port_limit
         self.on_receive = on_receive
         self.nodes: dict[int, HostNode] = {}
@@ -231,7 +226,6 @@ def simulate_multicast(
     trace: bool = False,
     max_events: int | None = 10_000_000,
     metrics: MetricsRegistry | None = None,
-    probes: "Sequence[Probe] | None" = None,
     label: str | None = None,
 ) -> MulticastResult:
     """Run one multicast tree through the wormhole network model.
@@ -245,7 +239,6 @@ def simulate_multicast(
         ports: injection-port model for every node.
         trace: record channel occupancies for auditing.
         metrics: optional registry to record run metrics into.
-        probes: optional event-kernel profiling probes.
         label: algorithm/operation name stamped on exported telemetry.
 
     Returns:
@@ -254,13 +247,13 @@ def simulate_multicast(
     When a telemetry sink is active (``REPRO_TELEMETRY`` or
     :func:`repro.obs.sink.configure`) one ``kind="multicast"``
     :class:`~repro.obs.telemetry.RunRecord` is emitted per call; with no
-    sink, no registry, and no probes the run is bit-identical to the
-    un-instrumented driver.
+    sink and no registry the run is bit-identical to the un-instrumented
+    driver.
 
     While a tracer is installed (see :mod:`repro.obs.trace_spans`) the
-    run records one ``simulate`` span with event/delay/blocking totals
-    -- and probe rollups, when probes are attached -- plus a nested
-    ``verify.delivery`` span over the quiescence and coverage checks.
+    run records one ``simulate`` span with event/delay/blocking totals,
+    plus a nested ``verify.delivery`` span over the quiescence and
+    coverage checks.
     """
     with trace_spans.span(
         "simulate", n=tree.n, algorithm=label, size=size, ports=ports.name
@@ -284,7 +277,6 @@ def simulate_multicast(
             on_receive,
             order=tree.order,
             trace=trace,
-            probes=probes,
         )
         sim, network = machine.sim, machine.network
         machine.send(tree.source, plan.get(tree.source, []))
@@ -334,8 +326,4 @@ def simulate_multicast(
                 total_blocked_us=result.total_blocked_time,
                 worms=len(network.worms),
             )
-            if probes:
-                from repro.obs.probes import probe_summaries
-
-                _span.set(probes=probe_summaries(probes))
         return result

@@ -116,6 +116,25 @@ class TestDeadline:
         assert set(res.undelivered) == set(DESTS_6)
         assert res.delivery_ratio == 0.0
 
+    @pytest.mark.parametrize(
+        "bad, rule",
+        [
+            pytest.param({"deadline_us": 0.0}, "deadline_us must be > 0", id="deadline-zero"),
+            pytest.param({"deadline_us": -5.0}, "deadline_us must be > 0", id="deadline-negative"),
+            pytest.param(
+                {"deadline_us": float("nan")}, "deadline_us must be > 0", id="deadline-nan"
+            ),
+            pytest.param({"max_retries": -1}, "max_retries must be >= 0", id="retries-negative"),
+        ],
+    )
+    def test_out_of_range_arguments_rejected(self, bad, rule):
+        """A NaN deadline ran as if there were none, a negative one
+        delivered nothing, and a negative retry cap was taken, all
+        without an error."""
+        tree = get_algorithm("wsort").build_tree(4, 0, [1, 2])
+        with pytest.raises(ValueError, match=rule):
+            simulate_degraded_multicast(tree, None, **bad)
+
     def test_generous_deadline_changes_nothing(self):
         tree = get_algorithm("wsort").build_tree(6, 0, DESTS_6)
         plain = simulate_degraded_multicast(tree, TWO_LINKS)

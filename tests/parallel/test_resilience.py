@@ -103,10 +103,17 @@ class TestWatchdogConfig:
             with pytest.raises(ValueError, match=name):
                 WatchdogConfig.from_env()
             monkeypatch.delenv(name)
-        # "nan" parses as a float, and max(nan, soft) is nan
-        for name in ("REPRO_WATCHDOG_SOFT_S", "REPRO_WATCHDOG_HARD_S"):
-            monkeypatch.setenv(name, "nan")
-            with pytest.raises(ValueError, match="timeout must be > 0"):
+        # "nan" parses as a float, and max(nan, soft) is nan; every
+        # value that parses but is out of range names its variable too
+        for name, bad, rule in (
+            ("REPRO_WATCHDOG_SOFT_S", "nan", "soft timeout must be > 0"),
+            ("REPRO_WATCHDOG_HARD_S", "nan", "hard timeout must be > 0"),
+            ("REPRO_WATCHDOG_SOFT_S", "-1", "soft timeout must be > 0"),
+            ("REPRO_WATCHDOG_HARD_S", "0", "hard timeout must be > 0"),
+            ("REPRO_WATCHDOG_RETRIES", "-1", "retries must be >= 0"),
+        ):
+            monkeypatch.setenv(name, bad)
+            with pytest.raises(ValueError, match=f"^{name}='{bad}': {rule}$"):
                 WatchdogConfig.from_env()
             monkeypatch.delenv(name)
 

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import heapq
+import math
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.obs.probes import HeapDepthProbe
 from repro.simulator.engine import Simulator
 
 
@@ -38,6 +38,10 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Simulator().schedule(-0.1, lambda: None)
+        # NaN has no place in the time order: it fails every comparison
+        for schedule in (Simulator().schedule, Simulator().schedule_at):
+            with pytest.raises(ValueError):
+                schedule(math.nan, lambda: None)
 
     def test_schedule_at(self):
         sim = Simulator()
@@ -71,23 +75,6 @@ class TestScheduling:
         assert set(log) == {"a", "b", "c"}
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        log = []
-        ev = sim.schedule(1.0, log.append, "x")
-        ev.cancel()
-        sim.run()
-        assert log == []
-
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        ev = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        ev.cancel()
-        assert sim.peek() == 2.0
-
-
 class TestRunLimits:
     def test_until(self):
         sim = Simulator()
@@ -100,6 +87,13 @@ class TestRunLimits:
         sim.run()
         assert log == ["a", "b"]
 
+    def test_nan_horizon_rejected(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.run(until=math.nan)
+        assert sim.events_processed == 0
+
     def test_max_events_guard(self):
         sim = Simulator()
 
@@ -109,9 +103,6 @@ class TestRunLimits:
         sim.schedule(1.0, loop)
         with pytest.raises(RuntimeError):
             sim.run(max_events=100)
-
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
 
     def test_events_processed_counter(self):
         sim = Simulator()
@@ -123,25 +114,22 @@ class TestRunLimits:
 
 class _HeapQueue:
     """Reference order: every pending event in one heap of ``(time, seq)``
-    entries, cancelled ones skipped lazily, the clock set on firing."""
+    entries, the clock set on firing."""
 
     def __init__(self) -> None:
         self.now, self.heap, self.seq, self.events_processed = 0.0, [], 0, 0
 
     def schedule(self, delay, callback, *args):
-        cancelled = [False]
-        heapq.heappush(self.heap, (self.now + delay, self.seq, callback, args, cancelled))
+        heapq.heappush(self.heap, (self.now + delay, self.seq, callback, args))
         self.seq += 1
-        return cancelled
 
-    def run(self, until=None):
+    def run(self, until=None, max_events=None):
         while self.heap:
-            time, _, callback, args, cancelled = self.heap[0]
-            if cancelled[0]:
-                heapq.heappop(self.heap)
-                continue
+            time, _, callback, args = self.heap[0]
             if until is not None and time > until:
                 break
+            if max_events is not None and self.events_processed >= max_events:
+                raise RuntimeError(f"simulation exceeded {max_events} events")
             heapq.heappop(self.heap)
             self.now = time
             self.events_processed += 1
@@ -154,45 +142,42 @@ DELAYS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5])
 
 
 class TestOrderMatchesOneHeap:
-    """Events fire in (time, seq) order however they bunch on an instant,
-    are posted while their instant runs, or are cancelled."""
+    """Events fire in (time, seq) order however they bunch on an instant
+    or are posted while their instant runs; a time horizon and an event
+    limit stop both queues at the same event."""
 
     @settings(max_examples=150)
     @given(
         roots=st.lists(DELAYS, min_size=1, max_size=4),
-        plan=st.lists(
-            st.tuples(st.lists(DELAYS, max_size=3), st.none() | st.integers(0, 50)),
-            min_size=1,
-            max_size=8,
-        ),
-        mode=st.sampled_from(["run", "until", "step", "probe"]),
+        plan=st.lists(st.lists(DELAYS, max_size=3), min_size=1, max_size=8),
+        mode=st.sampled_from(["run", "until", "max_events"]),
         horizon=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+        limit=st.integers(0, 40),
     )
-    def test_same_firing_order_clock_and_count(self, roots, plan, mode, horizon):
-        def drive(queue, cancel):
-            log, handles = [], []
+    def test_same_firing_order_clock_and_count(self, roots, plan, mode, horizon, limit):
+        def drive(queue):
+            log, posted = [], [0]
 
             def fire(i):
                 log.append((i, queue.now))
-                delays, victim = plan[i % len(plan)]
-                for d in delays:
-                    if len(handles) < 120:
-                        handles.append(queue.schedule(d, fire, len(handles)))
-                if victim is not None:
-                    cancel(handles[victim % len(handles)])
+                for d in plan[i % len(plan)]:
+                    if posted[0] < 120:
+                        queue.schedule(d, fire, posted[0])
+                        posted[0] += 1
 
             for d in roots:
-                handles.append(queue.schedule(d, fire, len(handles)))
+                queue.schedule(d, fire, posted[0])
+                posted[0] += 1
             if mode == "until":
                 queue.run(until=horizon)
                 log.append(("horizon", queue.now))
-            if mode == "step" and isinstance(queue, Simulator):
-                while queue.step():
-                    pass
+            if mode == "max_events":
+                try:
+                    queue.run(max_events=limit)
+                except RuntimeError:
+                    log.append(("limit", queue.now, queue.events_processed))
             else:
                 queue.run()
             return log, queue.now, queue.events_processed
 
-        want = drive(_HeapQueue(), lambda h: h.__setitem__(0, True))
-        sim = Simulator(probes=[HeapDepthProbe()] if mode == "probe" else None)
-        assert drive(sim, lambda ev: ev.cancel()) == want
+        assert drive(Simulator()) == drive(_HeapQueue())

@@ -185,6 +185,10 @@ class TestTimingsValidation:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Timings(t_setup=-1)
+        # NaN fails every comparison, so the check is a negated one
+        for name in ("t_setup", "t_recv", "t_byte", "t_hop"):
+            with pytest.raises(ValueError, match=name):
+                Timings(**{name: float("nan")})
 
     def test_unicast_latency_formula(self):
         t = Timings(t_setup=10, t_recv=20, t_byte=2, t_hop=1)

@@ -156,8 +156,6 @@ class TestStats:
         assert "multicast replay" in out
         assert "metrics:" in out
         assert "sim.events" in out
-        assert "heap depth: peak" in out
-        assert "cancellation:" in out
         assert "hotspots:" in out
         assert "per-dim busy" in out
 
@@ -168,7 +166,7 @@ class TestStats:
         assert rc == 0
         rec = RunRecord.from_json(capsys.readouterr().out)
         assert rec.kind == "multicast"
-        assert "probes" in rec.extra and "channels" in rec.extra
+        assert "channels" in rec.extra and "probes" not in rec.extra
 
     def test_stats_telemetry_export(self, capsys, tmp_path):
         from repro.obs.sink import read_jsonl
@@ -313,6 +311,22 @@ class TestExitCodes:
             ["faults", "-n", "4", "--links", "-1"],
             ["faults", "-n", "4", "--links", ""],
             ["report", "--figures", "nope"],
+            ["faults", "-n", "4", "--sets", "1", "--links", "1", "--retries", "-1"],
+            ["faults", "-n", "4", "--sets", "1", "--links", "1", "--deadline-us", "-5"],
+            ["faults", "-n", "4", "--sets", "1", "--links", "1", "--deadline-us", "nan"],
+            ["faults", "-n", "4", "--sets", "1", "--links", "1", "--deadline-us", "inf"],
+            ["faults", "-n", "4", "--sets", "1", "--links", "1", "--min-ratio", "nan"],
+            ["faults", "-n", "4", "--sets", "1", "--links", "1", "--min-ratio", "2"],
+            # -n is capped at the service's MAX_N = 12: a list of every
+            # node id of a 40-cube would exhaust memory
+            ["faults", "-n", "13", "--sets", "1", "--links", "0", "-m", "2"],
+            ["faults", "-n", "0", "--sets", "1", "--links", "0", "-m", "2"],
+            ["tree", "-n", "13", "-d", "1"],
+            ["tree", "-n", "0", "-d", "1"],
+            ["stats", "-n", "13", "-d", "1"],
+            ["stats", "-n", "0", "-d", "1"],
+            ["collective", "broadcast", "-n", "13"],
+            ["collective", "broadcast", "-n", "0"],
         ],
     )
     def test_bad_argument_exits_two_before_any_work(self, capsys, argv):
@@ -366,6 +380,10 @@ class TestExitCodes:
                 id="watchdog-env",
             ),
             pytest.param(
+                ["sweep", "fig9", "--jobs", "2"], {"REPRO_WATCHDOG_SOFT_S": "nan"},
+                id="watchdog-env-soft",
+            ),
+            pytest.param(
                 ["worker", "--connect", "127.0.0.1:9", "--beat-s", "nan"], {}, id="beat"
             ),
             pytest.param(
@@ -388,6 +406,9 @@ class TestExitCodes:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and "nan" in err
+        # a rejected environment value names its variable and raw value
+        for name in env:
+            assert f"{name}='nan'" in err
 
     def test_nan_fabric_wait_exits_two_instead_of_spinning(self):
         proc = _run_cli(
