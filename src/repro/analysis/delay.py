@@ -16,7 +16,7 @@ from repro.analysis.workloads import random_destination_sets
 from repro.multicast.ports import ALL_PORT, PortModel
 from repro.multicast.registry import PAPER_ALGORITHMS
 from repro.obs import trace_spans
-from repro.parallel.cache import cached_delay_stats
+from repro.parallel.cache import compute_delay_stats
 from repro.parallel.engine import run_points
 from repro.simulator.params import NCUBE2, Timings
 
@@ -62,8 +62,9 @@ def _delay_point(spec: _DelayPoint) -> dict[str, tuple[float, float, float]]:
 
     Module-level (and spec-driven) so the sweep engine can run it in a
     worker process; the serial path runs the identical code.  Each
-    (algorithm, destination-set) simulation is served from the schedule
-    cache when one is active.
+    algorithm simulates each distinct destination set once: a set
+    repeats only within a point (at m = 1, and at m = 2**n - 1, where
+    every set is the broadcast set).
     """
     with trace_spans.span("point.delay", n=spec.n, m=spec.m, sets=spec.sets_per_point):
         sets = random_destination_sets(
@@ -71,11 +72,15 @@ def _delay_point(spec: _DelayPoint) -> dict[str, tuple[float, float, float]]:
         )
         out: dict[str, tuple[float, float, float]] = {}
         for name in spec.algorithms:
+            memo: dict[tuple[int, ...], dict] = {}
             avgs, maxs, blks = [], [], []
             for dests in sets:
-                stats = cached_delay_stats(
-                    name, spec.n, spec.source, dests, spec.size, spec.timings, spec.ports
-                )
+                key = tuple(dests)
+                if key not in memo:
+                    memo[key] = compute_delay_stats(
+                        name, spec.n, spec.source, dests, spec.size, spec.timings, spec.ports
+                    )
+                stats = memo[key]
                 avgs.append(stats["avg_delay_us"])
                 maxs.append(stats["max_delay_us"])
                 blks.append(stats["total_blocked_us"])
@@ -98,9 +103,9 @@ def delay_experiment(
 
     Points run through :func:`repro.parallel.engine.run_points` (serial
     by default, worker-process fan-out inside a
-    :func:`~repro.parallel.engine.sweep_context`) and each simulated
-    multicast's delay summary is content-address cached, so Figures 11
-    and 12 -- which share every point -- simulate each one once.
+    :func:`~repro.parallel.engine.sweep_context`, whose point store
+    serves Figure 12 the points Figure 11 computed), and each point
+    simulates each of its distinct destination sets once.
 
     Args:
         n: cube dimension (5 for the nCUBE-2 figures, 10 for the

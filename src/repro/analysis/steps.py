@@ -15,9 +15,8 @@ from typing import Sequence
 
 from repro.analysis.workloads import random_destination_sets
 from repro.multicast.ports import ALL_PORT, PortModel
-from repro.multicast.registry import PAPER_ALGORITHMS
+from repro.multicast.registry import PAPER_ALGORITHMS, get_algorithm
 from repro.obs import trace_spans
-from repro.parallel.cache import cached_schedule_table
 from repro.parallel.engine import run_points
 
 __all__ = ["StepsResult", "stepwise_experiment"]
@@ -58,7 +57,10 @@ def _steps_point(spec: _StepsPoint) -> dict[str, tuple[float, int, int]]:
     """Evaluate one point: ``{algorithm: (mean, min, max) max-steps}``.
 
     Module-level (and spec-driven) so the sweep engine can run it in a
-    worker process; the serial path runs the identical code.
+    worker process; the serial path runs the identical code.  Each
+    algorithm schedules each distinct destination set once: a set
+    repeats only within a point (at m = 1, and at m = 2**n - 1, where
+    every set is the broadcast set).
     """
     with trace_spans.span("point.steps", n=spec.n, m=spec.m, sets=spec.sets_per_point):
         sets = random_destination_sets(
@@ -66,10 +68,14 @@ def _steps_point(spec: _StepsPoint) -> dict[str, tuple[float, int, int]]:
         )
         out: dict[str, tuple[float, int, int]] = {}
         for name in spec.algorithms:
-            counts = [
-                cached_schedule_table(name, spec.n, spec.source, dests, spec.ports)["max_step"]
-                for dests in sets
-            ]
+            algorithm = get_algorithm(name)
+            memo: dict[tuple[int, ...], int] = {}
+            counts = []
+            for dests in sets:
+                key = tuple(dests)
+                if key not in memo:
+                    memo[key] = algorithm.schedule(spec.n, spec.source, dests, spec.ports).max_step
+                counts.append(memo[key])
             out[name] = (mean(counts), min(counts), max(counts))
         return out
 

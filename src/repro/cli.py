@@ -275,8 +275,6 @@ def _print_digest(registry, out, *, fabric: bool, log: str | None) -> None:
     print(
         f"parallel: {val('parallel.points_total'):g} point(s), "
         f"{val('parallel.points_remote'):g} remote, "
-        f"cache {val('parallel.cache_hits'):g} hit(s) / "
-        f"{val('parallel.cache_misses'):g} miss(es), "
         f"{val('parallel.worker_failures'):g} worker failure(s), "
         f"dispatch {val('parallel.dispatch_wall'):.2f} s",
         file=out,

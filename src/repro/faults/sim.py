@@ -134,8 +134,9 @@ def simulate_degraded_multicast(
         scenario: the faults to inject; None means fault-free.
         max_retries: per-send cap on retransmissions after aborts
             (``>= 0``).
-        backoff_us: base retry backoff; attempt ``k`` waits
+        backoff_us: base retry backoff (``>= 0``); attempt ``k`` waits
             ``min(backoff_us * 2**(k-1), backoff_cap_us)``.
+        backoff_cap_us: the longest wait between retries (``>= 0``).
         deadline_us: optional hard stop (``> 0``); undelivered
             destinations are reported rather than raising.
         unreachable_hint: destinations the caller already dropped from
@@ -146,13 +147,17 @@ def simulate_degraded_multicast(
     The remaining arguments match :func:`~repro.simulator.run.simulate_multicast`.
 
     Raises:
-        ValueError: for a negative ``max_retries``, a ``deadline_us``
+        ValueError: for a negative ``max_retries``, a ``backoff_us`` or
+            ``backoff_cap_us`` that is not ``>= 0`` or a ``deadline_us``
             that is not ``> 0`` (NaN included), or a scenario for
             another cube.
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    # a negated comparison, so that NaN fails it too
+    # negated comparisons, so that NaN fails them too
+    for name, value in (("backoff_us", backoff_us), ("backoff_cap_us", backoff_cap_us)):
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if deadline_us is not None and not deadline_us > 0:
         raise ValueError(f"deadline_us must be > 0, got {deadline_us}")
     if scenario is None:

@@ -294,10 +294,9 @@ class MetricsRegistry:
 def merge_snapshot(registry: MetricsRegistry, snapshot: dict[str, dict]) -> None:
     """Fold a :meth:`MetricsRegistry.snapshot` into ``registry``.
 
-    This is how the parallel sweep engine aggregates per-worker
-    measurement deltas into the parent's registry: counters and timers
-    add, gauges keep the latest value with merged extrema, and
-    histograms (same bucket bounds required) add bucket-wise.
+    Counters and timers add, gauges keep the latest value with merged
+    extrema, and histograms (same bucket bounds required) add
+    bucket-wise.
 
     Raises:
         TypeError: if a name is already registered as a different

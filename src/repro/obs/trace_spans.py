@@ -10,13 +10,17 @@ sink in :mod:`repro.obs.sink`), so tracing is strictly opt-in and the
 instrumented hot paths produce byte-identical outputs when it is off.
 
 Span and trace ids follow the repo's deterministic-id discipline: both
-are SHA-256 digests over a canonical ``|``-joined encoding (the same
-scheme as ``repro.parallel.seeds.derive_seed``), truncated to 16 hex
-characters.  Worker processes run their own tracer and ship a JSON-safe
-snapshot back to the parent, which replays it with
-:meth:`Tracer.replay` — re-anchoring the worker's wall-clock epoch and
-re-parenting its root spans under the dispatching span, exactly the way
-``MemorySink`` telemetry is already absorbed.
+are SHA-256 digests over a canonical ``|``-joined, type-tagged encoding
+of their components, truncated to 16 hex characters.  The encoding is
+this module's own: ``repro.parallel.seeds.derive_seed`` tags values the
+same way but spells bools, floats and sequences differently, and
+neither may change without changing every id it derives.
+
+Worker processes run their own tracer and ship a JSON-safe snapshot
+back to the parent, which replays it with :meth:`Tracer.replay` —
+re-anchoring the worker's wall-clock epoch and re-parenting its root
+spans under the dispatching span, exactly the way ``MemorySink``
+telemetry is already absorbed.
 """
 
 from __future__ import annotations
@@ -46,11 +50,13 @@ __all__ = [
 
 TRACE_SCHEMA = 1
 
-_ID_HEX = 16  # 64 bits of SHA-256, same truncation as the schedule cache keys
+_ID_HEX = 16  # 64 bits of SHA-256
 
 
 def _encode(value: Any) -> str:
-    """Canonical text encoding, matching ``repro.parallel.seeds``."""
+    """Canonical text encoding of one id component (``b:1``, ``f:<hex>``,
+    ``l:[...]``; :mod:`repro.parallel.seeds` writes ``b:True``,
+    ``f:<repr>`` and ``t:(...)``)."""
     if isinstance(value, bool):
         return f"b:{int(value)}"
     if isinstance(value, int):

@@ -1,4 +1,4 @@
-"""Parallel sweep engine: worker-process fan-out with schedule caching.
+"""Parallel sweep engine: worker-process fan-out and a point store.
 
 The paper's evaluation grid -- (cube size, message length, algorithm,
 trial seed) -- is embarrassingly parallel; this package executes it
@@ -8,7 +8,7 @@ that way while guaranteeing bit-identical results to the serial path:
   :func:`run_points`: each point computed once per sweep (and once per
   ``cache_dir``), chunked dispatch over worker processes with
   retry, quarantine, and in-process fallback on worker failure, plus
-  per-worker telemetry and metrics merging (``sim.parallel.*``);
+  per-worker telemetry merging and ``sim.parallel.*`` metrics;
 - :mod:`repro.parallel.fabric` -- :class:`TcpCoordinator`, the one
   transport behind the engine: local workers forked per round on
   socketpairs, remote TCP workers on other hosts, one heartbeat
@@ -18,8 +18,8 @@ that way while guaranteeing bit-identical results to the serial path:
   :func:`~repro.parallel.worker.run_chunk`, and the serve loop that
   local workers and ``repro-hypercube worker`` processes both run;
 - :mod:`repro.parallel.cache` -- a content-addressed, size-bounded
-  memory cache for multicast schedules, step tables, and simulated
-  delay summaries: the service's repository and each process's memo;
+  memory cache for schedule tables and simulated delay summaries (the
+  planning service's repository), and the canonical JSON encoder;
 - :mod:`repro.parallel.journal` -- the sweep's point store: every
   point by fingerprint, served without recomputing, and under a
   ``cache_dir`` an fsync'd JSONL log with per-record checksums, so a
@@ -34,20 +34,8 @@ scheme, and the cache layout, and docs/RESILIENCE.md for the point-log
 format, resume semantics, and watchdog tuning.
 """
 
-from repro.parallel.cache import (
-    ScheduleCache,
-    cache_key,
-    cached_delay_stats,
-    cached_schedule_table,
-    get_active_cache,
-)
-from repro.parallel.engine import (
-    SweepConfig,
-    default_jobs,
-    get_sweep_metrics,
-    run_points,
-    sweep_context,
-)
+from repro.parallel.cache import ScheduleCache, cache_key
+from repro.parallel.engine import SweepConfig, default_jobs, run_points, sweep_context
 from repro.parallel.fabric import FabricConfig, TcpCoordinator
 from repro.parallel.journal import (
     JournalLoad,
@@ -69,12 +57,8 @@ __all__ = [
     "TcpCoordinator",
     "WatchdogConfig",
     "cache_key",
-    "cached_delay_stats",
-    "cached_schedule_table",
     "default_jobs",
     "derive_seed",
-    "get_active_cache",
-    "get_sweep_metrics",
     "load_journal",
     "point_fingerprint",
     "run_points",

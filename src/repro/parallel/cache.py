@@ -1,4 +1,4 @@
-"""Content-addressed memo for multicast schedules and step tables.
+"""Content-addressed store for multicast schedules and delay summaries.
 
 Every cacheable artifact here is a pure function of its inputs, so
 entries are addressed by a SHA-256 key over the canonical JSON of those
@@ -10,15 +10,15 @@ means for the same inputs) and you must bump :data:`CACHE_SCHEMA`,
 which namespaces every key, and every sweep point fingerprint too
 (:func:`repro.parallel.journal.point_fingerprint`).
 
-A :class:`ScheduleCache` lives in memory only.  It is the planning
-service's repository, and in a sweep each process's memo for the
-destination sets a point draws more than once (small sets recur, and
-at m = 2**n - 1 every set is the broadcast set).  Whole sweep points
-are reused across figures and across runs one level up, by the
-engine's point store (:mod:`repro.parallel.journal`).  Every value is
-stored once, as its canonical JSON bytes (:func:`canonical_json`), in
-a map bounded by :data:`MEMORY_BUDGET_BYTES` with least-recently-used
-eviction -- an evicted value costs only a rebuild of the same bytes.
+A :class:`ScheduleCache` lives in memory only, as the planning
+service's repository (:mod:`repro.service.planner`).  Sweeps do not
+use it: whole sweep points are reused across figures and across runs
+by the engine's point store (:mod:`repro.parallel.journal`), and a
+point computes each of its distinct destination sets once.  Every
+value is stored once, as its canonical JSON bytes
+(:func:`canonical_json`), in a map bounded by
+:data:`MEMORY_BUDGET_BYTES` with least-recently-used eviction -- an
+evicted value costs only a rebuild of the same bytes.
 
 Cached values are plain JSON scalars/containers; Python's ``json``
 round-trips ``int`` and ``float`` exactly, which is what makes a warm
@@ -41,15 +41,11 @@ __all__ = [
     "CACHE_SCHEMA",
     "MEMORY_BUDGET_BYTES",
     "ScheduleCache",
-    "activate_cache",
     "cache_key",
-    "cached_delay_stats",
-    "cached_schedule_table",
     "canonical_json",
     "compute_delay_stats",
     "compute_schedule_table",
     "delay_stats_key",
-    "get_active_cache",
     "schedule_table_key",
 ]
 
@@ -87,8 +83,7 @@ class ScheduleCache:
     """
 
     def __init__(self, *, metrics: MetricsRegistry | None = None) -> None:
-        #: registry receiving ``sim.parallel.cache_*`` metrics; swappable
-        #: so workers can attribute per-chunk deltas to fresh registries.
+        #: registry receiving ``sim.parallel.cache_*`` metrics
         self.metrics = metrics
         self.hits = 0
         self.misses = 0
@@ -177,35 +172,12 @@ class ScheduleCache:
         }
 
 
-# -- the active cache -------------------------------------------------
-#
-# Process-global, installed by the sweep engine (parent: for the
-# context's duration; workers: when they start).  With no active
-# cache the helpers below compute directly, so un-sweep callers see
-# exactly the pre-cache behavior.
-
-_active: ScheduleCache | None = None
-
-
-def activate_cache(cache: ScheduleCache | None) -> ScheduleCache | None:
-    """Install (or with ``None`` clear) the process-wide cache; returns
-    the previous one so callers can restore it."""
-    global _active
-    previous = _active
-    _active = cache
-    return previous
-
-
-def get_active_cache() -> ScheduleCache | None:
-    return _active
-
-
 # -- cached artifacts --------------------------------------------------
 #
-# Keys and value computations are separate functions so every consumer
-# -- the cached_* helpers below, and the schedule-planning service's
-# single-flight planner (repro.service.planner) -- addresses the same
-# entry for the same inputs.
+# Keys and value computations are separate functions, so the planning
+# service's single-flight planner (repro.service.planner) can address
+# an entry before it builds the value; the sweep's delay points call
+# compute_delay_stats directly.
 
 
 def _dest_key(destinations: Iterable[int]) -> list[int]:
@@ -249,33 +221,6 @@ def compute_schedule_table(
         "max_step": sched.max_step,
         "dest_steps": {str(dst): step for dst, step in sorted(sched.dest_steps.items())},
     }
-
-
-def cached_schedule_table(
-    algorithm: str,
-    n: int,
-    source: int,
-    destinations: Iterable[int],
-    ports: PortModel,
-    order: ResolutionOrder = ResolutionOrder.DESCENDING,
-) -> dict:
-    """Step table for one multicast: ``{"max_step", "dest_steps"}``.
-
-    ``dest_steps`` maps destination address (as a string, for JSON) to
-    the step in which it receives the message.  Computed via the
-    registry algorithm on a miss; served from the active cache on a
-    hit.
-    """
-    key = schedule_table_key(algorithm, n, source, destinations, ports, order)
-    cache = get_active_cache()
-    if cache is not None:
-        value = cache.get(key)
-        if value is not None:
-            return value  # type: ignore[return-value]
-    value = compute_schedule_table(algorithm, n, source, destinations, ports, order)
-    if cache is not None:
-        cache.put(key, value)
-    return value
 
 
 def delay_stats_key(
@@ -329,31 +274,3 @@ def compute_delay_stats(
         "max_delay_us": res.max_delay,
         "total_blocked_us": res.total_blocked_time,
     }
-
-
-def cached_delay_stats(
-    algorithm: str,
-    n: int,
-    source: int,
-    destinations: Iterable[int],
-    size: int,
-    timings: Timings,
-    ports: PortModel,
-    order: ResolutionOrder = ResolutionOrder.DESCENDING,
-) -> dict:
-    """Simulated delay summary for one multicast:
-    ``{"avg_delay_us", "max_delay_us", "total_blocked_us"}``.
-
-    The full wormhole simulation runs on a miss; the summary triple is
-    what every delay experiment consumes, so that is what is cached.
-    """
-    key = delay_stats_key(algorithm, n, source, destinations, size, timings, ports, order)
-    cache = get_active_cache()
-    if cache is not None:
-        value = cache.get(key)
-        if value is not None:
-            return value  # type: ignore[return-value]
-    value = compute_delay_stats(algorithm, n, source, destinations, size, timings, ports, order)
-    if cache is not None:
-        cache.put(key, value)
-    return value

@@ -37,10 +37,10 @@ Guarantees:
   execution; and rounds that keep losing workers degrade the remainder
   to in-process.  A chunk that does not pickle runs in-process at once.
 - **Observability.**  Workers buffer their telemetry
-  (:class:`~repro.obs.sink.MemorySink`) and metric deltas per chunk and
-  the parent merges both -- records into the parent's active sink,
-  deltas into the context's registry -- so ``--telemetry`` output and
-  ``sim.parallel.*`` metrics look the same no matter where points ran.
+  (:class:`~repro.obs.sink.MemorySink`) per chunk and the parent writes
+  the records into its active sink, so ``--telemetry`` output looks the
+  same no matter where points ran; the parent counts the
+  ``sim.parallel.*`` metrics itself.
   Watchdog activity is reported under ``sim.resilience.*`` and as
   ``kind="resilience-event"`` telemetry; fleet-level decisions under
   ``sim.fabric.*`` and ``kind="fabric-event"``.
@@ -64,10 +64,9 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.obs import sink as _sink_mod
 from repro.obs import trace_spans
-from repro.obs.metrics import MetricsRegistry, merge_snapshot
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import emit_event
 from repro.obs.telemetry import RunRecord
-from repro.parallel.cache import ScheduleCache, activate_cache
 from repro.parallel.fabric import FabricConfig, TcpCoordinator
 from repro.parallel.journal import POINT_LOG, SweepJournal, point_fingerprint
 from repro.parallel.resilience import PointTracker, WatchdogConfig, _env_number
@@ -75,7 +74,6 @@ from repro.parallel.resilience import PointTracker, WatchdogConfig, _env_number
 __all__ = [
     "SweepConfig",
     "default_jobs",
-    "get_sweep_metrics",
     "run_points",
     "sweep_context",
 ]
@@ -109,11 +107,6 @@ _metrics: MetricsRegistry | None = None
 _journal: SweepJournal | None = None
 
 
-def get_sweep_metrics() -> MetricsRegistry | None:
-    """The active context's ``sim.parallel.*`` registry, if any."""
-    return _metrics
-
-
 @contextmanager
 def sweep_context(
     jobs: int | None = None,
@@ -127,8 +120,7 @@ def sweep_context(
 
     Args:
         jobs: worker processes (``None``/``0`` -> :func:`default_jobs`;
-            ``1`` -> serial execution, still with point and schedule
-            memos).
+            ``1`` -> serial execution, still with the point store).
         cache_dir: directory of the sweep's point log
             (``<cache_dir>/points.jsonl``, see
             :mod:`repro.parallel.journal`), read once on entry: the
@@ -137,8 +129,8 @@ def sweep_context(
             long as the context.
         chunk_size: points per dispatched chunk (default: ~4 chunks per
             worker).
-        metrics: registry to record engine/cache metrics into (default:
-            a fresh one, yielded for inspection).
+        metrics: registry to record engine metrics into (default: a
+            fresh one, yielded for inspection).
         watchdog: hung-worker detection and retry policy (see
             :mod:`repro.parallel.resilience`); ``None`` ->
             :meth:`WatchdogConfig.from_env` defaults.  It guards every
@@ -183,12 +175,10 @@ def sweep_context(
     _metrics = registry
     _journal = journal
     registry.gauge("sim.parallel.jobs").set(resolved_jobs)
-    prev_cache = activate_cache(ScheduleCache(metrics=registry))
     try:
         yield registry
     finally:
         _config, _metrics, _journal = prev_config, prev_metrics, prev_journal
-        activate_cache(prev_cache)
         journal.close()
         if communicator is not None:
             communicator.stop()
@@ -323,7 +313,7 @@ def _dispatch(
     remote = {"points": 0}
     start = perf_counter()
 
-    def absorb(chunk_results, records, snapshot, spans=None) -> None:
+    def absorb(chunk_results, records, spans=None) -> None:
         for index, value in chunk_results:
             done[index] = True
             remote["points"] += 1
@@ -331,8 +321,6 @@ def _dispatch(
         if parent_sink is not None:
             for payload in records:
                 parent_sink.write(RunRecord.from_dict(payload))
-        if metrics is not None and snapshot:
-            merge_snapshot(metrics, snapshot)
         if tracer is not None and spans:
             tracer.replay(
                 spans,
@@ -410,7 +398,7 @@ def _dispatch(
         count("sim.parallel.fallback_points", float(len(chunk)))
         for index, spec in chunk:
             if not done[index]:
-                # in-process: the parent's cache and sink apply directly
+                # in-process: the parent's sink applies directly
                 done[index] = True
                 on_point(index, fn(spec))
 

@@ -1,8 +1,8 @@
 """The sweep fabric: the one coordinator every parallel sweep runs on.
 
 The sweep engine (:mod:`repro.parallel.engine`) fans point chunks over
-worker processes and absorbs ``(results, telemetry, metrics, spans)``
-tuples back.  :class:`TcpCoordinator` is the transport it does that
+worker processes and absorbs ``(results, telemetry, spans)`` tuples
+back.  :class:`TcpCoordinator` is the transport it does that
 through, for one host or many: each worker serves one framed link
 (:mod:`repro.parallel.worker`) and executes one chunk at a time, so
 faster workers simply ask more often and a fleet of unequal hosts
@@ -10,9 +10,8 @@ load-balances itself.  Links come from two places:
 
 - **Local workers.**  A round with no remote worker to run on forks
   ``min(jobs, chunks)`` workers, each serving one end of a
-  ``socket.socketpair()``.  They live for that round, start with a
-  fresh memory cache, and never write to stdout.  ``sweep --jobs N``
-  runs this way.
+  ``socket.socketpair()``.  They live for that round and never write
+  to stdout.  ``sweep --jobs N`` runs this way.
 - **Remote workers.**  With a :class:`FabricConfig` the coordinator
   also listens on TCP, and ``repro-hypercube worker --connect
   HOST:PORT`` processes join at any time, mid-sweep included.  A

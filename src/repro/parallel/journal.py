@@ -95,8 +95,7 @@ def _canonical(obj: object) -> object:
 
 
 def _digest(payload: object) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_cache.canonical_json(payload)).hexdigest()
 
 
 def point_fingerprint(fn: Callable, spec: object) -> str:

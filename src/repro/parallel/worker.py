@@ -3,9 +3,9 @@
 A worker serves one framed link to a
 :class:`~repro.parallel.fabric.TcpCoordinator` through :func:`serve`:
 it executes the coordinator's chunks one at a time with
-:func:`run_chunk`, which buffers telemetry, per-chunk metric deltas,
-and span snapshots and ships them home in the result frame.  Workers
-come from two places, and both run the same loop:
+:func:`run_chunk`, which buffers telemetry and span snapshots and
+ships them home in the result frame.  Workers come from two places,
+and both run the same loop:
 
 - **Local workers** (``sweep --jobs N``): the coordinator forks them
   for one dispatch round, each on one end of a ``socket.socketpair()``
@@ -52,9 +52,7 @@ from typing import Callable, Sequence
 
 from repro.obs import sink as _sink_mod
 from repro.obs import trace_spans
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import MemorySink
-from repro.parallel.cache import ScheduleCache, activate_cache, get_active_cache
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -144,14 +142,13 @@ def run_chunk(
     chunk_id: int | None = None,
     progress: Callable[[], None] | None = None,
     trace_id: str | None = None,
-) -> tuple[list[tuple[int, object]], list[dict], dict[str, dict], dict | None]:
+) -> tuple[list[tuple[int, object]], list[dict], dict | None]:
     """Execute one chunk of (index, spec) pairs inside a worker.
 
     Telemetry is buffered in a :class:`MemorySink` (never written
     directly from the worker -- a dead worker must not leave partial or
-    duplicate records) and cache metrics go to a per-chunk registry so
-    the parent can merge exact deltas.  ``progress`` is called before
-    every point; the heartbeat thread turns it into the beat/no-beat
+    duplicate records).  ``progress`` is called before every point; the
+    heartbeat thread turns it into the beat/no-beat
     decision that tells a slow chunk from a hung one.  When the parent
     is tracing (``trace_id``), the worker runs its own tracer -- seeded
     from the parent's trace id, the chunk id, and the worker pid so
@@ -159,11 +156,6 @@ def run_chunk(
     home in the return tuple for replay, exactly like the telemetry
     buffer.
     """
-    registry = MetricsRegistry()
-    cache = get_active_cache()
-    prev_cache_metrics = cache.metrics if cache is not None else None
-    if cache is not None:
-        cache.metrics = registry
     buffer = MemorySink()
     prev_sink = _sink_mod.configure(buffer)
     worker_tracer = None
@@ -190,15 +182,8 @@ def run_chunk(
                 worker_tracer.end_span(chunk_span)
             trace_spans.configure_tracing(prev_tracer)
         _sink_mod.configure(prev_sink)
-        if cache is not None:
-            cache.metrics = prev_cache_metrics
     trace_snapshot = worker_tracer.snapshot() if worker_tracer is not None else None
-    return (
-        results,
-        [r.to_dict() for r in buffer.records],
-        registry.snapshot(),
-        trace_snapshot,
-    )
+    return results, [r.to_dict() for r in buffer.records], trace_snapshot
 
 
 # -- the serve loop --------------------------------------------------------
@@ -325,12 +310,10 @@ def serve_local(
 
     Closes the coordinator's sockets the fork copied (``inherited``),
     so a dead coordinator's links read EOF rather than stay open in a
-    sibling, and starts a fresh memory cache so parent state never
-    leaks in.
+    sibling.
     """
     for other in inherited:
         other.close()
-    activate_cache(ScheduleCache())
     serve(sock, worker_id, beat_s)
 
 
@@ -392,6 +375,5 @@ def run_worker(
     if not isinstance(welcome, dict) or welcome.get("type") != "welcome":
         _say("worker: coordinator rejected handshake")
         return 1
-    activate_cache(ScheduleCache())
     _say(f"worker {worker_id}: serving {connect}")
     return serve(sock, worker_id, beat_s, log=_say)

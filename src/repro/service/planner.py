@@ -6,10 +6,9 @@ process needs on top of :mod:`repro.parallel.cache`:
 
 * **Repository.**  The content-addressed, size-bounded
   :class:`~repro.parallel.cache.ScheduleCache` is the backing store.
-  Keys come from the *same* key functions the sweep points use
-  (:func:`~repro.parallel.cache.schedule_table_key`,
-  :func:`~repro.parallel.cache.delay_stats_key`), so one input always
-  addresses one entry.
+  Keys come from :func:`~repro.parallel.cache.schedule_table_key` and
+  :func:`~repro.parallel.cache.delay_stats_key`, which canonicalize the
+  destination set, so one input always addresses one entry.
 
 * **Single-flight coalescing.**  N concurrent requests for the same key
   perform exactly one build; followers await the leader's task (shielded,

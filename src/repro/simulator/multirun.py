@@ -13,6 +13,7 @@ contention-aware algorithms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,7 +80,8 @@ def simulate_concurrent_multicasts(
     injection ports are shared across them.
 
     Args:
-        start_times: per-tree injection start (default: all at 0.0).
+        start_times: per-tree injection start, finite and ``>= 0``
+            (default: all at 0.0).
         metrics: optional registry to record run metrics into.
         label: algorithm/operation name stamped on exported telemetry.
 
@@ -96,8 +98,9 @@ def simulate_concurrent_multicasts(
     starts = list(start_times) if start_times is not None else [0.0] * len(trees)
     if len(starts) != len(trees):
         raise ValueError("start_times must match trees")
-    if any(s < 0 for s in starts):
-        raise ValueError("start times must be non-negative")
+    for i, s in enumerate(starts):
+        if not 0 <= s < math.inf:  # NaN fails it too
+            raise ValueError(f"start_times[{i}] must be finite and >= 0, got {s}")
 
     with trace_spans.span(
         "simulate.concurrent", n=n, operations=len(trees), size=size, ports=ports.name

@@ -12,6 +12,7 @@ generator, so runs are exactly reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,18 +54,22 @@ def simulate_multicast_under_load(
 
     Args:
         background_rate: expected background messages per microsecond,
-            machine-wide (exponential inter-arrival times).
+            machine-wide (exponential inter-arrival times); finite and
+            ``>= 0``.
         background_size: bytes per background message.
-        horizon: injection window for background traffic (us); the
-            multicast starts at ``horizon / 4`` so traffic is already
-            flowing.
+        horizon: injection window for background traffic (us), finite
+            and ``>= 0``; the multicast starts at ``horizon / 4`` so
+            traffic is already flowing.
 
     Returns:
         Multicast per-destination delays (measured from the multicast's
         start time) and background statistics.
     """
-    if background_rate < 0:
-        raise ValueError("background_rate must be >= 0")
+    # the arrival loop below ends only once the clock passes a finite
+    # horizon, which an infinite rate never lets it do
+    for name, value in (("background_rate", background_rate), ("horizon", horizon)):
+        if not 0 <= value < math.inf:  # NaN fails it too
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     rng = np.random.default_rng(seed)
     n_nodes = 1 << tree.n
     start_time = horizon / 4

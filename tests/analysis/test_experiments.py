@@ -8,14 +8,22 @@ paper reports.
 from __future__ import annotations
 
 import math
+from statistics import mean
 
 import pytest
 
 from repro.analysis import run_experiment
-from repro.analysis.delay import delay_experiment
+from repro.analysis.delay import _delay_point, _DelayPoint, delay_experiment
 from repro.analysis.experiments import EXPERIMENTS
-from repro.analysis.steps import stepwise_experiment
+from repro.analysis.steps import _steps_point, _StepsPoint, stepwise_experiment
 from repro.analysis.tables import Table, geometric_grid, linear_grid
+from repro.analysis.workloads import random_destination_sets
+from repro.multicast.ports import ALL_PORT
+from repro.multicast.registry import PAPER_ALGORITHMS, get_algorithm
+from repro.obs.sink import capture
+from repro.obs.trace_spans import trace_capture
+from repro.parallel.cache import compute_delay_stats
+from repro.simulator.params import NCUBE2
 
 
 class TestTable:
@@ -41,6 +49,50 @@ class TestTable:
         assert g == sorted(set(g))
         with pytest.raises(ValueError):
             geometric_grid(0, 10, 3)
+
+
+class TestPointMemo:
+    """A point computes each distinct destination set once per
+    algorithm.  At n=3, m=7 every one of the 5 sets is the broadcast
+    set, so the four paper algorithms need 4 tree builds, not 20."""
+
+    N, M, SETS, SEED = 3, 7, 5, 1993
+
+    def _sets(self) -> list[list[int]]:
+        sets = random_destination_sets(self.N, self.M, self.SETS, seed=self.SEED)
+        assert len({tuple(dests) for dests in sets}) == 1
+        return sets
+
+    def test_delay_point_simulates_each_distinct_set_once(self):
+        spec = _DelayPoint(
+            self.N, self.M, self.SETS, self.SEED, 0, PAPER_ALGORITHMS, 4096, NCUBE2, ALL_PORT
+        )
+        with capture() as sink, trace_capture() as tracer:
+            point = _delay_point(spec)
+        assert sum(r.kind == "multicast" for r in sink.records) == 4
+        assert sum(s.name == "schedule.build" for s in tracer.spans) == 4
+        for name in PAPER_ALGORITHMS:
+            stats = [
+                compute_delay_stats(name, self.N, 0, dests, 4096, NCUBE2, ALL_PORT)
+                for dests in self._sets()
+            ]
+            assert point[name] == (
+                mean(s["avg_delay_us"] for s in stats),
+                mean(s["max_delay_us"] for s in stats),
+                mean(s["total_blocked_us"] for s in stats),
+            )
+
+    def test_steps_point_schedules_each_distinct_set_once(self):
+        spec = _StepsPoint(self.N, self.M, self.SETS, self.SEED, 0, PAPER_ALGORITHMS, ALL_PORT)
+        with trace_capture() as tracer:
+            point = _steps_point(spec)
+        assert sum(s.name == "schedule.build" for s in tracer.spans) == 4
+        for name in PAPER_ALGORITHMS:
+            counts = [
+                get_algorithm(name).schedule(self.N, 0, dests, ALL_PORT).max_step
+                for dests in self._sets()
+            ]
+            assert point[name] == (mean(counts), min(counts), max(counts))
 
 
 class TestStepwiseShapes:

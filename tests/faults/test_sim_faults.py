@@ -125,12 +125,25 @@ class TestDeadline:
                 {"deadline_us": float("nan")}, "deadline_us must be > 0", id="deadline-nan"
             ),
             pytest.param({"max_retries": -1}, "max_retries must be >= 0", id="retries-negative"),
+            pytest.param({"backoff_us": -1.0}, "backoff_us must be >= 0", id="backoff-negative"),
+            pytest.param(
+                {"backoff_us": float("nan")}, "backoff_us must be >= 0", id="backoff-nan"
+            ),
+            pytest.param(
+                {"backoff_cap_us": -1.0}, "backoff_cap_us must be >= 0", id="backoff-cap-negative"
+            ),
+            pytest.param(
+                {"backoff_cap_us": float("nan")},
+                "backoff_cap_us must be >= 0",
+                id="backoff-cap-nan",
+            ),
         ],
     )
     def test_out_of_range_arguments_rejected(self, bad, rule):
         """A NaN deadline ran as if there were none, a negative one
         delivered nothing, and a negative retry cap was taken, all
-        without an error."""
+        without an error.  A negative or NaN backoff failed in the
+        kernel at the first abort, and a NaN cap was ignored."""
         tree = get_algorithm("wsort").build_tree(4, 0, [1, 2])
         with pytest.raises(ValueError, match=rule):
             simulate_degraded_multicast(tree, None, **bad)

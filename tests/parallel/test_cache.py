@@ -10,27 +10,17 @@ from repro.obs.metrics import MetricsRegistry
 from repro.parallel import cache as cache_module
 from repro.parallel.cache import (
     ScheduleCache,
-    activate_cache,
     cache_key,
-    cached_delay_stats,
-    cached_schedule_table,
     canonical_json,
+    compute_delay_stats,
+    compute_schedule_table,
+    delay_stats_key,
+    schedule_table_key,
 )
 from repro.simulator.params import NCUBE2
 from repro.simulator.run import simulate_multicast
 
 FIG8 = (4, 0, [1, 3, 5, 7, 11, 12, 14, 15])
-
-
-@pytest.fixture
-def active_cache():
-    """A cache installed as the process-wide active cache."""
-    cache = ScheduleCache(metrics=MetricsRegistry())
-    previous = activate_cache(cache)
-    try:
-        yield cache
-    finally:
-        activate_cache(previous)
 
 
 class TestCacheKey:
@@ -141,46 +131,32 @@ class TestMemoryBudget:
 
 
 class TestCachedArtifacts:
-    def test_schedule_table_matches_direct_computation(self, active_cache):
+    def test_schedule_table_matches_direct_computation(self):
         n, source, dests = FIG8
         for ports in (ALL_PORT, ONE_PORT):
             for name in ("ucube", "wsort"):
                 sched = get_algorithm(name).schedule(n, source, dests, ports)
-                table = cached_schedule_table(name, n, source, dests, ports)
+                table = compute_schedule_table(name, n, source, dests, ports)
                 assert table["max_step"] == sched.max_step
                 assert table["dest_steps"] == {
                     str(d): s for d, s in sched.dest_steps.items()
                 }
 
-    def test_schedule_table_hit_on_second_call(self, active_cache):
+    def test_destination_order_is_canonicalized(self):
         n, source, dests = FIG8
-        cached_schedule_table("wsort", n, source, dests, ALL_PORT)
-        misses = active_cache.misses
-        again = cached_schedule_table("wsort", n, source, dests, ALL_PORT)
-        assert active_cache.misses == misses  # no recompute
-        assert again["max_step"] == 2  # Fig. 8(c)
+        backwards = list(reversed(dests))
+        assert schedule_table_key("wsort", n, source, dests, ALL_PORT) == schedule_table_key(
+            "wsort", n, source, backwards, ALL_PORT
+        )
+        assert delay_stats_key(
+            "wsort", n, source, dests, 4096, NCUBE2, ALL_PORT
+        ) == delay_stats_key("wsort", n, source, backwards, 4096, NCUBE2, ALL_PORT)
 
-    def test_destination_order_is_canonicalized(self, active_cache):
-        n, source, dests = FIG8
-        cached_schedule_table("wsort", n, source, dests, ALL_PORT)
-        hits = active_cache.hits
-        cached_schedule_table("wsort", n, source, list(reversed(dests)), ALL_PORT)
-        assert active_cache.hits == hits + 1
-
-    def test_delay_stats_match_simulator(self, active_cache):
+    def test_delay_stats_match_simulator(self):
         n, source, dests = FIG8
         tree = get_algorithm("wsort").build_tree(n, source, dests)
         res = simulate_multicast(tree, 4096, NCUBE2, ALL_PORT)
-        stats = cached_delay_stats("wsort", n, source, dests, 4096, NCUBE2, ALL_PORT)
+        stats = compute_delay_stats("wsort", n, source, dests, 4096, NCUBE2, ALL_PORT)
         assert stats["avg_delay_us"] == res.avg_delay
         assert stats["max_delay_us"] == res.max_delay
         assert stats["total_blocked_us"] == res.total_blocked_time
-        # warm call is served from memory
-        misses = active_cache.misses
-        assert cached_delay_stats("wsort", n, source, dests, 4096, NCUBE2, ALL_PORT) == stats
-        assert active_cache.misses == misses
-
-    def test_no_active_cache_computes_directly(self):
-        n, source, dests = FIG8
-        table = cached_schedule_table("wsort", n, source, dests, ALL_PORT)
-        assert table["max_step"] == 2

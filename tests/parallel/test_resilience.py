@@ -15,16 +15,20 @@ from enum import Enum
 
 import pytest
 
+from repro.analysis.delay import _delay_point, _DelayPoint
+from repro.multicast.ports import ALL_PORT
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import capture, emit_event
 from repro.obs.trace_spans import trace_capture
 from repro.parallel import journal as journal_mod
 from repro.parallel.journal import (
     JOURNAL_SCHEMA,
+    POINT_LOG,
     SweepJournal,
     load_journal,
     point_fingerprint,
 )
+from repro.simulator.params import NCUBE2
 from repro.parallel.resilience import PointTracker, RetryPolicy, WatchdogConfig
 
 
@@ -219,6 +223,25 @@ class TestPointFingerprint:
         before = point_fingerprint(_point, 3)
         monkeypatch.setattr("repro.parallel.cache.CACHE_SCHEMA", 999)
         assert point_fingerprint(_point, 3) != before
+
+    def test_fingerprint_and_log_line_encodings_are_pinned(self, tmp_path):
+        """Every point log already written is addressed by these bytes:
+        an encoding change would orphan them all, so it must come with
+        a schema bump, never by accident."""
+        spec = _DelayPoint(3, 2, 2, 1993, 0, ("ucube", "wsort"), 4096, NCUBE2, ALL_PORT)
+        fp = point_fingerprint(_delay_point, spec)
+        assert fp == "593f79b67eb4e5c4ceaca48b0490c047c4ccb3879b6987834cf7803e05827b6d"
+        result = {
+            "ucube": (3009.2999999999997, 4013.3999999999996, 0.0),
+            "wsort": (2048.2, 2090.2, 0.0),
+        }
+        with SweepJournal(tmp_path / POINT_LOG) as journal:
+            journal.append(fp, result)
+        assert (tmp_path / POINT_LOG).read_bytes() == (
+            b'{"schema":1,"fp":"593f79b67eb4e5c4ceaca48b0490c047c4ccb3879b6987834cf7803e05827b6d",'
+            b'"result":{"ucube":[3009.2999999999997,4013.3999999999996,0.0],'
+            b'"wsort":[2048.2,2090.2,0.0]},"sum":"4a6ef06b60990d93"}\n'
+        )
 
 
 class TestSweepJournal:

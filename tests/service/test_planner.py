@@ -174,20 +174,15 @@ class TestCacheIntegration:
         assert registry.counter("sim.service.builds").value == 1.0
 
     def test_service_addresses_the_sweep_cache_entries(self):
-        """A warm sweep cache serves the service without a rebuild."""
+        """A cache warmed through the key and compute functions serves
+        the service without a rebuild."""
         from repro.core.paths import ResolutionOrder
         from repro.multicast.ports import ALL_PORT
-        from repro.parallel.cache import activate_cache, cached_schedule_table
+        from repro.parallel.cache import compute_schedule_table
 
         cache = ScheduleCache()
-        previous = activate_cache(cache)
-        try:
-            dests = sorted(DOC["destinations"])
-            cached_schedule_table(
-                "wsort", 6, 0, dests, ALL_PORT, ResolutionOrder.DESCENDING
-            )
-        finally:
-            activate_cache(previous)
+        args = ("wsort", 6, 0, sorted(DOC["destinations"]), ALL_PORT, ResolutionOrder.DESCENDING)
+        cache.put(schedule_table_key(*args), compute_schedule_table(*args))
 
         async def scenario():
             registry = MetricsRegistry()

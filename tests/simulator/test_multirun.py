@@ -78,7 +78,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate_concurrent_multicasts([t], start_times=[0.0, 1.0])
 
-    def test_negative_start_rejected(self):
-        t = WSort().build_tree(3, 0, [1])
-        with pytest.raises(ValueError):
-            simulate_concurrent_multicasts([t], start_times=[-1.0])
+    @pytest.mark.parametrize(
+        "start",
+        [
+            pytest.param(-1.0, id="negative"),
+            pytest.param(float("nan"), id="nan"),
+            pytest.param(float("inf"), id="inf"),
+        ],
+    )
+    def test_negative_start_rejected(self, start):
+        """NaN used to fail in the kernel, and inf with an AssertionError
+        that the multicast never arrived."""
+        t = WSort().build_tree(4, 0, [1, 3, 5])
+        with pytest.raises(ValueError, match=r"start_times\[0\] must be finite and >= 0"):
+            simulate_concurrent_multicasts([t], start_times=[start])

@@ -52,9 +52,24 @@ class TestLoadedBehaviour:
         r = simulate_multicast_under_load(TREE, background_rate=0.005, seed=7)
         assert r.background_mean_latency > 0
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_multicast_under_load(TREE, background_rate=-1.0)
+    @pytest.mark.parametrize(
+        "bad, rule",
+        [
+            pytest.param({"background_rate": -1.0}, "background_rate", id="rate-negative"),
+            pytest.param({"background_rate": float("nan")}, "background_rate", id="rate-nan"),
+            pytest.param({"background_rate": float("inf")}, "background_rate", id="rate-inf"),
+            pytest.param({"horizon": -4.0}, "horizon", id="horizon-negative"),
+            pytest.param({"horizon": float("nan")}, "horizon", id="horizon-nan"),
+            pytest.param({"horizon": float("inf")}, "horizon", id="horizon-inf"),
+        ],
+    )
+    def test_negative_rate_rejected(self, bad, rule):
+        """Checked before any work: an infinite rate or a NaN or infinite
+        horizon would keep the arrival loop from ever reaching the
+        horizon, a NaN rate ran as rate 0, and a negative horizon failed
+        in the kernel."""
+        with pytest.raises(ValueError, match=f"^{rule} must be"):
+            simulate_multicast_under_load(TREE, **bad)
 
     def test_contention_free_advantage_persists_under_load(self):
         """W-sort stays at or below U-cube for the same destination set

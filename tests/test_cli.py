@@ -647,7 +647,7 @@ class TestTraceSubcommand:
         rc = main(["sweep", "fig11", "--trace", str(out), "--prometheus", str(prom)])
         assert rc == 0
         text = prom.read_text()
-        assert "# TYPE repro_sim_parallel_cache_misses counter" in text
+        assert "# TYPE repro_sim_parallel_points_total counter" in text
         assert "repro_sim_parallel_points_total 10" in text
 
     def test_sweep_trace_flag(self, capsys, tmp_path):
