@@ -64,6 +64,7 @@ Benchmarking is not a subcommand: the repository benchmark is
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -211,7 +212,7 @@ def _resolve_jobs(args: argparse.Namespace) -> int | None:
     """``--jobs N`` / ``--parallel`` / ``--fabric-port`` -> worker count
     (None = serial); a bad ``REPRO_JOBS`` raises a ValueError naming it."""
     if args.jobs is not None:
-        return max(1, args.jobs)
+        return args.jobs
     if args.parallel or getattr(args, "fabric_port", None) is not None:
         from repro.parallel.engine import default_jobs
 
@@ -235,17 +236,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _resolve_watchdog(args: argparse.Namespace):
     """``REPRO_WATCHDOG_*`` defaults, then ``--soft/--hard-timeout-s``
-    -> the sweep's WatchdogConfig (ValueError on a bad value)."""
+    -> the sweep's WatchdogConfig (ValueError on a bad value, an
+    inverted pair included).  A hard timeout not given on the command
+    line follows a larger soft one, as in ``from_env``."""
     from repro.parallel.resilience import WatchdogConfig
 
     base = WatchdogConfig.from_env()
-    soft = args.soft_timeout_s if args.soft_timeout_s is not None else base.soft_timeout_s
-    hard = args.hard_timeout_s if args.hard_timeout_s is not None else base.hard_timeout_s
-    return WatchdogConfig(
-        soft_timeout_s=soft,
-        hard_timeout_s=max(hard, soft),
-        retry=base.retry,
-    )
+    soft = base.soft_timeout_s if args.soft_timeout_s is None else args.soft_timeout_s
+    hard = max(base.hard_timeout_s, soft) if args.hard_timeout_s is None else args.hard_timeout_s
+    return dataclasses.replace(base, soft_timeout_s=soft, hard_timeout_s=hard)
 
 
 def _resolve_fabric(args: argparse.Namespace):
@@ -342,9 +341,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.parallel.worker import run_worker
 
-    # negated comparisons, so that NaN fails them too
-    if not args.beat_s > 0:
-        raise _UsageError(f"worker: --beat-s must be positive, got {args.beat_s}")
+    # a negated comparison, so that NaN fails it too
     if not args.connect_timeout_s >= 0:
         raise _UsageError(
             f"worker: --connect-timeout-s must be >= 0, got {args.connect_timeout_s}"
@@ -354,7 +351,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             args.connect,
             label=args.label,
             connect_timeout_s=args.connect_timeout_s,
-            beat_s=args.beat_s,
         )
     except ValueError as exc:  # bad HOST:PORT
         raise _UsageError(f"worker: {exc}") from None
@@ -719,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan the work across worker processes (CPU count / REPRO_JOBS)",
     )
     jobs.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_int_in(1), default=None, metavar="N",
         help="worker process count (implies --parallel; 1 = serial)",
     )
     telemetry = argparse.ArgumentParser(add_help=False)
@@ -828,10 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--connect-timeout-s", type=float, default=30.0, metavar="S",
         help="keep retrying the connection this long (workers may start first)",
-    )
-    p_worker.add_argument(
-        "--beat-s", type=float, default=0.25, metavar="S",
-        help="heartbeat interval while idle or making progress",
     )
     p_worker.set_defaults(func=_cmd_worker)
 

@@ -40,7 +40,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Timer,
     is_registered_metric,
-    merge_snapshot,
 )
 from repro.obs.rollup import (
     channel_rollup,
@@ -107,7 +106,6 @@ __all__ = [
     "hotspot_arcs",
     "instant",
     "is_registered_metric",
-    "merge_snapshot",
     "new_run_id",
     "per_dimension_blocked_time",
     "per_dimension_busy_time",

@@ -37,7 +37,6 @@ __all__ = [
     "Timer",
     "UTILIZATION_BUCKETS",
     "is_registered_metric",
-    "merge_snapshot",
 ]
 
 #: The registered ``sim.*`` metric families.  Every instrument name in
@@ -290,47 +289,3 @@ class MetricsRegistry:
         """All instruments as ``{name: {"type": ..., ...}}`` (JSON-safe)."""
         return {name: self._instruments[name].snapshot() for name in sorted(self._instruments)}
 
-
-def merge_snapshot(registry: MetricsRegistry, snapshot: dict[str, dict]) -> None:
-    """Fold a :meth:`MetricsRegistry.snapshot` into ``registry``.
-
-    Counters and timers add, gauges keep the latest value with merged
-    extrema, and histograms (same bucket bounds required) add
-    bucket-wise.
-
-    Raises:
-        TypeError: if a name is already registered as a different
-            instrument type.
-        ValueError: on an unknown instrument type or mismatched
-            histogram bounds.
-    """
-    for name, snap in snapshot.items():
-        kind = snap.get("type")
-        if kind == "counter":
-            registry.counter(name).inc(float(snap["value"]))
-        elif kind == "gauge":
-            gauge = registry.gauge(name)
-            gauge.set(float(snap["value"]))
-            gauge.min = min(gauge.min, float(snap["min"]))
-            gauge.max = max(gauge.max, float(snap["max"]))
-        elif kind == "timer":
-            timer = registry.timer(name)
-            timer.total_seconds += float(snap["total_seconds"])
-            timer.count += int(snap["count"])
-        elif kind == "histogram":
-            bounds = tuple(float(b) for b in snap["bounds"])
-            hist = registry.histogram(name, bounds)
-            if hist.bounds != bounds:
-                raise ValueError(
-                    f"histogram {name!r} bounds mismatch: {hist.bounds} vs {bounds}"
-                )
-            for i, count in enumerate(snap["counts"]):
-                hist.counts[i] += int(count)
-            hist.overflow += int(snap["overflow"])
-            hist.count += int(snap["count"])
-            hist.sum += float(snap["sum"])
-            if int(snap["count"]):
-                hist.min = min(hist.min, float(snap["min"]))
-                hist.max = max(hist.max, float(snap["max"]))
-        else:
-            raise ValueError(f"cannot merge unknown instrument type {kind!r} for {name!r}")

@@ -151,12 +151,12 @@ def emit_event(
     ``metrics``, a ``kind`` record to the active sink and, while a
     tracer is installed, a zero-duration instant span.
 
-    ``event`` names what happened (``"point-quarantined"``,
+    ``event`` names what happened (``"pool-degraded"``,
     ``"host-lost"``, ...) and becomes the record's ``algorithm`` and
     ``extra["event"]``; ``details`` is the free-form payload.  The
     instant is named ``<prefix>.<event>``, the prefix being ``kind``
     without its ``-event`` suffix (``resilience-event`` ->
-    ``resilience.point-quarantined``), so watchdog kills, failovers,
+    ``resilience.pool-degraded``), so watchdog kills, failovers,
     and resumes show up on the traced sweep timeline.  The counter
     counts whenever ``metrics`` is given; the record and the instant
     are no-ops when neither a sink nor a tracer is active.

@@ -6,14 +6,14 @@ that way while guaranteeing bit-identical results to the serial path:
 
 - :mod:`repro.parallel.engine` -- :func:`sweep_context` /
   :func:`run_points`: each point computed once per sweep (and once per
-  ``cache_dir``), chunked dispatch over worker processes with
-  retry, quarantine, and in-process fallback on worker failure, plus
+  ``cache_dir``), chunked dispatch over worker processes, failed
+  chunks retried under one budget and then run in-process, plus
   per-worker telemetry merging and ``sim.parallel.*`` metrics;
 - :mod:`repro.parallel.fabric` -- :class:`TcpCoordinator`, the one
   transport behind the engine: local workers forked per round on
   socketpairs, remote TCP workers on other hosts, one heartbeat
-  watchdog over both, dead-worker requeue, and degradation from a lost
-  fleet to local workers (``sim.fabric.*``);
+  interval and one watchdog over both, dead-worker requeue, and
+  degradation from a lost fleet to local workers (``sim.fabric.*``);
 - :mod:`repro.parallel.worker` -- the worker side: the frame protocol,
   :func:`~repro.parallel.worker.run_chunk`, and the serve loop that
   local workers and ``repro-hypercube worker`` processes both run;
@@ -24,8 +24,8 @@ that way while guaranteeing bit-identical results to the serial path:
   point by fingerprint, served without recomputing, and under a
   ``cache_dir`` an fsync'd JSONL log with per-record checksums, so a
   re-run resumes where a crashed one stopped;
-- :mod:`repro.parallel.resilience` -- worker watchdogs, retry budgets,
-  and poison-point quarantine for the engine;
+- :mod:`repro.parallel.resilience` -- the worker watchdog and the one
+  retry budget for the engine;
 - :mod:`repro.parallel.seeds` -- order-independent per-point seed
   derivation.
 
@@ -43,13 +43,12 @@ from repro.parallel.journal import (
     load_journal,
     point_fingerprint,
 )
-from repro.parallel.resilience import PointTracker, RetryPolicy, WatchdogConfig
+from repro.parallel.resilience import RetryPolicy, WatchdogConfig
 from repro.parallel.seeds import derive_seed, spawn_seeds
 
 __all__ = [
     "FabricConfig",
     "JournalLoad",
-    "PointTracker",
     "RetryPolicy",
     "ScheduleCache",
     "SweepConfig",

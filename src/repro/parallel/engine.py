@@ -32,10 +32,11 @@ Guarantees:
   surfaces exactly as it would serially.  The
   :class:`~repro.parallel.resilience.WatchdogConfig` (default:
   :meth:`~repro.parallel.resilience.WatchdogConfig.from_env`) requeues
-  crashed and *hung* chunks under a capped, exponentially backed-off
-  retry budget; points that keep failing are quarantined to in-process
-  execution; and rounds that keep losing workers degrade the remainder
-  to in-process.  A chunk that does not pickle runs in-process at once.
+  crashed and *hung* chunks for at most
+  :attr:`~repro.parallel.resilience.RetryPolicy.max_retries` rounds,
+  each after a capped exponential backoff; whatever still fails then
+  runs in-process under one ``pool-degraded`` event.  A chunk that does
+  not pickle runs in-process at once.
 - **Observability.**  Workers buffer their telemetry
   (:class:`~repro.obs.sink.MemorySink`) per chunk and the parent writes
   the records into its active sink, so ``--telemetry`` output looks the
@@ -47,12 +48,14 @@ Guarantees:
 
 Points are dispatched in chunks (default: ~4 chunks per worker) to
 amortize inter-process overhead on sub-millisecond points.  Workers
-heartbeat over their link while they make progress, which is what lets
-the coordinator distinguish a slow chunk from a hung one.
+heartbeat over their link, every ``poll_s`` of the watchdog, while they
+make progress, which is what lets the coordinator distinguish a slow
+chunk from a hung one.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 import time as _time
@@ -69,7 +72,7 @@ from repro.obs.sink import emit_event
 from repro.obs.telemetry import RunRecord
 from repro.parallel.fabric import FabricConfig, TcpCoordinator
 from repro.parallel.journal import POINT_LOG, SweepJournal, point_fingerprint
-from repro.parallel.resilience import PointTracker, WatchdogConfig, _env_number
+from repro.parallel.resilience import WatchdogConfig, _env_number
 
 __all__ = [
     "SweepConfig",
@@ -286,46 +289,22 @@ def _run_parallel(
     """Fan ``specs`` over the coordinator, handing each result to
     ``on_point(index, value)`` as it is absorbed, under one
     ``parallel.dispatch`` span when the parent is tracing (worker spans
-    replay beneath it)."""
-    with trace_spans.span(
-        "parallel.dispatch", points=len(specs), jobs=min(config.jobs, len(specs))
-    ) as dispatch_span:
-        _dispatch(fn, specs, config, metrics, on_point, dispatch_span)
+    replay beneath it).
 
-
-def _dispatch(
-    fn: Callable[[S], R],
-    specs: list[S],
-    config: SweepConfig,
-    metrics: MetricsRegistry | None,
-    on_point: Callable[[int, R], None],
-    dispatch_span,
-) -> None:
-    wd = config.watchdog
+    Round ``k`` runs every outstanding chunk; what it returns as
+    retryable is requeued while ``k <= max_retries`` and otherwise runs
+    in-process, as does every fatal chunk.
+    """
+    retry = config.watchdog.retry
     jobs = min(config.jobs, len(specs))
     chunk_size = config.chunk_size or max(1, ceil(len(specs) / (jobs * 4)))
-    indexed = list(enumerate(specs))
-    chunks = _chunked(indexed, chunk_size)
+    chunks = _chunked(list(enumerate(specs)), chunk_size)
     done = [False] * len(specs)
     parent_sink = _sink_mod.get_sink()
     tracer = trace_spans.get_tracer()
     trace_id = tracer.trace_id if tracer is not None else None
-    remote = {"points": 0}
+    remote = 0
     start = perf_counter()
-
-    def absorb(chunk_results, records, spans=None) -> None:
-        for index, value in chunk_results:
-            done[index] = True
-            remote["points"] += 1
-            on_point(index, value)
-        if parent_sink is not None:
-            for payload in records:
-                parent_sink.write(RunRecord.from_dict(payload))
-        if tracer is not None and spans:
-            tracer.replay(
-                spans,
-                parent_id=dispatch_span.span_id if dispatch_span is not None else None,
-            )
 
     def count(name: str, amount: float = 1.0) -> None:
         if metrics is not None:
@@ -338,42 +317,33 @@ def _dispatch(
         metrics.counter("sim.parallel.worker_failures")
         metrics.counter("sim.parallel.fallback_points")
 
-    tracker = PointTracker(wd.quarantine_after)
-    outstanding = chunks
-    in_process: list[list[tuple[int, S]]] = []
-    pool_losses = 0
-    round_no = 0
+    with trace_spans.span("parallel.dispatch", points=len(specs), jobs=jobs) as dispatch_span:
 
-    while outstanding:
-        round_no += 1
-        outcome = config.communicator.run_round(
-            fn, outstanding, absorb, trace_id=trace_id, jobs=jobs
-        )
-        if outcome.lost:
-            pool_losses += 1
-            count("sim.resilience.pool_losses")
-        outstanding = []
-        in_process.extend(outcome.fatal)
-        requeue: list[tuple[int, S]] = []
-        for chunk in outcome.retryable:
-            for index, spec in chunk:
-                if done[index]:
-                    continue
-                if tracker.record_failure(index):
-                    emit_event(
-                        "point-quarantined",
-                        kind="resilience-event",
-                        counter="sim.resilience.quarantined_points",
-                        metrics=metrics,
-                        point=index,
-                        failures=tracker.failures[index],
-                    )
-                    in_process.append([(index, spec)])
-                else:
-                    requeue.append((index, spec))
-        if requeue:
-            exhausted = round_no > wd.retry.max_retries
-            if pool_losses >= wd.pool_loss_limit or exhausted:
+        def absorb(chunk_results, records, spans=None) -> None:
+            nonlocal remote
+            for index, value in chunk_results:
+                done[index] = True
+                remote += 1
+                on_point(index, value)
+            if parent_sink is not None:
+                for payload in records:
+                    parent_sink.write(RunRecord.from_dict(payload))
+            if tracer is not None and spans:
+                tracer.replay(
+                    spans,
+                    parent_id=dispatch_span.span_id if dispatch_span is not None else None,
+                )
+
+        in_process: list[list[tuple[int, S]]] = []
+        for round_no in itertools.count(1):
+            retryable, fatal = config.communicator.run_round(
+                fn, chunks, absorb, trace_id=trace_id, jobs=jobs
+            )
+            in_process.extend(fatal)
+            requeue = [point for chunk in retryable for point in chunk if not done[point[0]]]
+            if not requeue:
+                break
+            if round_no > retry.max_retries:
                 emit_event(
                     "pool-degraded",
                     kind="resilience-event",
@@ -381,29 +351,28 @@ def _dispatch(
                     amount=float(len(requeue)),
                     metrics=metrics,
                     points=len(requeue),
-                    pool_losses=pool_losses,
                     rounds=round_no,
                 )
-                in_process.extend([point] for point in requeue)
-            else:
-                count("sim.resilience.requeued_points", float(len(requeue)))
-                backoff = wd.retry.backoff(round_no)
-                if backoff > 0:
-                    if metrics is not None:
-                        metrics.timer("sim.resilience.retry_backoff_wall").record(backoff)
-                    _time.sleep(backoff)
-                outstanding = _chunked(requeue, chunk_size)
+                in_process.append(requeue)
+                break
+            count("sim.resilience.requeued_points", float(len(requeue)))
+            backoff = retry.backoff(round_no)
+            if backoff > 0:
+                if metrics is not None:
+                    metrics.timer("sim.resilience.retry_backoff_wall").record(backoff)
+                _time.sleep(backoff)
+            chunks = _chunked(requeue, chunk_size)
 
-    for chunk in in_process:
-        count("sim.parallel.fallback_points", float(len(chunk)))
-        for index, spec in chunk:
-            if not done[index]:
-                # in-process: the parent's sink applies directly
-                done[index] = True
-                on_point(index, fn(spec))
+        for chunk in in_process:
+            count("sim.parallel.fallback_points", float(len(chunk)))
+            for index, spec in chunk:
+                if not done[index]:
+                    # in-process: the parent's sink applies directly
+                    done[index] = True
+                    on_point(index, fn(spec))
 
     if metrics is not None:
-        metrics.counter("sim.parallel.points_remote").inc(remote["points"])
+        metrics.counter("sim.parallel.points_remote").inc(remote)
         metrics.timer("sim.parallel.dispatch_wall").record(perf_counter() - start)
     missing = [i for i, flag in enumerate(done) if not flag]
     if missing:  # pragma: no cover - defensive; fallback covers all paths

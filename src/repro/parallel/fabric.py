@@ -20,7 +20,9 @@ load-balances itself.  Links come from two places:
 
 One code path then handles every link:
 
-- **Heartbeats.**  Every frame a worker sends refreshes its link's
+- **Heartbeats.**  Every worker beats at the watchdog's ``poll_s``: a
+  local worker is forked with it, and a remote one reads it from the
+  ``welcome`` frame.  Every frame a worker sends refreshes its link's
   monotonic receipt time.  A busy link whose beat age passes the
   watchdog's soft timeout is flagged (``sim.resilience.soft_timeouts``,
   ``host-slow``); one past the hard timeout is hung
@@ -29,11 +31,11 @@ One code path then handles every link:
 - **Dead-worker detection -> requeue.**  A vanished worker (crash,
   SIGKILL, OOM, network partition) surfaces as an EOF on its link's
   reader thread; the worker's in-flight chunk returns to the engine at
-  once, and flows through the engine's capped-backoff
-  :class:`~repro.parallel.resilience.RetryPolicy` and
-  :class:`~repro.parallel.resilience.PointTracker` quarantine -- point
-  indices are transport-agnostic, so a poison point is quarantined no
-  matter how many workers it has crashed.
+  once, and flows through the engine's one retry budget
+  (:class:`~repro.parallel.resilience.RetryPolicy`), counted in rounds
+  -- point indices are transport-agnostic, so a point that keeps
+  crashing workers runs in-process once the budget is spent, however
+  many hosts it has hopped.
 - **Dropping a link** closes it, which makes a busy remote worker exit
   rather than burn a CPU on an abandoned chunk, and SIGKILLs and reaps
   a local worker, which a stopped or GIL-bound process could not do on
@@ -76,7 +78,6 @@ from repro.parallel.worker import (
 __all__ = [
     "MAX_FRAME_BYTES",
     "FabricConfig",
-    "RoundOutcome",
     "TcpCoordinator",
     "recv_frame",
     "send_frame",
@@ -111,23 +112,6 @@ class FabricConfig:
         # a negated comparison, so that NaN fails it too
         if not self.wait_s >= 0:
             raise ValueError(f"wait_s must be >= 0, got {self.wait_s}")
-
-
-@dataclass(slots=True)
-class RoundOutcome:
-    """What one :meth:`TcpCoordinator.run_round` pass accomplished.
-
-    ``retryable`` chunks failed for transport-level reasons (crashed,
-    hung, or vanished workers, or no worker left to run them) and may
-    be requeued under the retry budget; ``fatal`` chunks raised inside
-    the point function or did not pickle (they go to in-process
-    execution, where the error surfaces exactly as it would serially);
-    ``lost`` reports that the round dropped a worker link.
-    """
-
-    retryable: list
-    fatal: list
-    lost: bool
 
 
 def _close(sock: socket.socket) -> None:
@@ -266,7 +250,7 @@ class TcpCoordinator:
             if not isinstance(hello, dict) or hello.get("type") != "hello":
                 raise ValueError("not a worker hello")
             sock.settimeout(None)
-            send_frame(sock, {"type": "welcome"})
+            send_frame(sock, {"type": "welcome", "beat_s": self.watchdog.poll_s})
         except (OSError, ValueError, pickle.UnpicklingError, EOFError):
             sock.close()
             return
@@ -423,12 +407,18 @@ class TcpCoordinator:
         absorb: Callable,
         trace_id: str | None = None,
         jobs: int = 1,
-    ) -> RoundOutcome:
-        """Execute one batch of chunks, absorbing completions inline.
+    ) -> tuple[list, list]:
+        """Execute one batch of chunks, absorbing completions inline;
+        returns ``(retryable, fatal)`` chunks.
 
-        With no remote worker connected, the round forks
-        ``min(jobs, chunks)`` local workers and reaps them before it
-        returns.
+        ``retryable`` chunks failed for transport-level reasons (crashed,
+        hung, or vanished workers, or no worker left to run them) and
+        may be requeued under the retry budget; ``fatal`` chunks raised
+        inside the point function or did not pickle (they go to
+        in-process execution, where the error surfaces exactly as it
+        would serially).  With no remote worker connected, the round
+        forks ``min(jobs, chunks)`` local workers and reaps them before
+        it returns.
         """
         wd = self.watchdog
         retryable: list[list[tuple[int, object]]] = []
@@ -448,11 +438,8 @@ class TcpCoordinator:
             else:
                 pending.append((chunk_id, chunk, frame))
         busy: set[_WorkerLink] = set()
-        lost = False
 
         def lose(link: _WorkerLink, reason: str) -> None:
-            nonlocal lost
-            lost = True
             busy.discard(link)
             orphan = self._drop_link(link, reason)
             if orphan is not None:
@@ -558,4 +545,4 @@ class TcpCoordinator:
                     self._sever(link)
         # whatever never found a worker is retryable, not lost work
         retryable.extend(chunk for _, chunk, _ in pending)
-        return RoundOutcome(retryable=retryable, fatal=fatal, lost=lost)
+        return retryable, fatal

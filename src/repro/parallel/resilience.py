@@ -1,24 +1,23 @@
-"""Worker watchdogs, retry budgets, and poison-point quarantine.
+"""Worker watchdogs and the retry budget.
 
 A parallel sweep must survive its workers: a crash may cost a chunk,
 never the sweep, and a *hung* worker must be killed rather than stall
 it forever.  This module supplies the policy objects the engine and
 its coordinator use for that:
 
-- :class:`RetryPolicy` -- a capped exponential backoff, the same shape
-  as the source-retry backoff in :mod:`repro.faults.sim`
+- :class:`RetryPolicy` -- the one retry budget: a chunk a round returns
+  as retryable is requeued for at most ``max_retries`` rounds, each
+  after a capped exponential backoff of the same shape as the
+  source-retry backoff in :mod:`repro.faults.sim`
   (``min(base * 2**(attempt-1), cap)``): simulated senders and real
-  workers face the same thundering-herd physics.
+  workers face the same thundering-herd physics.  Points still failing
+  after the budget run in-process, where a deterministic error surfaces
+  exactly as it would serially.
 - :class:`WatchdogConfig` -- per-point soft/hard timeouts measured
   against **worker heartbeats** (workers beat while they make
-  progress), so a slow point triggers a soft warning, and a genuinely
-  hung worker is killed and its chunk requeued.  Every parallel sweep
-  runs under one.
-- :class:`PointTracker` -- per-point failure accounting with
-  quarantine: a point whose chunk has failed ``quarantine_after`` times
-  is a *poison point*; it stops being requeued to workers and runs
-  in-process instead, where a deterministic error surfaces exactly as
-  it would serially.
+  progress, at the coordinator's ``poll_s``), so a slow point triggers
+  a soft warning, and a genuinely hung worker is killed and its chunk
+  requeued.  Every parallel sweep runs under one.
 
 Every decision these objects drive is observable: the engine emits
 ``sim.resilience.*`` metrics and, through :func:`repro.obs.sink.emit_event`,
@@ -28,19 +27,22 @@ trace instants (see docs/RESILIENCE.md and docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
-__all__ = ["PointTracker", "RetryPolicy", "WatchdogConfig"]
+__all__ = ["RetryPolicy", "WatchdogConfig"]
 
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
-    """Capped exponential backoff between retry rounds.
+    """The retry budget: ``max_retries`` requeue rounds, each after a
+    capped exponential backoff.
 
-    Attempt ``k`` (1-based) waits ``min(base * 2**(k-1), cap)`` seconds
+    Retry ``k`` (1-based) waits ``min(base * 2**(k-1), cap)`` seconds
     -- the backoff shape of :func:`repro.faults.sim.simulate_degraded_multicast`,
-    scaled from simulated microseconds to host seconds.
+    scaled from simulated microseconds to host seconds, where each
+    simulated send likewise has one ``max_retries`` budget.
     """
 
     max_retries: int = 2
@@ -72,26 +74,21 @@ class WatchdogConfig:
             hung (``sim.resilience.hung_chunks``): its link is dropped,
             a local worker is killed, and its chunk is requeued under
             the retry budget.
-        poll_s: how often the coordinator checks heartbeats, and how
-            often local workers beat.
-        retry: backoff policy between retry rounds.
-        quarantine_after: chunk failures (crash or hang) after which a
-            point is poison and runs in-process only.
-        pool_loss_limit: dispatch rounds that lost a worker after which
-            the engine degrades to in-process execution for everything
-            outstanding.
+        poll_s: how often the coordinator checks heartbeats, and the
+            one interval every worker beats at (local workers get it
+            when forked, remote ones in the welcome frame).
+        retry: the retry budget and its backoff.
     """
 
     soft_timeout_s: float = 30.0
     hard_timeout_s: float = 120.0
     poll_s: float = 0.1
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    quarantine_after: int = 3
-    pool_loss_limit: int = 3
 
     def __post_init__(self) -> None:
         # negated comparisons, so that NaN fails them too: a NaN timeout
-        # would never expire, and a NaN poll would spin
+        # would never expire, and a NaN poll would spin; an infinite
+        # poll is a beat interval no worker accepts
         if not self.soft_timeout_s > 0:
             raise ValueError(f"soft timeout must be > 0, got {self.soft_timeout_s}s")
         if not self.hard_timeout_s > 0:
@@ -101,12 +98,8 @@ class WatchdogConfig:
                 f"hard timeout ({self.hard_timeout_s}s) must be >= "
                 f"soft timeout ({self.soft_timeout_s}s)"
             )
-        if not self.poll_s > 0:
-            raise ValueError(f"poll_s must be > 0, got {self.poll_s}")
-        if self.quarantine_after < 1:
-            raise ValueError(f"quarantine_after must be >= 1, got {self.quarantine_after}")
-        if self.pool_loss_limit < 1:
-            raise ValueError(f"pool_loss_limit must be >= 1, got {self.pool_loss_limit}")
+        if not 0 < self.poll_s < math.inf:
+            raise ValueError(f"poll_s must be > 0 and finite, got {self.poll_s}")
 
     @classmethod
     def from_env(cls) -> "WatchdogConfig":
@@ -145,29 +138,3 @@ def _env_number(name: str, parse, default):
     except ValueError:
         raise ValueError(f"{name}={raw!r} is not a valid {parse.__name__}") from None
 
-
-class PointTracker:
-    """Per-point failure accounting and poison-point quarantine."""
-
-    def __init__(self, quarantine_after: int) -> None:
-        if quarantine_after < 1:
-            raise ValueError(f"quarantine_after must be >= 1, got {quarantine_after}")
-        self.quarantine_after = quarantine_after
-        self.failures: dict[int, int] = {}
-        self.quarantined: set[int] = set()
-
-    def record_failure(self, index: int) -> bool:
-        """Count one failure for point ``index``; True once quarantined."""
-        count = self.failures.get(index, 0) + 1
-        self.failures[index] = count
-        if count >= self.quarantine_after:
-            self.quarantined.add(index)
-            return True
-        return False
-
-    def is_quarantined(self, index: int) -> bool:
-        return index in self.quarantined
-
-    @property
-    def total_failures(self) -> int:
-        return sum(self.failures.values())

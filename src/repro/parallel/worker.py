@@ -15,7 +15,10 @@ and both run the same loop:
   then serves until shutdown.  Scale out by starting more of them --
   on this host or any host that can reach the coordinator.
 
-Liveness is a dedicated heartbeat thread, and its rule encodes the
+Liveness is a dedicated heartbeat thread that beats at the one interval
+the coordinator sets (its watchdog's ``poll_s``: passed to a forked
+worker, sent to a remote one as the ``welcome`` frame's ``beat_s``),
+since the coordinator alone compares beat ages.  Its rule encodes the
 slow-vs-hung distinction: a beat is sent only while the worker is
 *idle* or while chunk execution has made *progress* (another point
 started) since the last beat.  A worker whose point function is
@@ -40,6 +43,7 @@ makes a parallel sweep byte-identical to a serial one.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import select
@@ -351,14 +355,14 @@ def run_worker(
     connect: str,
     label: str | None = None,
     connect_timeout_s: float = 30.0,
-    beat_s: float = 0.25,
 ) -> int:
-    """Connect, handshake, and :func:`serve` one coordinator link;
-    returns the exit code.
+    """Connect, handshake, and :func:`serve` one coordinator link at
+    the ``beat_s`` its welcome sets; returns the exit code.
 
     ``0``: coordinator sent an orderly shutdown.  ``1``: could not
-    connect, or the connection closed while idle.  The orphaned-chunk
-    path does not return -- it is :func:`os._exit` with
+    connect, a bad handshake (no welcome frame, or a ``beat_s`` that is
+    not a positive finite number), or the connection closed while idle.  The
+    orphaned-chunk path does not return -- it is :func:`os._exit` with
     :data:`ORPHANED_EXIT`.
     """
     host, port = _parse_endpoint(connect)
@@ -367,13 +371,21 @@ def run_worker(
         _say(f"worker: no coordinator at {connect} after {connect_timeout_s:.0f}s")
         return 1
     worker_id = label or f"{socket.gethostname()}-{os.getpid()}"
-    send_frame(
-        sock,
-        {"type": "hello", "worker_id": worker_id, "host": socket.gethostname(), "pid": os.getpid()},
-    )
-    welcome = recv_frame(sock)
-    if not isinstance(welcome, dict) or welcome.get("type") != "welcome":
-        _say("worker: coordinator rejected handshake")
+    try:
+        send_frame(
+            sock,
+            {"type": "hello", "worker_id": worker_id, "host": socket.gethostname(),
+             "pid": os.getpid()},
+        )
+        welcome = recv_frame(sock)
+    except (OSError, ValueError, pickle.UnpicklingError, EOFError):
+        welcome = None  # the peer hung up, or is no coordinator
+    welcomed = isinstance(welcome, dict) and welcome.get("type") == "welcome"
+    beat_s = welcome.get("beat_s") if welcomed else None
+    # NaN fails the comparison too; a zero beat would spin
+    if not isinstance(beat_s, (int, float)) or not 0 < beat_s < math.inf:
+        sock.close()
+        _say(f"worker: bad handshake from {connect} (beat_s {beat_s!r})")
         return 1
     _say(f"worker {worker_id}: serving {connect}")
     return serve(sock, worker_id, beat_s, log=_say)

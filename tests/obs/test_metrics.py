@@ -13,7 +13,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Timer,
     UTILIZATION_BUCKETS,
-    merge_snapshot,
 )
 
 
@@ -150,81 +149,3 @@ class TestMetricsRegistry:
         assert len(reg) == 2
         assert "a" in reg and "zzz" not in reg
 
-
-class TestMergeSnapshot:
-    """Edge cases of folding worker snapshots into a parent registry."""
-
-    def test_empty_snapshot_is_a_noop(self):
-        reg = MetricsRegistry()
-        merge_snapshot(reg, {})
-        assert len(reg) == 0
-        reg.counter("kept").inc(3)
-        before = reg.snapshot()
-        merge_snapshot(reg, {})
-        assert reg.snapshot() == before
-
-    def test_disjoint_metric_families_all_land(self):
-        """A snapshot whose names share nothing with the registry
-        creates every instrument without disturbing existing ones."""
-        reg = MetricsRegistry()
-        reg.counter("parent.only").inc(7)
-        donor = MetricsRegistry()
-        donor.counter("w.count").inc(2)
-        donor.gauge("w.depth").set(4.0)
-        donor.timer("w.wall").record(0.25)
-        donor.histogram("w.delay", bounds=(10.0, 20.0)).observe(15.0)
-        merge_snapshot(reg, donor.snapshot())
-        snap = reg.snapshot()
-        assert snap["parent.only"]["value"] == 7
-        assert snap["w.count"]["value"] == 2
-        assert snap["w.depth"] == donor.snapshot()["w.depth"]
-        assert snap["w.wall"]["count"] == 1
-        assert snap["w.delay"]["counts"] == [0, 1]
-
-    def test_timer_histogram_merge_is_order_independent(self):
-        """Two worker snapshots fold to the same aggregate whichever
-        arrives first (the engine absorbs chunks in completion order)."""
-
-        def worker(times: list[float], delays: list[float]) -> dict:
-            reg = MetricsRegistry()
-            for t in times:
-                reg.timer("wall").record(t)
-            for d in delays:
-                reg.histogram("delay", bounds=(100.0, 500.0)).observe(d)
-            return reg.snapshot()
-
-        s1 = worker([0.5, 0.25], [50.0, 600.0])
-        s2 = worker([1.0], [120.0, 120.0, 450.0])
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        merge_snapshot(forward, s1)
-        merge_snapshot(forward, s2)
-        merge_snapshot(backward, s2)
-        merge_snapshot(backward, s1)
-        assert forward.snapshot() == backward.snapshot()
-        agg = forward.snapshot()
-        assert agg["wall"]["count"] == 3
-        assert agg["wall"]["total_seconds"] == pytest.approx(1.75)
-        assert agg["delay"]["counts"] == [1, 3]  # <=100: {50}; <=500: {120, 120, 450}
-        assert agg["delay"]["overflow"] == 1  # 600.0
-        assert agg["delay"]["min"] == 50.0
-        assert agg["delay"]["max"] == 600.0
-
-    def test_histogram_bounds_mismatch_rejected(self):
-        reg = MetricsRegistry()
-        reg.histogram("h", bounds=(1.0, 2.0)).observe(1.5)
-        donor = MetricsRegistry()
-        donor.histogram("h", bounds=(1.0, 3.0)).observe(2.5)
-        with pytest.raises(ValueError, match="bounds mismatch"):
-            merge_snapshot(reg, donor.snapshot())
-
-    def test_unknown_instrument_type_rejected(self):
-        with pytest.raises(ValueError, match="unknown instrument type"):
-            merge_snapshot(MetricsRegistry(), {"x": {"type": "summary", "value": 1}})
-
-    def test_cross_type_name_collision_rejected(self):
-        reg = MetricsRegistry()
-        reg.timer("x").record(0.1)
-        donor = MetricsRegistry()
-        donor.counter("x").inc()
-        with pytest.raises(TypeError):
-            merge_snapshot(reg, donor.snapshot())

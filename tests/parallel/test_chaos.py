@@ -32,21 +32,22 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import capture
 from repro.obs.trace_spans import trace_capture
 from repro.parallel.engine import run_points, sweep_context
+from repro.parallel.fabric import FabricConfig
 from repro.parallel.journal import POINT_LOG, load_journal
 from repro.parallel.resilience import RetryPolicy, WatchdogConfig
+from tests.parallel.test_fabric import _free_port, _reap, _spawn_worker
 
 _PARENT_PID = os.getpid()
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: A watchdog tuned for test speed: hangs are declared within ~half a
-#: second and retries back off for milliseconds, not seconds.
+#: second, and a failed chunk gets one retry round after a backoff of
+#: milliseconds, not seconds.
 _FAST_WATCHDOG = WatchdogConfig(
     soft_timeout_s=0.2,
     hard_timeout_s=0.45,
     poll_s=0.05,
-    retry=RetryPolicy(max_retries=2, backoff_base_s=0.01, backoff_cap_s=0.05),
-    quarantine_after=2,
-    pool_loss_limit=10,
+    retry=RetryPolicy(max_retries=1, backoff_base_s=0.01, backoff_cap_s=0.05),
 )
 
 
@@ -93,19 +94,49 @@ print(json.dumps({
 """
 
 
+def _assert_silent(registry: MetricsRegistry, sink) -> None:
+    """No watchdog or retry decision was taken: no ``sim.resilience.*``
+    instrument exists and no ``resilience-event`` record was written."""
+    assert [name for name in registry.names() if name.startswith("sim.resilience.")] == []
+    assert [r.extra for r in sink.records if r.kind == "resilience-event"] == []
+
+
 class TestWatchdogEngine:
     def test_healthy_sweep_unaffected_by_watchdog(self):
-        with sweep_context(jobs=2, chunk_size=2, watchdog=_FAST_WATCHDOG) as registry:
-            assert run_points(_square, range(8)) == [x * x for x in range(8)]
+        """An undisturbed sweep runs one round and stays silent, on
+        local workers and on a two-worker TCP fabric alike."""
+        with capture() as sink:
+            with sweep_context(jobs=2, chunk_size=2, watchdog=_FAST_WATCHDOG) as registry:
+                assert run_points(_square, range(8)) == [x * x for x in range(8)]
         snap = registry.snapshot()
         assert snap["sim.parallel.points_remote"]["value"] == 8
-        assert "sim.resilience.hung_chunks" not in snap
-        assert "sim.resilience.quarantined_points" not in snap
+        _assert_silent(registry, sink)
+
+        # timeouts generous enough that two freshly started interpreters
+        # on a loaded host are never flagged slow
+        patient = WatchdogConfig(soft_timeout_s=5.0, hard_timeout_s=10.0, poll_s=0.05)
+        port = _free_port()
+        workers = [_spawn_worker(port), _spawn_worker(port)]
+        try:
+            with capture() as sink:
+                with sweep_context(
+                    jobs=2, chunk_size=2, watchdog=patient,
+                    fabric=FabricConfig(bind_port=port, min_workers=2, wait_s=30.0),
+                ) as registry:
+                    assert run_points(_square, range(8)) == [x * x for x in range(8)]
+        finally:
+            codes = _reap(workers)
+        assert codes == [0, 0]
+        snap = registry.snapshot()
+        assert snap["sim.fabric.workers_joined"]["value"] == 2
+        assert snap["sim.fabric.points_remote"]["value"] == 8
+        _assert_silent(registry, sink)
 
     def test_crashing_workers_retry_then_quarantine(self):
-        """Workers that die on every attempt: each point burns its
-        retry budget, is quarantined as poison, and completes
-        in-process -- the sweep terminates with full results."""
+        """Workers that die on every attempt: each point is requeued for
+        the one retry round the budget allows, then completes in-process
+        under a ``pool-degraded`` event -- the sweep terminates with
+        full results."""
         with capture() as sink:
             with sweep_context(
                 jobs=2, chunk_size=2, watchdog=_FAST_WATCHDOG
@@ -114,11 +145,30 @@ class TestWatchdogEngine:
                     x * x for x in range(6)
                 ]
         snap = registry.snapshot()
-        assert snap["sim.resilience.quarantined_points"]["value"] == 6
+        assert snap["sim.resilience.degraded_points"]["value"] == 6
         assert snap["sim.resilience.requeued_points"]["value"] == 6
-        assert snap["sim.resilience.pool_losses"]["value"] >= 1
+        assert snap["sim.fabric.hosts_lost"]["value"] >= 1
         events = {r.extra["event"] for r in sink.records if r.kind == "resilience-event"}
-        assert "point-quarantined" in events
+        assert "pool-degraded" in events
+
+    @pytest.mark.parametrize("max_retries", range(5))
+    def test_retry_budget_is_honoured_exactly(self, max_retries):
+        """Every worker dies on every attempt: each of the
+        ``max_retries`` rounds the budget allows requeues all 4 points,
+        and the round after it runs them in-process under one
+        ``pool-degraded`` event."""
+        wd = WatchdogConfig(
+            poll_s=0.05,
+            retry=RetryPolicy(max_retries=max_retries, backoff_base_s=0.0, backoff_cap_s=0.0),
+        )
+        with capture() as sink:
+            with sweep_context(jobs=2, chunk_size=2, watchdog=wd) as registry:
+                assert run_points(_die_in_worker, range(4)) == [0, 1, 4, 9]
+        assert registry.counter("sim.resilience.requeued_points").value == 4 * max_retries
+        assert registry.counter("sim.resilience.degraded_points").value == 4
+        assert registry.counter("sim.parallel.fallback_points").value == 4
+        events = [r.extra for r in sink.records if r.kind == "resilience-event"]
+        assert events == [{"event": "pool-degraded", "points": 4, "rounds": max_retries + 1}]
 
     def test_hung_workers_are_killed_and_sweep_terminates(self):
         """The pre-watchdog engine would block forever here; the
@@ -133,7 +183,7 @@ class TestWatchdogEngine:
         assert elapsed < 30.0  # terminated by the watchdog, not the sleep
         snap = registry.snapshot()
         assert snap["sim.resilience.hung_chunks"]["value"] >= 1
-        assert snap["sim.resilience.pool_losses"]["value"] >= 1
+        assert snap["sim.fabric.hosts_lost"]["value"] >= 1
         assert snap["sim.resilience.soft_timeouts"]["value"] >= 1
 
     def test_stopped_worker_is_killed_at_hard_timeout(self):
@@ -163,9 +213,9 @@ class TestWatchdogEngine:
             soft_timeout_s=0.2,
             hard_timeout_s=0.45,
             poll_s=0.05,
-            retry=RetryPolicy(max_retries=5, backoff_base_s=0.01, backoff_cap_s=0.02),
-            quarantine_after=10,  # never reached: degradation fires first
-            pool_loss_limit=1,
+            # no retry round: the first round that loses its workers
+            # degrades what it held to in-process
+            retry=RetryPolicy(max_retries=0, backoff_base_s=0.01, backoff_cap_s=0.02),
         )
         with sweep_context(jobs=2, chunk_size=2, watchdog=wd) as registry:
             assert run_points(_die_in_worker, range(4)) == [0, 1, 4, 9]
@@ -301,7 +351,7 @@ class TestTraceChaos:
 
     def test_dying_workers_leave_parent_trace_coherent(self):
         """Every chunk dies mid-flight (its span snapshot is lost with
-        the worker); retries burn out, points are quarantined and finish
+        the worker); the retry budget runs out and the points finish
         in-process under the parent tracer.  Results stay correct and
         the parent trace stays internally consistent."""
         with trace_capture(label="chaos-crash") as tracer:
@@ -312,10 +362,10 @@ class TestTraceChaos:
                     x * x for x in range(6)
                 ]
         snap = registry.snapshot()
-        assert snap["sim.resilience.quarantined_points"]["value"] == 6
+        assert snap["sim.resilience.degraded_points"]["value"] == 6
         names = {s.name for s in tracer.spans}
         assert "parallel.dispatch" in names
-        assert "resilience.point-quarantined" in names
+        assert "resilience.pool-degraded" in names
         # no span from a dead worker may dangle or collide
         self._assert_trace_coherent(tracer)
         assert all(s.finished or s.attrs.get("partial") for s in tracer.spans)

@@ -11,7 +11,7 @@ import os
 import pytest
 
 from repro.analysis.experiments import run_sweep
-from repro.obs.metrics import MetricsRegistry, merge_snapshot
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import MemorySink, capture
 from repro.obs.telemetry import RunRecord, new_run_id
 from repro.parallel.engine import default_jobs, run_points, sweep_context
@@ -206,50 +206,6 @@ class TestPointMemo:
             assert run_points(_square, range(3)) == [0, 1, 4]
         assert registry.counter("sim.parallel.points_served").value == 0
         assert load_journal(tmp_path / POINT_LOG).records == 6
-
-
-class TestMergeSnapshot:
-    def test_counters_timers_histograms_add(self):
-        source = MetricsRegistry()
-        source.counter("c").inc(3)
-        source.timer("t").record(0.25)
-        hist = source.histogram("h", (1.0, 2.0))
-        hist.observe(0.5)
-        hist.observe(5.0)
-        target = MetricsRegistry()
-        target.counter("c").inc(1)
-        merge_snapshot(target, source.snapshot())
-        merge_snapshot(target, source.snapshot())
-        snap = target.snapshot()
-        assert snap["c"]["value"] == 7
-        assert snap["t"]["count"] == 2
-        assert snap["t"]["total_seconds"] == 0.5
-        assert snap["h"]["count"] == 4
-        assert snap["h"]["overflow"] == 2
-        assert snap["h"]["min"] == 0.5 and snap["h"]["max"] == 5.0
-
-    def test_gauge_keeps_latest_with_merged_extrema(self):
-        source = MetricsRegistry()
-        source.gauge("g").set(-5)
-        source.gauge("g").set(2)
-        target = MetricsRegistry()
-        target.gauge("g").set(10)
-        merge_snapshot(target, source.snapshot())
-        snap = target.snapshot()["g"]
-        assert snap["value"] == 2
-        assert snap["min"] == -5 and snap["max"] == 10
-
-    def test_histogram_bounds_mismatch_rejected(self):
-        source = MetricsRegistry()
-        source.histogram("h", (1.0, 2.0)).observe(0.5)
-        target = MetricsRegistry()
-        target.histogram("h", (1.0, 3.0))
-        with pytest.raises(ValueError, match="bounds mismatch"):
-            merge_snapshot(target, source.snapshot())
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError, match="unknown instrument"):
-            merge_snapshot(MetricsRegistry(), {"x": {"type": "mystery"}})
 
 
 class TestWorkerSinkIsolation:

@@ -16,6 +16,7 @@ import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -37,6 +38,7 @@ from repro.parallel.fabric import (
 )
 from repro.parallel.journal import POINT_LOG, load_journal
 from repro.parallel.resilience import RetryPolicy, WatchdogConfig
+from repro.parallel.worker import encode_frame, run_worker
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -47,8 +49,6 @@ _FABRIC_WATCHDOG = WatchdogConfig(
     hard_timeout_s=6.0,
     poll_s=0.05,
     retry=RetryPolicy(max_retries=3, backoff_base_s=0.01, backoff_cap_s=0.05),
-    quarantine_after=3,
-    pool_loss_limit=10,
 )
 
 
@@ -81,7 +81,7 @@ def _spawn_worker(port: int, *extra: str) -> subprocess.Popen:
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro", "worker",
-            "--connect", f"127.0.0.1:{port}", "--beat-s", "0.05", *extra,
+            "--connect", f"127.0.0.1:{port}", *extra,
         ],
         env=_worker_env(), cwd=_REPO_ROOT,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -125,7 +125,6 @@ class TestFrameProtocol:
         a, b = socket.socketpair()
         try:
             import pickle
-            import struct
             blob = pickle.dumps({"type": "result"})
             a.sendall(struct.pack(">Q", len(blob)) + blob[: len(blob) // 2])
             a.close()
@@ -180,6 +179,57 @@ class TestCoordinatorLifecycle:
         comm.stop()
         assert time.perf_counter() - start < 1.0
         assert [t.name for t in threading.enumerate() if t.name.startswith("fabric-")] == []
+
+
+class TestHandshake:
+    """The coordinator's ``poll_s`` is the one beat interval: it sends
+    it in the welcome, and a worker serves only at a usable one."""
+
+    def test_welcome_carries_the_poll_interval(self):
+        comm = TcpCoordinator(FabricConfig(), watchdog=WatchdogConfig(poll_s=0.05))
+        comm.start()
+        try:
+            with socket.create_connection(("127.0.0.1", comm.port), timeout=10.0) as sock:
+                send_frame(sock, {"type": "hello", "worker_id": "raw"})
+                assert recv_frame(sock) == {"type": "welcome", "beat_s": 0.05}
+                # registered, so that stop() severs the link
+                assert comm.wait_for_workers(min_workers=1, wait_s=10.0) == 1
+        finally:
+            comm.stop()
+
+    @pytest.mark.parametrize(
+        "welcome",
+        [
+            encode_frame({"type": "welcome"}),
+            encode_frame({"type": "welcome", "beat_s": 0}),
+            encode_frame({"type": "welcome", "beat_s": float("nan")}),
+            encode_frame({"type": "welcome", "beat_s": float("inf")}),
+            struct.pack(">Q", 4) + b"junk",
+        ],
+        ids=["missing", "zero", "nan", "inf", "not-a-pickle"],
+    )
+    def test_worker_exits_one_on_a_welcome_without_a_usable_beat(self, welcome):
+        after_welcome: list = []
+        with socket.create_server(("127.0.0.1", 0)) as server:
+
+            def coordinator() -> None:
+                conn, _addr = server.accept()
+                with conn:
+                    recv_frame(conn)  # the hello
+                    conn.sendall(welcome)
+                    conn.settimeout(5.0)
+                    try:
+                        after_welcome.append(recv_frame(conn))  # None: a hang-up
+                    except OSError:
+                        after_welcome.append("no hang-up within 5 s")
+
+            thread = threading.Thread(target=coordinator, daemon=True)
+            thread.start()
+            port = server.getsockname()[1]
+            assert run_worker(f"127.0.0.1:{port}", connect_timeout_s=5.0) == 1
+            thread.join(timeout=10.0)
+        # the worker hung up at once, before a single heartbeat
+        assert after_welcome == [None]
 
 
 class TestDegradedToLocal:

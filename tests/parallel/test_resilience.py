@@ -29,7 +29,7 @@ from repro.parallel.journal import (
     point_fingerprint,
 )
 from repro.simulator.params import NCUBE2
-from repro.parallel.resilience import PointTracker, RetryPolicy, WatchdogConfig
+from repro.parallel.resilience import RetryPolicy, WatchdogConfig
 
 
 def _point(x: int) -> int:
@@ -85,10 +85,10 @@ class TestWatchdogConfig:
             WatchdogConfig(hard_timeout_s=nan)
         with pytest.raises(ValueError, match="poll_s must be > 0"):
             WatchdogConfig(poll_s=nan)
-        with pytest.raises(ValueError):
-            WatchdogConfig(quarantine_after=0)
-        with pytest.raises(ValueError):
-            WatchdogConfig(pool_loss_limit=0)
+        # poll_s is the beat interval every worker is sent, and a
+        # worker refuses an infinite one
+        with pytest.raises(ValueError, match="poll_s must be > 0 and finite"):
+            WatchdogConfig(poll_s=float("inf"))
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WATCHDOG_SOFT_S", "1.5")
@@ -128,33 +128,14 @@ class TestWatchdogConfig:
         assert cfg.hard_timeout_s == 60.0
 
 
-class TestPointTracker:
-    def test_quarantines_after_threshold(self):
-        tracker = PointTracker(quarantine_after=3)
-        assert tracker.record_failure(7) is False
-        assert tracker.record_failure(7) is False
-        assert tracker.record_failure(7) is True
-        assert tracker.is_quarantined(7)
-        assert not tracker.is_quarantined(8)
-        assert tracker.total_failures == 3
-
-    def test_points_are_tracked_independently(self):
-        tracker = PointTracker(quarantine_after=2)
-        tracker.record_failure(1)
-        tracker.record_failure(2)
-        assert not tracker.quarantined
-        assert tracker.record_failure(1) is True
-        assert tracker.quarantined == {1}
-
-
 class TestResilienceEvents:
     def test_events_reach_the_active_sink(self):
         with capture() as sink:
-            emit_event("point-quarantined", kind="resilience-event", point=3, failures=2)
+            emit_event("pool-degraded", kind="resilience-event", points=3, rounds=2)
         (record,) = sink.records
         assert record.kind == "resilience-event"
-        assert record.extra["event"] == "point-quarantined"
-        assert record.extra["point"] == 3
+        assert record.extra["event"] == "pool-degraded"
+        assert record.extra["points"] == 3
 
     def test_no_sink_is_a_noop(self):
         emit_event("hung-pool-killed", kind="resilience-event")  # must not raise

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -269,14 +269,37 @@ class TestExitCodes:
         assert main(["report", "--figures", "fig11"]) == 1
 
     def test_bad_watchdog_values_exit_two_before_the_sweep(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep started despite a bad watchdog value")
+
+        monkeypatch.setattr("repro.cli.run_sweep", no_work)
         argv = ["sweep", "fig9", "--jobs", "2"]
         assert main([*argv, "--soft-timeout-s", "-3", "--hard-timeout-s", "-1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "timeout must be > 0" in err
+        # an inverted pair is refused, not rewritten to a 200 s hard timeout
+        assert main([*argv, "--soft-timeout-s", "200", "--hard-timeout-s", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "hard timeout (100.0s) must be >= soft timeout (200.0s)" in err
         monkeypatch.setenv("REPRO_WATCHDOG_SOFT_S", "abc")
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and "REPRO_WATCHDOG_SOFT_S" in err
+
+    def test_a_hard_timeout_not_given_follows_the_soft_one(self, capsys, monkeypatch):
+        seen = []
+
+        def record(ids, **kwargs):
+            seen.append(kwargs["watchdog"])
+            return {}
+
+        monkeypatch.setattr("repro.cli.run_sweep", record)
+        monkeypatch.setenv("REPRO_WATCHDOG_RETRIES", "5")
+        assert main(["sweep", "fig9", "--jobs", "2", "--soft-timeout-s", "200"]) == 0
+        (watchdog,) = seen
+        assert (watchdog.soft_timeout_s, watchdog.hard_timeout_s) == (200.0, 200.0)
+        assert watchdog.retry.max_retries == 5  # nothing from the environment is dropped
 
     @pytest.mark.parametrize(
         "argv",
@@ -348,6 +371,12 @@ class TestExitCodes:
             (["faults", "-n", "4", "-m", "0"], "-m"),
             (["collective", "broadcast", "-n", "3", "--size", "0"], "--size"),
             (["faults", "-n", "4", "--size", "0"], "--size"),
+            (["experiment", "fig9", "--jobs", "0"], "--jobs"),
+            (["experiment", "fig9", "--jobs", "-4"], "--jobs"),
+            (["sweep", "fig9", "--jobs", "0"], "--jobs"),
+            (["sweep", "fig9", "--jobs", "-4"], "--jobs"),
+            (["lint", "--jobs", "0"], "--jobs"),
+            (["lint", "--jobs", "-4"], "--jobs"),
         ],
     )
     def test_count_below_one_is_a_usage_error(self, capsys, argv, option):
@@ -384,9 +413,6 @@ class TestExitCodes:
                 id="watchdog-env-soft",
             ),
             pytest.param(
-                ["worker", "--connect", "127.0.0.1:9", "--beat-s", "nan"], {}, id="beat"
-            ),
-            pytest.param(
                 ["worker", "--connect", "127.0.0.1:9", "--connect-timeout-s", "nan"], {},
                 id="connect-timeout",
             ),
@@ -409,6 +435,12 @@ class TestExitCodes:
         # a rejected environment value names its variable and raw value
         for name in env:
             assert f"{name}='nan'" in err
+
+    def test_worker_takes_no_beat_interval_of_its_own(self):
+        """A worker beats at the interval its coordinator's welcome
+        sets, so ``worker`` has three options."""
+        args = build_parser().parse_args(["worker", "--connect", "127.0.0.1:9"])
+        assert sorted(vars(args)) == ["command", "connect", "connect_timeout_s", "func", "label"]
 
     def test_nan_fabric_wait_exits_two_instead_of_spinning(self):
         proc = _run_cli(
