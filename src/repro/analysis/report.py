@@ -8,7 +8,7 @@ document -- the machine-generated core of EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from repro.analysis.experiments import EXPERIMENTS, run_experiment
+from repro.analysis.experiments import EXPERIMENTS, run_sweep
 from repro.analysis.shapes import FIGURE_CRITERIA, check_figure
 from repro.analysis.tables import Table
 
@@ -60,6 +60,7 @@ def markdown_report(fast: bool = True, figures: list[str] | None = None) -> str:
     for fig_id in fig_ids:
         if fig_id not in EXPERIMENTS:
             raise KeyError(f"unknown figure {fig_id!r}")
-        table = run_experiment(fig_id, fast=fast)
-        parts.append(figure_section(fig_id, table))
+    # one sweep: figures that share points (11/12, 13/14) compute them once
+    tables = run_sweep(fig_ids, fast=fast)
+    parts.extend(figure_section(fig_id, tables[fig_id]) for fig_id in fig_ids)
     return "\n".join(parts)

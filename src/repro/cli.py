@@ -35,8 +35,9 @@ Subcommands:
 - ``lint`` -- run the project-invariant static analysis (determinism,
   timing/async/exception hygiene, exit-code and telemetry-naming
   contracts) over the tree; ``0`` clean, ``1`` findings, ``2`` for
-  usage errors or a corrupt baseline.  ``--update-baseline`` rewrites
-  the committed grandfather file; see docs/STATIC_ANALYSIS.md.
+  usage errors (a missing path, an unknown rule).  An inline
+  ``# repro: lint-ok[RULE] reason`` waiver is the one way to suppress
+  a finding; see docs/STATIC_ANALYSIS.md.
 
 ``experiment``, ``collective``, ``stats``, ``faults``, and ``sweep``
 accept ``--telemetry PATH`` to export structured
@@ -359,8 +360,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.lint import RULES, lint_paths, load_baseline, save_baseline, split_findings
-    from repro.lint.baseline import BaselineError
+    from repro.lint import RULES, lint_paths
 
     paths = args.paths or ["src"]
     missing = [path for path in paths if not os.path.exists(path)]
@@ -372,28 +372,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             f"lint: unknown rule(s): {', '.join(unknown_rules)} "
             f"(known: {', '.join(sorted(RULES))})"
         )
-    try:
-        baseline = load_baseline(args.baseline)
-    except BaselineError as exc:
-        raise _UsageError(f"lint: {exc}") from None
-    result = lint_paths(paths, jobs=args.jobs)
+    result = lint_paths(paths)
     if args.select:
         selected = {r.upper() for r in args.select}
         result.findings = [f for f in result.findings if f.rule in selected]
-    new, baselined = split_findings(result.findings, baseline)
-
-    if args.update_baseline:
-        report_only: dict[str, int] = {}
-        for tree in ("tests", "examples"):
-            if os.path.isdir(tree):
-                report_only[tree] = len(lint_paths([tree]).findings)
-        save_baseline(args.baseline, result.findings, report_only)
-        counts = ", ".join(f"{tree}: {n}" for tree, n in sorted(report_only.items()))
-        print(
-            f"baseline {args.baseline}: {len(result.findings)} grandfathered "
-            f"finding(s); report-only counts {{{counts}}}"
-        )
-        return 0
+    findings = result.findings
 
     if args.format == "json":
         print(
@@ -402,27 +385,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                     "schema": 1,
                     "paths": list(paths),
                     "files": result.files,
-                    "counts": {
-                        "findings": len(result.findings),
-                        "new": len(new),
-                        "waived": result.waived,
-                        "baselined": baselined,
-                    },
-                    "findings": [finding.to_dict() for finding in new],
-                    "clean": not new,
+                    "counts": {"findings": len(findings), "waived": result.waived},
+                    "findings": [finding.to_dict() for finding in findings],
+                    "clean": not findings,
                 },
                 indent=2,
             )
         )
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.format())
-        verdict = "clean" if not new else f"{len(new)} new finding(s)"
-        print(
-            f"lint: {result.files} file(s) checked, {verdict} "
-            f"({result.waived} waived, {baselined} baselined)"
-        )
-    if new and not args.report_only:
+        verdict = "clean" if not findings else f"{len(findings)} finding(s)"
+        print(f"lint: {result.files} file(s) checked, {verdict} ({result.waived} waived)")
+    if findings and not args.report_only:
         return 1
     return 0
 
@@ -828,8 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.set_defaults(func=_cmd_worker)
 
     p_lint = sub.add_parser(
-        "lint", help="project-invariant static analysis (REP001..REP006)",
-        parents=[jobs],
+        "lint", help="project-invariant static analysis (REP001..REP006)"
     )
     p_lint.add_argument(
         "paths", nargs="*", metavar="PATH",
@@ -838,16 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="findings as human-readable lines or one JSON document",
-    )
-    p_lint.add_argument(
-        "--baseline", default="lint-baseline.json", metavar="PATH",
-        help="committed grandfather file (default: lint-baseline.json; "
-             "missing file = empty baseline, corrupt file = exit 2)",
-    )
-    p_lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and record "
-             "report-only counts for tests/ and examples/",
     )
     p_lint.add_argument(
         "--report-only", action="store_true",

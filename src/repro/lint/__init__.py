@@ -13,25 +13,15 @@ source tree (stdlib :mod:`ast` only, no new dependencies):
 - :mod:`repro.lint.rules` -- the rule-plugin registry and the six
   project rules REP001..REP006 (plus the REP000 tool-integrity rule);
 - :mod:`repro.lint.waivers` -- inline ``# repro: lint-ok[RULE] reason``
-  waivers;
-- :mod:`repro.lint.baseline` -- the committed JSON baseline for
-  grandfathered findings and the report-only counts over ``tests/``
-  and ``examples/``;
-- :mod:`repro.lint.engine` -- per-file analysis and the fan-out driver,
-  which dogfoods :func:`repro.parallel.run_points` so linting a large
-  tree parallelizes exactly like a figure sweep.
+  waivers, the one way to suppress a finding;
+- :mod:`repro.lint.engine` -- per-file analysis and the serial driver
+  over a tree.
 
 The ``repro-hypercube lint`` subcommand exposes it under the standard
-exit-code contract (0 clean, 1 findings, 2 usage / corrupt baseline);
-see docs/STATIC_ANALYSIS.md for the rule catalog and workflow.
+exit-code contract (0 clean, 1 findings, 2 usage error); see
+docs/STATIC_ANALYSIS.md for the rule catalog and workflow.
 """
 
-from repro.lint.baseline import (
-    BaselineError,
-    load_baseline,
-    save_baseline,
-    split_findings,
-)
 from repro.lint.engine import (
     LintResult,
     iter_python_files,
@@ -44,7 +34,6 @@ from repro.lint.rules import RULES, Rule, rule
 from repro.lint.waivers import Waiver, collect_waivers
 
 __all__ = [
-    "BaselineError",
     "Finding",
     "LintResult",
     "RULES",
@@ -55,8 +44,5 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "rule",
-    "save_baseline",
-    "split_findings",
 ]

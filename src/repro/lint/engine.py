@@ -1,14 +1,10 @@
-"""Per-file analysis and the sweep-engine-backed fan-out driver.
+"""Per-file analysis and the tree driver.
 
 One file is one unit of work: parse, collect import aliases, collect
 waivers, then walk the tree exactly once, dispatching each node to the
 rules interested in its type (:data:`repro.lint.rules.RULES`).
-:func:`lint_file` is a picklable module-level function over a plain
-string spec, which lets :func:`lint_paths` fan a large tree across
-worker processes through :func:`repro.parallel.run_points` -- the
-linter dogfoods the same sweep engine the figure reproductions use,
-with the same submission-order reassembly guarantee, so output order
-is identical serial or parallel.
+:func:`lint_paths` lints the files under its paths one after another,
+in sorted path order.
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ from typing import Iterable, Sequence
 from repro.lint.findings import Finding
 from repro.lint.rules import RULES, FileContext, Rule
 from repro.lint.waivers import apply_waivers, collect_waivers
-from repro.obs.metrics import MetricsRegistry
-from repro.parallel.engine import run_points, sweep_context
 
 __all__ = [
     "LintResult",
@@ -120,12 +114,12 @@ def lint_source(
     return kept, waived
 
 
-def lint_file(path: str) -> dict:
-    """Point function for the sweep engine: lint one file by path.
+def lint_file(path: str) -> tuple[list[Finding], int]:
+    """Lint one file by path; returns ``(findings, waived)`` as
+    :func:`lint_source` does.
 
-    Returns a plain, picklable payload.  An unreadable file is a REP000
-    finding, not an exception -- a crash in one worker must not abort
-    the sweep (and the engine's in-process fallback would re-raise it).
+    An unreadable file is a REP000 finding, not an exception, so one bad
+    file cannot hide the findings of the rest of the tree.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -138,21 +132,15 @@ def lint_file(path: str) -> dict:
             col=1,
             message=f"file could not be read: {exc}",
         )
-        return {"path": path, "findings": [finding.to_dict()], "waived": 0}
-    findings, waived = lint_source(source, path)
-    return {
-        "path": path,
-        "findings": [finding.to_dict() for finding in findings],
-        "waived": waived,
-    }
+        return [finding], 0
+    return lint_source(source, path)
 
 
 def iter_python_files(paths: Sequence[str | os.PathLike]) -> list[str]:
     """Every ``.py`` file under ``paths``, sorted, caches skipped.
 
     Paths are kept exactly as given (relative stays relative), so
-    invoking the linter from the repo root produces the repo-relative
-    paths the committed baseline is keyed on.
+    invoking the linter from the repo root reports repo-relative paths.
     """
     files: set[str] = set()
     for root in paths:
@@ -181,30 +169,17 @@ class LintResult:
         return not self.findings
 
 
-def lint_paths(
-    paths: Sequence[str | os.PathLike],
-    jobs: int | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> LintResult:
+def lint_paths(paths: Sequence[str | os.PathLike]) -> LintResult:
     """Lint every Python file under ``paths``.
 
-    ``jobs`` > 1 fans files across worker processes via
-    :func:`repro.parallel.run_points` (``None``/1 runs serially through
-    the same code path).  ``metrics`` receives ``sim.lint.*`` totals
-    alongside the engine's own ``sim.parallel.*`` instruments.
+    Files are linted in sorted path order and each file's findings come
+    in source order, so the result is already in
+    :meth:`Finding.sort_key` order.
     """
     files = iter_python_files(paths)
-    registry = metrics if metrics is not None else MetricsRegistry()
-    with sweep_context(jobs=jobs if jobs else 1, metrics=registry):
-        payloads = run_points(lint_file, files, label="lint")
     result = LintResult(files=len(files))
-    for payload in payloads:
-        result.findings.extend(
-            Finding.from_dict(item) for item in payload["findings"]
-        )
-        result.waived += payload["waived"]
-    result.findings.sort(key=Finding.sort_key)
-    registry.counter("sim.lint.files").inc(len(files))
-    registry.counter("sim.lint.findings").inc(len(result.findings))
-    registry.counter("sim.lint.waived").inc(result.waived)
+    for path in files:
+        findings, waived = lint_file(path)
+        result.findings.extend(findings)
+        result.waived += waived
     return result

@@ -1,16 +1,13 @@
 """The :class:`Finding` envelope every lint rule produces.
 
-A finding is one violation at one source location.  Its *fingerprint*
-deliberately excludes the line number -- it hashes the rule id, the
-file path, the stripped source line, and the message -- so a committed
-baseline survives unrelated edits that only shift code up or down.
+A finding is one violation at one source location; an inline
+``# repro: lint-ok[RULE] reason`` waiver (:mod:`repro.lint.waivers`) is
+the one way to suppress it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Mapping
 
 __all__ = ["Finding"]
 
@@ -22,13 +19,11 @@ class Finding:
     Attributes:
         rule: rule identifier (``"REP002"``).
         path: file path as given to the linter (repo-relative when the
-            linter is invoked from the repo root, which is what keeps
-            baselines portable).
+            linter is invoked from the repo root).
         line: 1-based source line of the offending construct.
         col: 1-based column.
         message: human-readable description of the violation.
-        snippet: the stripped source line, for context and for the
-            line-number-independent fingerprint.
+        snippet: the stripped source line, for context.
     """
 
     rule: str
@@ -40,11 +35,6 @@ class Finding:
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number free)."""
-        payload = "|".join((self.rule, self.path, self.snippet, self.message))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def format(self) -> str:
         """One text-format line: ``path:line:col: RULE message``."""
@@ -58,16 +48,4 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint(),
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "Finding":
-        return cls(
-            rule=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            message=str(data["message"]),
-            snippet=str(data.get("snippet", "")),
-        )

@@ -47,7 +47,6 @@ __all__ = [
 METRIC_FAMILIES: tuple[str, ...] = (
     "sim.fabric",
     "sim.faults",
-    "sim.lint",
     "sim.parallel",
     "sim.resilience",
     "sim.service",

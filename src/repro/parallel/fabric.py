@@ -213,7 +213,7 @@ class TcpCoordinator:
         """Stop listening and shut every remote worker down; idempotent."""
         if self._server is None:
             return
-        self._stopping = True
+        self._stopping = True  # before the listing below: _register checks it
         _close(self._server)
         self._server = None
         if self._accept_thread is not None:
@@ -255,11 +255,9 @@ class TcpCoordinator:
             sock.close()
             return
         worker_id = str(hello.get("worker_id") or f"worker-{id(sock):x}")
-        stale = self._register(_WorkerLink(worker_id, sock))
-        if stale is not None:
-            # a reconnecting id displaces its predecessor, whose reader
-            # then reports it gone (requeueing any chunk it held)
-            _close(stale.sock)
+        if not self._register(_WorkerLink(worker_id, sock)):
+            sock.close()  # stop() has begun: the worker reads EOF and exits
+            return
         self._degraded = False
         self._gauge_workers()
         emit_event(
@@ -273,11 +271,19 @@ class TcpCoordinator:
         )
         self._joined.set()
 
-    def _register(self, link: _WorkerLink) -> _WorkerLink | None:
-        """Add ``link`` and start its reader; returns a displaced link."""
+    def _register(self, link: _WorkerLink) -> bool:
+        """Add ``link`` and start its reader; False, with nothing added,
+        once :meth:`stop` has begun, since it shuts down only the links
+        it finds."""
         with self._links_lock:
+            if self._stopping:
+                return False
             stale = self._links.pop(link.worker_id, None)
             self._links[link.worker_id] = link
+        if stale is not None:
+            # a reconnecting id displaces its predecessor, whose reader
+            # then reports it gone (requeueing any chunk it held)
+            _close(stale.sock)
         link.reader = threading.Thread(
             target=self._reader_loop,
             args=(link,),
@@ -285,7 +291,7 @@ class TcpCoordinator:
             daemon=True,
         )
         link.reader.start()
-        return stale
+        return True
 
     def _reader_loop(self, link: _WorkerLink) -> None:
         while True:

@@ -62,8 +62,6 @@ class ServiceConfig:
     #: seconds granted to in-flight requests during graceful drain.
     drain_grace_s: float = 5.0
     max_body_bytes: int = 1 << 20
-    #: test/soak knob: artificial seconds added to every build.
-    build_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
@@ -113,7 +111,6 @@ class ServiceApp:
             cache=ScheduleCache(metrics=self.metrics),
             metrics=self.metrics,
             max_workers=self.config.workers,
-            build_delay_s=self.config.build_delay_s,
         )
         self.admission = AdmissionController(self.config.admission, self.metrics)
         self.server = HttpServer(

@@ -105,13 +105,9 @@ class PlannerService:
         cache: ScheduleCache | None = None,
         metrics: MetricsRegistry | None = None,
         max_workers: int = 4,
-        build_delay_s: float = 0.0,
     ) -> None:
         self.cache = cache if cache is not None else ScheduleCache()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: artificial per-build delay; a test/soak knob that widens the
-        #: coalescing window without changing any computed value.
-        self.build_delay_s = build_delay_s
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-service-build"
         )
@@ -160,15 +156,10 @@ class PlannerService:
 
     # -- single-flight core --------------------------------------------
 
-    def _build(self, build: Callable[[], dict]) -> dict:
-        if self.build_delay_s > 0.0:
-            time.sleep(self.build_delay_s)
-        return build()
-
     async def _build_and_store(self, key: str, build: Callable[[], dict]) -> bytes:
         loop = asyncio.get_running_loop()
         t0 = time.perf_counter()
-        value = await loop.run_in_executor(self._executor, self._build, build)
+        value = await loop.run_in_executor(self._executor, build)
         self.metrics.timer("sim.service.build_seconds").record(time.perf_counter() - t0)
         return self.cache.put(key, value)
 

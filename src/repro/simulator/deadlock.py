@@ -10,22 +10,22 @@ executable:
 
 - :func:`channel_dependency_graph` builds the graph for any routing
   function over all node pairs;
-- :func:`is_deadlock_free` checks acyclicity (via networkx);
+- :func:`is_deadlock_free` checks acyclicity;
 - :func:`find_dependency_cycle` returns a witness cycle for routing
   functions that are *not* safe (e.g. random minimal routing).
 
 A run-time companion, :func:`waiting_cycle`, inspects a live network
 and reports an actual circular wait among blocked worms -- used by the
 failure-injection tests to show a real deadlock happening under unsafe
-routing.
+routing.  Both graphs are insertion-ordered dicts searched by one
+depth-first search, so a witness never depends on hash order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-
-import networkx as nx
+from typing import Iterable, Mapping, TypeVar
 
 from repro.core.paths import Arc, arc_of
 from repro.simulator.message import WormState
@@ -40,43 +40,70 @@ __all__ = [
     "waiting_cycle",
 ]
 
+_Node = TypeVar("_Node")
 
-def channel_dependency_graph(n: int, route: RoutingFunction) -> "nx.DiGraph":
+
+def _find_cycle(graph: Mapping[_Node, Iterable[_Node]]) -> list[_Node] | None:
+    """The first cycle a depth-first search of ``graph`` meets, or None.
+
+    The search starts from each key in order and follows successors in
+    their order (a successor that is not a key has none); the witness
+    is the search path from the node it reached a second time.
+    """
+    finished: set[_Node] = set()
+    for start in graph:
+        if start in finished:
+            continue
+        path = [start]
+        on_path = {start}
+        successors = [iter(graph[start])]
+        while successors:
+            for node in successors[-1]:
+                if node in on_path:
+                    return path[path.index(node):]
+                if node not in finished:
+                    path.append(node)
+                    on_path.add(node)
+                    successors.append(iter(graph.get(node, ())))
+                    break
+            else:  # every successor searched: the node is done
+                finished.add(path[-1])
+                on_path.discard(path.pop())
+                successors.pop()
+    return None
+
+
+def channel_dependency_graph(n: int, route: RoutingFunction) -> dict[Arc, dict[Arc, None]]:
     """The channel dependency graph of ``route`` over all ``(src, dst)``
     pairs of the ``n``-cube.
+
+    Maps every channel to its successors, in the order routes first use
+    each dependency (a dict rather than a set, so that order is fixed).
 
     Note: for *randomized* routing functions this samples one route per
     pair; safety claims then hold only for the sampled behaviour, while
     a found cycle is already a genuine counterexample.
     """
-    g = nx.DiGraph()
     size = 1 << n
-    for u in range(size):
-        for d in range(n):
-            g.add_node((u, d))
+    graph: dict[Arc, dict[Arc, None]] = {(u, d): {} for u in range(size) for d in range(n)}
     for src in range(size):
         for dst in range(size):
             if src == dst:
                 continue
             arcs = route(src, dst)
             for a, b in zip(arcs, arcs[1:]):
-                g.add_edge(a, b)
-    return g
+                graph[a][b] = None
+    return graph
 
 
 def is_deadlock_free(n: int, route: RoutingFunction) -> bool:
     """True iff the channel dependency graph is acyclic."""
-    return nx.is_directed_acyclic_graph(channel_dependency_graph(n, route))
+    return find_dependency_cycle(n, route) is None
 
 
 def find_dependency_cycle(n: int, route: RoutingFunction) -> list[Arc] | None:
     """A witness cycle of channels, or None if the graph is acyclic."""
-    g = channel_dependency_graph(n, route)
-    try:
-        cycle_edges = nx.find_cycle(g)
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in cycle_edges]
+    return _find_cycle(channel_dependency_graph(n, route))
 
 
 def waiting_cycle(network: WormholeNetwork) -> list[int] | None:
@@ -88,16 +115,12 @@ def waiting_cycle(network: WormholeNetwork) -> list[int] | None:
     always None; under an unsafe routing function it is the post-mortem
     evidence of deadlock.
     """
-    g = nx.DiGraph()
+    waits_for: dict[int, tuple[int]] = {}
     for slot in network._owners.values():
         if isinstance(slot, deque):  # the holder, then the headers waiting on it
             for waiter in islice(slot, 1, None):
-                g.add_edge(waiter.uid, slot[0].uid)
-    try:
-        cycle_edges = nx.find_cycle(g)
-    except (nx.NetworkXNoCycle, nx.NetworkXError):
-        return None
-    return [edge[0] for edge in cycle_edges]
+                waits_for[waiter.uid] = (slot[0].uid,)
+    return _find_cycle(waits_for)
 
 
 def stall_report(network: WormholeNetwork) -> dict:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.experiments import run_experiment
 from repro.analysis.report import figure_section, markdown_report
 from repro.analysis.shapes import FIGURE_CRITERIA, check_figure
 from repro.analysis.tables import Table
+from repro.obs.sink import capture
 
 
 def staircase_table():
@@ -88,3 +90,14 @@ class TestReport:
     def test_unknown_figure_rejected(self):
         with pytest.raises(KeyError):
             markdown_report(figures=["nope"])
+
+    def test_shared_points_simulate_once(self):
+        """Figure 12 reads Figure 11's points: one report simulates
+        them once, as many multicasts as Figure 11 alone."""
+        with capture() as alone:
+            run_experiment("fig11", fast=True)
+        with capture() as both:
+            markdown_report(fast=True, figures=["fig11", "fig12"])
+        multicasts = [r for r in alone.records if r.kind == "multicast"]
+        assert multicasts
+        assert len([r for r in both.records if r.kind == "multicast"]) == len(multicasts)

@@ -1,20 +1,11 @@
-"""Waiver parsing/placement and baseline load/save/split semantics."""
+"""Waiver parsing and placement: inline waivers are the one way to
+suppress a finding."""
 
 from __future__ import annotations
 
-import json
 import textwrap
 
-import pytest
-
-from repro.lint.baseline import (
-    BaselineError,
-    load_baseline,
-    save_baseline,
-    split_findings,
-)
 from repro.lint.engine import lint_source
-from repro.lint.findings import Finding
 
 
 def _lint(source: str):
@@ -104,84 +95,3 @@ class TestWaivers:
         assert waived == 0
         assert [f.rule for f in found] == ["REP002"]
 
-
-class TestBaseline:
-    def _finding(self, message="m", path="src/x.py"):
-        return Finding(
-            rule="REP002", path=path, line=10, col=5, message=message, snippet="s"
-        )
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        data = load_baseline(tmp_path / "nope.json")
-        assert data["findings"] == []
-        assert data["report_only"] == {}
-
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        f = self._finding()
-        save_baseline(path, [f, f], report_only={"tests": 3})
-        data = load_baseline(path)
-        assert data["schema"] == 1
-        assert data["tool"] == "repro.lint"
-        assert data["findings"] == [
-            {
-                "fingerprint": f.fingerprint(),
-                "rule": "REP002",
-                "path": "src/x.py",
-                "count": 2,
-            }
-        ]
-        assert data["report_only"] == {"tests": 3}
-
-    def test_corrupt_json_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
-    def test_wrong_schema_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"schema": 99, "findings": []}), encoding="utf-8")
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
-    def test_malformed_entries_raise(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps({"schema": 1, "findings": [{"rule": "REP002"}]}),
-            encoding="utf-8",
-        )
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
-    def test_split_is_a_multiset_consume(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        f = self._finding()
-        save_baseline(path, [f, f])  # grandfather two occurrences
-        baseline = load_baseline(path)
-        new, baselined = split_findings([f, f, f], baseline)
-        assert baselined == 2
-        assert len(new) == 1  # the third identical finding is new
-
-    def test_split_ignores_line_shifts(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        f = self._finding()
-        save_baseline(path, [f])
-        shifted = Finding(
-            rule=f.rule,
-            path=f.path,
-            line=99,  # moved, same code
-            col=1,
-            message=f.message,
-            snippet=f.snippet,
-        )
-        new, baselined = split_findings([shifted], load_baseline(path))
-        assert (new, baselined) == ([], 1)
-
-    def test_unrelated_finding_is_new(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(path, [self._finding()])
-        other = self._finding(message="different defect")
-        new, baselined = split_findings([other], load_baseline(path))
-        assert baselined == 0
-        assert new == [other]

@@ -180,6 +180,38 @@ class TestCoordinatorLifecycle:
         assert time.perf_counter() - start < 1.0
         assert [t.name for t in threading.enumerate() if t.name.startswith("fabric-")] == []
 
+    def test_a_worker_registering_after_stop_is_refused(self):
+        """stop() shuts down the links it finds; one whose handshake
+        ends after that would run on unnoticed, so it is refused and its
+        socket closed, and no worker-joined is emitted."""
+        comm = TcpCoordinator(FabricConfig(), watchdog=_FABRIC_WATCHDOG)
+        register = comm._register
+        entered, release = threading.Event(), threading.Event()
+
+        def held(link):
+            entered.set()
+            release.wait(timeout=30.0)
+            return register(link)
+
+        comm._register = held
+        comm.start()
+        try:
+            with capture() as sink, socket.create_connection(
+                ("127.0.0.1", comm.port), timeout=10.0
+            ) as sock:
+                send_frame(sock, {"type": "hello", "worker_id": "late"})
+                assert recv_frame(sock)["type"] == "welcome"
+                assert entered.wait(timeout=10.0)
+                comm.stop()
+                release.set()
+                assert recv_frame(sock) is None  # EOF, not a live link
+                assert comm.worker_count == 0
+            events = [r.extra.get("event") for r in sink.records]
+            assert "worker-joined" not in events
+        finally:
+            release.set()
+            comm.stop()
+
 
 class TestHandshake:
     """The coordinator's ``poll_s`` is the one beat interval: it sends

@@ -288,7 +288,7 @@ class TestKeepAlive:
 
 
 class TestHttpCoalescing:
-    def test_concurrent_identical_requests_one_build_identical_bytes(self):
+    def test_concurrent_identical_requests_one_build_identical_bytes(self, slow_builds):
         """64 concurrent identical requests over real sockets: at most one
         build, byte-identical response bodies.
 
@@ -296,7 +296,8 @@ class TestHttpCoalescing:
         1 s, so every request is in flight during the one build; a
         request that arrived after it would be answered from the cache,
         whose body differs in its ``source`` field."""
-        config = ServiceConfig(port=0, build_delay_s=1.0, workers=2)
+        slow_builds(1.0)
+        config = ServiceConfig(port=0, workers=2)
         with ServiceThread(config) as svc:
             doc = {"algorithm": "wsort", "n": 6, "destinations": [1, 2, 4, 8, 16, 32, 63]}
             payload = json.dumps(doc).encode()
@@ -336,10 +337,11 @@ class TestHttpCoalescing:
 
 
 class TestDeadlines:
-    def test_slow_build_times_out_504(self, caplog):
+    def test_slow_build_times_out_504(self, caplog, slow_builds):
         gc.collect()  # report only this service's tasks, not earlier tests'
         caplog.clear()
-        config = ServiceConfig(port=0, build_delay_s=0.5)
+        slow_builds(0.5)
+        config = ServiceConfig(port=0)
         with ServiceThread(config) as svc:
             status, body, _ = _post(
                 svc, "/v1/schedule", DOC, headers={"X-Deadline-Ms": "50"}

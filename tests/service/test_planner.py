@@ -9,6 +9,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.cache import ScheduleCache, schedule_table_key
+from repro.service import planner
 from repro.service.planner import PlannerService
 from repro.service.protocol import parse_plan_request
 
@@ -22,12 +23,13 @@ def _planner(**over) -> tuple[PlannerService, MetricsRegistry]:
 
 
 class TestCoalescing:
-    def test_64_concurrent_identical_requests_build_once(self):
+    def test_64_concurrent_identical_requests_build_once(self, slow_builds):
         """The headline property: N identical in-flight requests perform
         exactly one build, and every caller serializes byte-identically."""
+        slow_builds(0.05)
 
         async def scenario():
-            svc, registry = _planner(build_delay_s=0.05, max_workers=2)
+            svc, registry = _planner(max_workers=2)
             req = parse_plan_request(DOC, "schedule")
             try:
                 results = await asyncio.gather(*(svc.schedule(req) for _ in range(64)))
@@ -45,9 +47,11 @@ class TestCoalescing:
         keys = {r.key for r in results}
         assert len(keys) == 1
 
-    def test_distinct_keys_do_not_coalesce(self):
+    def test_distinct_keys_do_not_coalesce(self, slow_builds):
+        slow_builds(0.02)
+
         async def scenario():
-            svc, registry = _planner(build_delay_s=0.02)
+            svc, registry = _planner()
             req_a = parse_plan_request(DOC, "schedule")
             req_b = parse_plan_request(dict(DOC, destinations=[2, 4, 6]), "schedule")
             try:
@@ -60,9 +64,11 @@ class TestCoalescing:
         assert registry.counter("sim.service.builds").value == 2.0
         assert registry.counter("sim.service.coalesced").value == 0.0
 
-    def test_waiter_cancellation_does_not_kill_the_build(self):
+    def test_waiter_cancellation_does_not_kill_the_build(self, slow_builds):
+        slow_builds(0.05)
+
         async def scenario():
-            svc, registry = _planner(build_delay_s=0.05)
+            svc, registry = _planner()
             req = parse_plan_request(DOC, "schedule")
             try:
                 follower = asyncio.ensure_future(svc.schedule(req))
@@ -81,9 +87,11 @@ class TestCoalescing:
         assert registry.counter("sim.service.builds").value == 1.0
         assert registry.counter("sim.service.build_errors").value == 0.0
 
-    def test_inflight_empties_after_builds(self):
+    def test_inflight_empties_after_builds(self, slow_builds):
+        slow_builds(0.01)
+
         async def scenario():
-            svc, _ = _planner(build_delay_s=0.01)
+            svc, _ = _planner()
             req = parse_plan_request(DOC, "schedule")
             try:
                 await asyncio.gather(*(svc.schedule(req) for _ in range(4)))
@@ -96,23 +104,26 @@ class TestCoalescing:
 
 
 class TestDrain:
-    def test_drain_drops_queued_builds_and_waits_for_running_ones(self):
+    def test_drain_drops_queued_builds_and_waits_for_running_ones(
+        self, slow_builds, monkeypatch
+    ):
         """Once their waiters are gone, drain cancels the builds: one
         queued behind the only worker never starts, and the running one
         has finished when drain returns."""
         started, finished = [], []
+        slow_builds(0.2)
+        build = planner.compute_schedule_table
+
+        def counted(*args):
+            started.append(args)
+            value = build(*args)
+            finished.append(args)
+            return value
+
+        monkeypatch.setattr(planner, "compute_schedule_table", counted)
 
         async def scenario():
-            svc, _ = _planner(build_delay_s=0.2, max_workers=1)
-            build = svc._build
-
-            def counted(fn):
-                started.append(fn)
-                value = build(fn)
-                finished.append(fn)
-                return value
-
-            svc._build = counted
+            svc, _ = _planner(max_workers=1)
             req_a = parse_plan_request(DOC, "schedule")
             req_b = parse_plan_request(dict(DOC, destinations=[2, 4, 6]), "schedule")
             waiters = [asyncio.ensure_future(svc.schedule(r)) for r in (req_a, req_b)]
@@ -128,12 +139,13 @@ class TestDrain:
         assert len(started) == 1
         assert len(finished) == 1
 
-    def test_drain_keeps_the_event_loop_running(self):
+    def test_drain_keeps_the_event_loop_running(self, slow_builds):
         """Waiting for a running build happens off the event loop: a
         ticker task keeps ticking while drain waits for the build."""
+        slow_builds(0.5)
 
         async def scenario():
-            svc, _ = _planner(build_delay_s=0.5, max_workers=1)
+            svc, _ = _planner(max_workers=1)
             waiter = asyncio.ensure_future(svc.schedule(parse_plan_request(DOC, "schedule")))
             await asyncio.sleep(0.05)  # the build is now running
             waiter.cancel()

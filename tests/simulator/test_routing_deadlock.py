@@ -80,13 +80,33 @@ class TestDependencyGraph:
         assert cycle is not None
         assert len(cycle) >= 2
 
+    def test_random_minimal_witness_is_pinned(self):
+        """The search order is fixed, so the witness is too."""
+        assert find_dependency_cycle(3, random_minimal_routing(seed=0)) == [
+            (0, 1), (2, 2), (6, 0), (7, 2), (3, 1), (1, 0),
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_witness_is_a_closed_walk_of_dependencies(self, n, seed):
+        graph = channel_dependency_graph(n, random_minimal_routing(seed=seed))
+        cycle = find_dependency_cycle(n, random_minimal_routing(seed=seed))
+        assert is_deadlock_free(n, random_minimal_routing(seed=seed)) == (cycle is None)
+        if cycle is None:
+            return
+        assert len(set(cycle)) == len(cycle)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert b in graph[a], f"{a} -> {b} is not a dependency"
+
     def test_graph_node_count(self):
         g = channel_dependency_graph(3, ecube_routing())
-        assert g.number_of_nodes() == 3 * 8  # n * 2^n directed channels
+        assert len(g) == 3 * 8  # n * 2^n directed channels
 
     def test_ecube_edges_descend_dimensions(self):
         g = channel_dependency_graph(4, ecube_routing())
-        for (u, d1), (v, d2) in g.edges():
+        edges = [(a, b) for a, successors in g.items() for b in successors]
+        assert edges  # the check below is not vacuous
+        for (u, d1), (v, d2) in edges:
             assert d1 > d2  # descending resolution: strictly decreasing
 
 
@@ -121,10 +141,9 @@ class TestLiveDeadlock:
         # no progress possible: quiescence check fails ...
         with pytest.raises(AssertionError):
             net.assert_quiescent()
-        # ... and the wait-for graph contains a genuine cycle
-        cycle = waiting_cycle(net)
-        assert cycle is not None
-        assert len(cycle) >= 2
+        # ... and the wait-for graph contains a genuine cycle: worm 3
+        # waits for worm 0, 0 for 1, 1 for 2 and 2 for 3
+        assert waiting_cycle(net) == [3, 0, 1, 2]
 
     def test_no_waiting_cycle_under_ecube(self):
         sim = Simulator()

@@ -309,7 +309,6 @@ class TestExitCodes:
             ["experiment", "fig9", "--parallel"],
             ["sweep", "fig9", "--parallel", "--trace", "trace.json",
              "--prometheus", "metrics.prom"],
-            ["lint", ".", "--parallel"],
         ],
     )
     def test_bad_repro_jobs_exits_two_before_any_work(
@@ -375,8 +374,6 @@ class TestExitCodes:
             (["experiment", "fig9", "--jobs", "-4"], "--jobs"),
             (["sweep", "fig9", "--jobs", "0"], "--jobs"),
             (["sweep", "fig9", "--jobs", "-4"], "--jobs"),
-            (["lint", "--jobs", "0"], "--jobs"),
-            (["lint", "--jobs", "-4"], "--jobs"),
         ],
     )
     def test_count_below_one_is_a_usage_error(self, capsys, argv, option):

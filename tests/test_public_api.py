@@ -8,8 +8,35 @@ must stay available.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Refuses every module outside the standard library, the package and
+#: the dependencies pyproject.toml declares, then imports the package
+#: and its CLI.
+_IMPORT_ON_DECLARED_DEPENDENCIES = """
+import sys
+
+ALLOWED = {"repro", "numpy"}
+
+
+class RefuseUndeclared:
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top in ALLOWED or top in sys.stdlib_module_names:
+            return None
+        raise ModuleNotFoundError(f"{name} is not a declared dependency")
+
+
+sys.meta_path.insert(0, RefuseUndeclared())
+import repro, repro.cli
+"""
 
 PACKAGES = [
     "repro",
@@ -46,6 +73,17 @@ def test_readme_quickstart_names():
     from repro import ALL_PORT, UCube, WSort  # noqa: F401
     from repro.collectives import HypercubeCollectives  # noqa: F401
     from repro.simulator import NCUBE2, simulate_multicast  # noqa: F401
+
+
+def test_imports_on_its_declared_dependencies_alone():
+    """``import repro`` and the CLI need nothing pyproject.toml does not
+    declare (CI's lint job installs numpy alone)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ON_DECLARED_DEPENDENCIES],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_version():
