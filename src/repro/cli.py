@@ -222,6 +222,8 @@ def _resolve_jobs(args: argparse.Namespace) -> int | None:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    if args.jobs is not None or args.cache_dir is not None:  # a sweep context opens
+        _env_watchdog("experiment")
     table = run_experiment(args.id, fast=not args.full, jobs=args.jobs, cache_dir=args.cache_dir)
     if args.json:
         print(table.to_json())
@@ -235,14 +237,24 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_watchdog(args: argparse.Namespace):
-    """``REPRO_WATCHDOG_*`` defaults, then ``--soft/--hard-timeout-s``
-    -> the sweep's WatchdogConfig (ValueError on a bad value, an
-    inverted pair included).  A hard timeout not given on the command
-    line follows a larger soft one, as in ``from_env``."""
+def _env_watchdog(command: str):
+    """``REPRO_WATCHDOG_*`` as a sweep context reads it, read by every
+    subcommand that opens one before any work, so that a bad value is a
+    usage error (exit 2), not a failed run."""
     from repro.parallel.resilience import WatchdogConfig
 
-    base = WatchdogConfig.from_env()
+    try:
+        return WatchdogConfig.from_env()
+    except ValueError as exc:
+        raise _UsageError(f"{command}: {exc}") from None
+
+
+def _resolve_watchdog(args: argparse.Namespace):
+    """``REPRO_WATCHDOG_*`` defaults, then ``--soft/--hard-timeout-s``
+    -> the sweep's WatchdogConfig (ValueError on a bad flag value, an
+    inverted pair included).  A hard timeout not given on the command
+    line follows a larger soft one, as in ``from_env``."""
+    base = _env_watchdog(args.command)
     soft = base.soft_timeout_s if args.soft_timeout_s is None else args.soft_timeout_s
     hard = max(base.hard_timeout_s, soft) if args.hard_timeout_s is None else args.hard_timeout_s
     return dataclasses.replace(base, soft_timeout_s=soft, hard_timeout_s=hard)
@@ -366,15 +378,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     missing = [path for path in paths if not os.path.exists(path)]
     if missing:
         raise _UsageError(f"lint: no such path(s): {', '.join(missing)}")
-    unknown_rules = [r for r in (args.select or []) if r.upper() not in RULES]
+    # one value per --select, each a rule id or a comma list of them
+    select = [r.strip() for value in args.select or () for r in value.split(",")]
+    unknown_rules = [r for r in select if r.upper() not in RULES]
     if unknown_rules:
         raise _UsageError(
             f"lint: unknown rule(s): {', '.join(unknown_rules)} "
             f"(known: {', '.join(sorted(RULES))})"
         )
     result = lint_paths(paths)
-    if args.select:
-        selected = {r.upper() for r in args.select}
+    if select:
+        selected = {r.upper() for r in select}
         result.findings = [f for f in result.findings if f.rule in selected]
     findings = result.findings
 
@@ -435,6 +449,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import markdown_report
 
+    _env_watchdog("report")  # its figures run in one sweep context
     doc = markdown_report(fast=not args.full, figures=args.figures)
     print(doc)
     if "| FAIL |" in doc:
@@ -818,8 +833,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print findings but exit 0 (advisory sweeps over tests/examples)",
     )
     p_lint.add_argument(
-        "--select", nargs="+", default=None, metavar="RULE",
-        help="only report these rule ids (e.g. REP002 REP004)",
+        "--select", action="append", default=None, metavar="RULE[,RULE...]",
+        help="only report these rule ids; repeat the flag or give a comma "
+             "list (e.g. --select REP002,REP004)",
     )
     p_lint.set_defaults(func=_cmd_lint)
 

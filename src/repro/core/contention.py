@@ -23,7 +23,7 @@ against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.paths import Arc, ResolutionOrder, arc_id_routes, arc_of, ecube_arcs
 
@@ -31,6 +31,7 @@ __all__ = [
     "ContentionReport",
     "Unicast",
     "check_contention_free",
+    "check_rows",
     "pair_contention_free",
     "reachable_sets",
 ]
@@ -93,12 +94,17 @@ def reachable_sets(source: int, unicasts: Iterable[Unicast]) -> dict[int, set[in
     the same closure: a relay cycle puts every node of the cycle in the
     reachable set of each, and deep relay chains need no recursion.
     """
+    return _reach(source, [(uc.step, uc.src, uc.dst) for uc in unicasts])
+
+
+def _reach(source: int, rows: Iterable[tuple[int, int, int]]) -> dict[int, set[int]]:
+    """:func:`reachable_sets` over ``(step, src, dst)`` rows."""
     children: dict[int, list[int]] = {}
     nodes = [source]
-    for uc in unicasts:
-        children.setdefault(uc.src, []).append(uc.dst)
-        nodes.append(uc.src)
-        nodes.append(uc.dst)
+    for _, src, dst in rows:
+        children.setdefault(src, []).append(dst)
+        nodes.append(src)
+        nodes.append(dst)
 
     reach: dict[int, set[int]] = {}
     # receivers come after their senders in a schedule, so walking it
@@ -155,30 +161,43 @@ def check_contention_free(
     source must have received the message in a strictly earlier step
     than any step in which it sends.
     """
+    rows = [(uc.step, uc.src, uc.dst) for uc in unicasts]
+    return check_rows(source, rows, order, unicasts.__getitem__)
+
+
+def check_rows(
+    source: int,
+    rows: Sequence[tuple[int, int, int]],
+    order: ResolutionOrder,
+    record: Callable[[int], Unicast],
+) -> ContentionReport:
+    """:func:`check_contention_free` over ``(step, src, dst)`` rows.
+
+    ``record(i)`` is the :class:`Unicast` of row ``i``; it is called
+    only for the rows of a reported violation.
+    """
     report = ContentionReport(ok=True)
 
     recv_step: dict[int, int] = {source: 0}
     spread = 0  # every dimension any unicast crosses is below its bit length
-    for uc in unicasts:
-        spread |= uc.src ^ uc.dst
-        if uc.dst in recv_step:
+    for step, src, dst in rows:
+        spread |= src ^ dst
+        if dst in recv_step:
             report.ok = False
-            report.causality_errors.append(
-                f"node {uc.dst} receives the message more than once"
-            )
+            report.causality_errors.append(f"node {dst} receives the message more than once")
         else:
-            recv_step[uc.dst] = uc.step
-    for uc in unicasts:
-        got = recv_step.get(uc.src)
+            recv_step[dst] = step
+    for step, src, _ in rows:
+        got = recv_step.get(src)
         if got is None:
             report.ok = False
             report.causality_errors.append(
-                f"node {uc.src} sends at step {uc.step} without ever receiving"
+                f"node {src} sends at step {step} without ever receiving"
             )
-        elif got >= uc.step:
+        elif got >= step:
             report.ok = False
             report.causality_errors.append(
-                f"node {uc.src} sends at step {uc.step} but only receives at step {got}"
+                f"node {src} sends at step {step} but only receives at step {got}"
             )
 
     # Only unicasts that share an arc can violate Definition 4.  Index
@@ -189,9 +208,9 @@ def check_contention_free(
     shift = routes.shift
     first: dict[int, int] = {}
     shared: dict[int, list[int]] = {}
-    for i, uc in enumerate(unicasts):
-        base = uc.src << shift
-        for q in routes[uc.src ^ uc.dst]:
+    for i, (_, src, dst) in enumerate(rows):
+        base = src << shift
+        for q in routes[src ^ dst]:
             arc = base ^ q
             j = first.setdefault(arc, i)
             if j != i:
@@ -200,7 +219,7 @@ def check_contention_free(
                     shared[arc] = [j, i]
                 else:
                     users.append(i)
-    k = len(unicasts)
+    k = len(rows)
     witness: dict[int, int] = {}  # i * k + j -> smallest arc id i and j share
     for arc, users in shared.items():
         for x, i in enumerate(users):
@@ -212,16 +231,17 @@ def check_contention_free(
     if not witness:
         return report
 
-    reach = reachable_sets(source, unicasts)
+    reach = _reach(source, rows)
     for pair in sorted(witness):
-        a, b = unicasts[pair // k], unicasts[pair % k]
-        if a.step == b.step:
+        i, j = divmod(pair, k)
+        (a_step, a_src, _), (b_step, b_src, _) = rows[i], rows[j]
+        if a_step == b_step:
             ok = False
-        elif a.step < b.step:
-            ok = b.src in reach.get(a.src, ())
+        elif a_step < b_step:
+            ok = b_src in reach.get(a_src, ())
         else:
-            ok = a.src in reach.get(b.src, ())
+            ok = a_src in reach.get(b_src, ())
         if not ok:
             report.ok = False
-            report.violations.append((a, b, arc_of(witness[pair], n)))
+            report.violations.append((record(i), record(j), arc_of(witness[pair], n)))
     return report

@@ -45,7 +45,7 @@ from repro.simulator.message import Worm
 from repro.simulator.network import WormholeNetwork
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
-from repro.simulator.run import Machine, _mean
+from repro.simulator.run import Machine, _mean, _send_plan
 
 __all__ = ["DegradedResult", "simulate_degraded_multicast"]
 
@@ -172,6 +172,7 @@ def simulate_degraded_multicast(
     attempts: dict[tuple[int, int], int] = {}
     route_overrides: dict[tuple[int, int], list[Arc]] = {}
     counters = {"retries": 0, "gave_up": 0}
+    plan = _send_plan(tree, size, None)
 
     def route(u: int, v: int) -> list[Arc]:
         override = route_overrides.pop((u, v), None)
@@ -182,7 +183,7 @@ def simulate_degraded_multicast(
         if host.address in forwarded:
             return  # duplicate receipt (detour overlap): forward once
         forwarded.add(host.address)
-        sends = [(s.dst, size, None) for s in tree.sends_from(host.address)]
+        sends = plan.get(host.address)
         if sends:
             host.submit_sends(sends, sim.now)
 
@@ -223,7 +224,7 @@ def simulate_degraded_multicast(
     for t_fail, arc in scenario.timed_events():
         sim.schedule_at(t_fail, network.fail_arc, arc)
 
-    machine.send(tree.source, [(s.dst, size, None) for s in tree.sends_from(tree.source)])
+    machine.send(tree.source, plan.get(tree.source, []))
     forwarded.add(tree.source)
     sim.run(until=deadline_us, max_events=max_events)
 

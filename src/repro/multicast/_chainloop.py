@@ -57,7 +57,7 @@ def chain_loop_tree(
     select_next: NextSelector,
     needs_highdim: bool,
 ) -> MulticastTree:
-    """The Fig. 4 main loop, executed recursively for every receiver.
+    """The Fig. 4 main loop, executed for every receiver.
 
     Args:
         select_next: maps ``(highdim, center)`` to the chain position of
@@ -69,18 +69,22 @@ def chain_loop_tree(
     chain = relative_chain(source, destinations)
     # absolute addresses: each send's address field is one slice of it
     absolute = tuple(c ^ source for c in chain)
-
-    def process(left: int, right: int) -> None:
+    append = tree._append
+    # Blocks ``(left, right)`` whose holder ``chain[left]`` has sends
+    # left to issue.  A receiver's block is walked before its holder's
+    # next send, in the Fig. 4 loop's order.
+    stack = [(0, len(chain) - 1)]
+    while stack:
+        left, right = stack.pop()
         while left < right:
             x = delta(chain[left], chain[right])
             highdim = _highdim_index(chain, left, right, x) if needs_highdim else -1
             center = left + (right - left + 1) // 2  # left + ceil((right-left)/2)
             nxt = select_next(highdim, center)
-            tree.add_send(absolute[left], absolute[nxt], absolute[nxt + 1 : right + 1])
-            process(nxt, right)
-            right = nxt - 1
-
-    process(0, len(chain) - 1)
+            append(absolute[left], absolute[nxt], absolute[nxt + 1 : right + 1])
+            if nxt - 1 > left:
+                stack.append((left, nxt - 1))
+            left = nxt
     return tree
 
 
@@ -113,8 +117,11 @@ def cube_ordered_tree(
             assert is_cube_ordered_chain(chain, n), "reorder broke cube order"
 
     absolute = tuple(c ^ source for c in chain)
-
-    def process(left: int, right: int) -> None:
+    append = tree._append
+    # the same walk as chain_loop_tree's, over subcube splits
+    stack = [(0, len(chain) - 1)]
+    while stack:
+        left, right = stack.pop()
         while left < right:
             # The block splits first at the highest bit where its ends
             # differ; the holder's half is a prefix, so binary-search its end.
@@ -130,11 +137,10 @@ def cube_ordered_tree(
                     lo = mid + 1
                 else:
                     hi = mid
-            tree.add_send(absolute[left], absolute[lo], absolute[lo + 1 : right + 1])
-            process(lo, right)
-            right = lo - 1
-
-    process(0, len(chain) - 1)
+            append(absolute[left], absolute[lo], absolute[lo + 1 : right + 1])
+            if lo - 1 > left:
+                stack.append((left, lo - 1))
+            left = lo
     return tree
 
 
@@ -160,6 +166,6 @@ def build_with_order(
     rev = lambda x: reverse_bits(x, n)  # noqa: E731
     rtree = build(n, rev(source), [rev(d) for d in destinations])
     tree = MulticastTree(n, source, destinations, order=ResolutionOrder.ASCENDING)
-    for s in rtree.sends:
-        tree.add_send(rev(s.src), rev(s.dst), tuple(rev(c) for c in s.chain))
+    for src, dst, chain in zip(rtree._src, rtree._dst, rtree._chain):
+        tree._append(rev(src), rev(dst), tuple(map(rev, chain)))
     return tree

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.core.addressing import hamming, require_address
-from repro.core.contention import ContentionReport, Unicast, check_contention_free
+from repro.core.contention import ContentionReport, Unicast, check_rows
 from repro.core.paths import ResolutionOrder, arc_id_routes
 from repro.multicast.ports import ALL_PORT, PortModel
 from repro.obs import trace_spans
@@ -56,7 +56,14 @@ class Send:
 
 
 class MulticastTree:
-    """A tree of unicasts implementing one multicast operation."""
+    """A tree of unicasts implementing one multicast operation.
+
+    The sends are kept as columns indexed by ``seq``: ``_src``, ``_dst``
+    and ``_chain`` (each send's address field), plus ``_by_sender``,
+    each sender's seqs in issue order.  The scheduler, the verifiers and
+    the simulate drivers read the columns; :attr:`sends` and
+    :meth:`sends_from` build :class:`Send` records on demand.
+    """
 
     def __init__(
         self,
@@ -76,8 +83,10 @@ class MulticastTree:
         if self.source in self.destinations:
             raise ValueError("source must not be among the destinations")
         self.order = order
-        self._sends: list[Send] = []
-        self._by_sender: dict[int, list[Send]] = {}
+        self._src: list[int] = []
+        self._dst: list[int] = []
+        self._chain: list[tuple[int, ...]] = []
+        self._by_sender: dict[int, list[int]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -89,38 +98,54 @@ class MulticastTree:
             require_address(dst, self.n, "receiver")
         if src == dst:
             raise ValueError(f"node {src} cannot send to itself")
-        send = Send(src, dst, len(self._sends), tuple(chain))
-        self._sends.append(send)
-        self._by_sender.setdefault(src, []).append(send)
-        return send
+        chain = tuple(chain)
+        return Send(src, dst, self._append(src, dst, chain), chain)
+
+    def _append(self, src: int, dst: int, chain: tuple[int, ...]) -> int:
+        """Record one send, unchecked, and return its seq.
+
+        For builders whose addresses were validated already: a chain
+        that this tree and ``relative_chain`` checked, or the sends of
+        another tree.
+        """
+        seq = len(self._src)
+        self._src.append(src)
+        self._dst.append(dst)
+        self._chain.append(chain)
+        self._by_sender.setdefault(src, []).append(seq)
+        return seq
 
     # -- structure ----------------------------------------------------
 
     @property
     def sends(self) -> list[Send]:
         """All forwarding actions in global construction order."""
-        return list(self._sends)
+        return [
+            Send(src, dst, seq, chain)
+            for seq, (src, dst, chain) in enumerate(zip(self._src, self._dst, self._chain))
+        ]
 
     def sends_from(self, node: int) -> list[Send]:
         """The sends issued by ``node``, in issue order."""
-        return list(self._by_sender.get(node, ()))
+        dst, chain = self._dst, self._chain
+        return [Send(node, dst[i], i, chain[i]) for i in self._by_sender.get(node, ())]
 
     @property
     def nodes_receiving(self) -> set[int]:
         """All nodes that receive a copy of the message."""
-        return {s.dst for s in self._sends}
+        return set(self._dst)
 
     @property
     def relay_nodes(self) -> set[int]:
         """Nodes whose *CPU* handles the message without being a
         destination (empty for all of the paper's wormhole algorithms)."""
-        involved = {s.src for s in self._sends} | self.nodes_receiving
+        involved = set(self._by_sender).union(self._dst)
         return involved - self.destinations - {self.source}
 
     def parent_of(self, node: int) -> int | None:
-        for s in self._sends:
-            if s.dst == node:
-                return s.src
+        for src, dst in zip(self._src, self._dst):
+            if dst == node:
+                return src
         return None
 
     def depth(self) -> int:
@@ -130,26 +155,26 @@ class MulticastTree:
         best = 0
         # sends are appended parent-before-child by every builder, so a
         # single forward pass suffices; verify and fall back otherwise.
-        for s in self._sends:
-            if s.src not in depth:
+        for src, dst in zip(self._src, self._dst):
+            if src not in depth:
                 changed = False
                 break
-            depth[s.dst] = depth[s.src] + 1
-            best = max(best, depth[s.dst])
+            depth[dst] = depth[src] + 1
+            best = max(best, depth[dst])
         if changed:
             return best
         # generic fixpoint for adversarially-ordered trees (tests only)
         depth = {self.source: 0}
-        remaining = list(self._sends)
+        remaining = list(zip(self._src, self._dst))
         while remaining:
             progressed = False
             rest = []
-            for s in remaining:
-                if s.src in depth:
-                    depth[s.dst] = depth[s.src] + 1
+            for src, dst in remaining:
+                if src in depth:
+                    depth[dst] = depth[src] + 1
                     progressed = True
                 else:
-                    rest.append(s)
+                    rest.append((src, dst))
             if not progressed:
                 raise ValueError("multicast tree is not connected to the source")
             remaining = rest
@@ -157,7 +182,7 @@ class MulticastTree:
 
     def total_hops(self) -> int:
         """Total physical channel-hops across all unicasts (traffic)."""
-        return sum(hamming(s.src, s.dst) for s in self._sends)
+        return sum(map(hamming, self._src, self._dst))
 
     # -- scheduling ---------------------------------------------------
 
@@ -174,14 +199,14 @@ class MulticastTree:
             ValueError: if some send's source never receives the message.
         """
         limit = ports.limit(self.n)
-        with trace_spans.span("schedule.greedy", sends=len(self._sends), limit=limit) as sp:
+        with trace_spans.span("schedule.greedy", sends=len(self._src), limit=limit) as sp:
             steps = self._greedy_steps(limit)
             if sp is not None:
-                sp.set(max_step=max(steps.values(), default=0))
+                sp.set(max_step=max(steps, default=0))
         return Schedule(self, ports, steps)
 
-    def _greedy_steps(self, limit: int) -> dict[int, int]:
-        """The greedy pass behind :meth:`schedule`, as ``seq -> step``.
+    def _greedy_steps(self, limit: int) -> list[int]:
+        """The greedy pass behind :meth:`schedule`: each send's step, by seq.
 
         Nodes are visited in the order they receive; each node's sends,
         in issue order, take the earliest step after a port frees whose
@@ -189,8 +214,10 @@ class MulticastTree:
         """
         routes = arc_id_routes(self.n, self.order)
         shift = routes.shift
+        dst_of = self._dst
+        by_sender = self._by_sender
         arcs_by_step: dict[int, set[int]] = {}
-        steps: dict[int, int] = {}
+        steps = [0] * len(dst_of)  # 0: not placed (a placed send's step is >= 1)
         heap: list[tuple[int, int, int]] = [(0, -1, self.source)]
         seen: set[int] = set()
         while heap:
@@ -198,26 +225,27 @@ class MulticastTree:
             if node in seen:
                 continue
             seen.add(node)
-            node_sends = self._by_sender.get(node, ())
-            port_free = [r] * min(limit, len(node_sends))  # never before r
+            seqs = by_sender.get(node, ())
+            port_free = [r] * min(limit, len(seqs))  # never before r
             base = node << shift  # see ArcIdRoutes
-            for send in node_sends:
-                arcs = [base ^ q for q in routes[node ^ send.dst]]
+            for seq in seqs:
+                dst = dst_of[seq]
+                arcs = [base ^ q for q in routes[node ^ dst]]
                 s = heapq.heappop(port_free) + 1
                 while True:
                     used = arcs_by_step.get(s)
                     if used is None or used.isdisjoint(arcs):
                         break
                     s += 1
-                steps[send.seq] = s
+                steps[seq] = s
                 heapq.heappush(port_free, s)
                 if used is None:
                     arcs_by_step[s] = set(arcs)
                 else:
                     used.update(arcs)
-                heapq.heappush(heap, (s, send.seq, send.dst))
+                heapq.heappush(heap, (s, seq, dst))
 
-        unplaced = len(self._sends) - len(steps)
+        unplaced = steps.count(0)
         if unplaced:
             raise ValueError(
                 f"tree is not connected: {unplaced} send(s) from nodes "
@@ -232,34 +260,48 @@ class Schedule:
 
     tree: MulticastTree
     ports: PortModel
-    _steps: dict[int, int] = field(repr=False)
+    _steps: list[int] = field(repr=False)  # each send's step, by seq
+
+    def _rows(self) -> list[tuple[int, int, int]]:
+        """Every send as a ``(step, src, dst)`` row, by step order."""
+        return sorted(zip(self._steps, self.tree._src, self.tree._dst))
 
     @property
     def unicasts(self) -> list[Unicast]:
         """The schedule as ``(src, dst, step)`` records, by step order."""
-        steps = self._steps
-        order = sorted([(steps[s.seq], s.src, s.dst) for s in self.tree._sends])
-        return [Unicast(src, dst, step) for step, src, dst in order]
+        return [Unicast(src, dst, step) for step, src, dst in self._rows()]
 
     def step_of(self, send: Send) -> int:
-        return self._steps[send.seq]
+        seq = send.seq
+        if not 0 <= seq < len(self._steps):
+            raise KeyError(seq)
+        return self._steps[seq]
 
     @property
     def max_step(self) -> int:
         """Number of steps for the multicast to complete (0 if empty)."""
-        return max(self._steps.values(), default=0)
+        return max(self._steps, default=0)
 
     @property
     def dest_steps(self) -> dict[int, int]:
         """Step in which each receiving node obtains the message."""
-        return {s.dst: self._steps[s.seq] for s in self.tree.sends}
+        return dict(zip(self.tree._dst, self._steps))
 
     def check_contention(self) -> ContentionReport:
-        """Independently verify Definition 4 on this schedule."""
-        with trace_spans.span(
-            "verify.contention", n=self.tree.n, sends=len(self.tree.sends)
-        ) as sp:
-            report = check_contention_free(self.tree.source, self.unicasts, self.tree.order)
+        """Independently verify Definition 4 on this schedule.
+
+        The verifier reads ``(step, src, dst)`` rows; :class:`Unicast`
+        records are built only for the violations it reports.
+        """
+        tree = self.tree
+        with trace_spans.span("verify.contention", n=tree.n, sends=len(tree._src)) as sp:
+            rows = self._rows()
+            report = check_rows(
+                tree.source,
+                rows,
+                tree.order,
+                lambda i: Unicast(rows[i][1], rows[i][2], rows[i][0]),
+            )
             if sp is not None:
                 sp.set(ok=report.ok)
             return report

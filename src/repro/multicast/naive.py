@@ -79,15 +79,19 @@ class DimensionalSAF(MulticastAlgorithm):
                 prefix = holder >> dim
                 return any((d >> dim) == prefix for d in dest_set)
 
-            def process(holder: int, dim: int) -> None:
-                # `holder` currently owns the subcube with `dim` free bits
+            # (holder, dim): `holder` owns the subcube with `dim` free
+            # bits and has not yet looked below dimension `dim`; the
+            # mirror's subcube is walked before the holder's next send
+            stack = [(s_, n_)]
+            while stack:
+                holder, dim = stack.pop()
                 for d in range(dim - 1, -1, -1):
                     mirror = holder ^ (1 << d)
                     if covers(mirror, d):
                         tree.add_send(holder, mirror)
-                        process(mirror, d)
-
-            process(s_, n_)
+                        stack.append((holder, d))
+                        stack.append((mirror, d))
+                        break
             return tree
 
         return build_with_order(build, n, source, destinations, order)

@@ -7,6 +7,7 @@ to library users who implement their own tree builders.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -43,9 +44,7 @@ def verify_tree(tree: MulticastTree, allow_relays: bool = False) -> list[str]:
       destinations' handles the message (the wormhole requirement).
     """
     errors: list[str] = []
-    received: dict[int, int] = {}
-    for s in tree.sends:
-        received[s.dst] = received.get(s.dst, 0) + 1
+    received = Counter(tree._dst)
     for node, times in received.items():
         if times > 1:
             errors.append(f"node {node} receives the message {times} times")

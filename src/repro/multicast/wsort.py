@@ -102,25 +102,26 @@ def weighted_sort_fast(chain: Sequence[int], n: int) -> list[int]:
         )
 
     out: list[int] = []
-
-    def rec(lo: int, hi: int, has_source: bool) -> None:
-        # d[lo:hi] is the sorted block of one subcube
-        if hi - lo <= 1:
-            out.extend(d[lo:hi])
-            return
-        # levels above the highest bit where the block's ends differ put
-        # the whole block in one half, which comes first either way; at
-        # that bit the upper half starts at the first element with it set
-        b = 1 << ((d[lo] ^ d[hi - 1]).bit_length() - 1)
-        split = bisect_left(d, (d[lo] | b) & -b, lo + 1, hi)
-        if has_source or split - lo >= hi - split:
-            rec(lo, split, has_source)
-            rec(split, hi, False)
-        else:
-            rec(split, hi, False)
-            rec(lo, split, False)
-
-    rec(0, len(d), True)
+    # d[lo:hi] is the sorted block of one subcube, and has_source marks
+    # the source's own block; each split walks its first half next and
+    # leaves the second on the stack
+    stack = [(0, len(d), True)]
+    while stack:
+        lo, hi, has_source = stack.pop()
+        while hi - lo > 1:
+            # levels above the highest bit where the block's ends differ
+            # put the whole block in one half, which comes first either
+            # way; at that bit the upper half starts at the first element
+            # with it set
+            b = 1 << ((d[lo] ^ d[hi - 1]).bit_length() - 1)
+            split = bisect_left(d, (d[lo] | b) & -b, lo + 1, hi)
+            if has_source or split - lo >= hi - split:
+                stack.append((split, hi, False))
+                hi = split
+            else:
+                stack.append((lo, split, False))
+                lo, has_source = split, False
+        out.extend(d[lo:hi])
     return out
 
 

@@ -237,15 +237,16 @@ def simulate_tree_flitlevel(tree, flits: int, timings: Timings = NCUBE2, buffer_
     net = FlitLevelNetwork(sim, tree.n, timings=timings, order=tree.order,
                            buffer_flits=buffer_flits)
     delivered: dict[int, float] = {}
+    dst, by_sender = tree._dst, tree._by_sender
 
     def on_delivered(worm: FlitWorm) -> None:
         delivered[worm.dst] = sim.now
-        for s in tree.sends_from(worm.dst):
-            net.inject(s.src, s.dst, flits)
+        for i in by_sender.get(worm.dst, ()):
+            net.inject(worm.dst, dst[i], flits)
 
     net.on_delivered = on_delivered
-    for s in tree.sends_from(tree.source):
-        net.inject(s.src, s.dst, flits)
+    for i in by_sender.get(tree.source, ()):
+        net.inject(tree.source, dst[i], flits)
     sim.run()
     net.assert_quiescent()
     missing = tree.destinations - delivered.keys()

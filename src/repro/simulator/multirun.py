@@ -24,7 +24,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.simulator.message import Worm
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
-from repro.simulator.run import Machine, _mean
+from repro.simulator.run import Machine, _mean, _send_plan
 
 __all__ = ["ConcurrentResult", "simulate_concurrent_multicasts"]
 
@@ -106,18 +106,19 @@ def simulate_concurrent_multicasts(
         "simulate.concurrent", n=n, operations=len(trees), size=size, ports=ports.name
     ) as _span:
         delays: list[dict[int, float]] = [{} for _ in trees]
+        plans = [_send_plan(tree, size, ti) for ti, tree in enumerate(trees)]
 
         def on_receive(host: HostNode, worm: Worm) -> None:
             ti = worm.payload
             delays[ti][host.address] = sim.now - starts[ti]
-            sends = [(s.dst, size, ti) for s in trees[ti].sends_from(host.address)]
+            sends = plans[ti].get(host.address)
             if sends:
                 host.submit_sends(sends, sim.now)
 
         machine = Machine(n, timings, ports.limit(n), on_receive, order=order)
         sim, network = machine.sim, machine.network
         for ti, tree in enumerate(trees):
-            sends = [(s.dst, size, ti) for s in tree.sends_from(tree.source)]
+            sends = plans[ti].get(tree.source)
             if sends:
                 sim.schedule(starts[ti], machine.send, tree.source, sends)
         sim.run(max_events=max_events)

@@ -218,6 +218,17 @@ def _mean(values: list[float]) -> float:
     return mean(values)
 
 
+def _send_plan(
+    tree: MulticastTree, size: int, payload: Any
+) -> dict[int, list[tuple[int, int, Any]]]:
+    """Every sender's ``(dst, size, payload)`` sends, in the order it
+    issues them (read from the tree's columns, no ``Send`` records)."""
+    dst = tree._dst
+    return {
+        node: [(dst[i], size, payload) for i in seqs] for node, seqs in tree._by_sender.items()
+    }
+
+
 def simulate_multicast(
     tree: MulticastTree,
     size: int = 4096,
@@ -259,10 +270,7 @@ def simulate_multicast(
         "simulate", n=tree.n, algorithm=label, size=size, ports=ports.name
     ) as _span:
         delays: dict[int, float] = {}
-        # every node's (dst, size, payload) sends, in the order it sends them
-        plan: dict[int, list[tuple[int, int, None]]] = {}
-        for s in tree.sends:
-            plan.setdefault(s.src, []).append((s.dst, size, None))
+        plan = _send_plan(tree, size, None)
 
         def on_receive(host: HostNode, worm: Worm) -> None:
             now = delays[host.address] = sim._now

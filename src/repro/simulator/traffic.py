@@ -22,7 +22,7 @@ from repro.multicast.ports import ALL_PORT, PortModel
 from repro.simulator.message import Worm
 from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
-from repro.simulator.run import Machine, _mean
+from repro.simulator.run import Machine, _mean, _send_plan
 
 __all__ = ["LoadedResult", "simulate_multicast_under_load"]
 
@@ -76,11 +76,12 @@ def simulate_multicast_under_load(
 
     delays: dict[int, float] = {}
     bg_latencies: list[float] = []
+    plan = _send_plan(tree, size, "mc")
 
     def on_receive(host: HostNode, worm: Worm) -> None:
         if worm.payload == "mc":
             delays[host.address] = sim.now - start_time
-            sends = [(s.dst, size, "mc") for s in tree.sends_from(host.address)]
+            sends = plan.get(host.address)
             if sends:
                 host.submit_sends(sends, sim.now)
         else:
@@ -105,8 +106,7 @@ def simulate_multicast_under_load(
             sim.schedule(t, machine.send, src, [(dst, background_size, "bg")])
 
     # --- the multicast ----------------------------------------------------
-    sends = [(s.dst, size, "mc") for s in tree.sends_from(tree.source)]
-    sim.schedule(start_time, machine.send, tree.source, sends)
+    sim.schedule(start_time, machine.send, tree.source, plan.get(tree.source, []))
     sim.run(max_events=max_events)
     network.assert_quiescent()
 

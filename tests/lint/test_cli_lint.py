@@ -84,6 +84,27 @@ class TestExitCodes:
         assert proc.returncode == 0
 
     @pytest.mark.parametrize(
+        "select",
+        [["--select", "REP002"], ["--select", "REP001,REP002"],
+         ["--select", "REP001", "--select", "REP002"]],
+        ids=["one", "comma-list", "repeated"],
+    )
+    def test_select_before_the_path_reports_its_finding(self, tmp_path, select):
+        """``--select`` takes one value, so a path after it is a path
+        (the working directory has no ``src`` to fall back on)."""
+        _write_fixture(tmp_path)
+        proc = _run_cli("lint", *select, "bad.py", cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.startswith("bad.py:5:12: REP002 ")
+
+    def test_exit_2_on_unknown_rule_before_the_path(self, tmp_path):
+        _write_fixture(tmp_path)
+        proc = _run_cli("lint", "--select", "REP999", "bad.py", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "lint: unknown rule(s): REP999 (known: " in proc.stderr
+
+    @pytest.mark.parametrize(
         "option",
         [["--baseline", "x"], ["--update-baseline"], ["--jobs", "2"], ["--parallel"]],
         ids=["baseline", "update-baseline", "jobs", "parallel"],

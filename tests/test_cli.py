@@ -287,6 +287,28 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "REPRO_WATCHDOG_SOFT_S" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["experiment", "fig9", "--cache-dir", "points"], ["report", "--figures", "fig9"]],
+        ids=["experiment", "report"],
+    )
+    def test_bad_watchdog_env_exits_two_before_a_sweep_context_opens(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        """Each of these opens a sweep context, which reads
+        ``REPRO_WATCHDOG_*``; the CLI reads it first."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_WATCHDOG_HARD_S", "abc")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a sweep context opened despite a bad watchdog value")
+
+        monkeypatch.setattr("repro.analysis.experiments.sweep_context", no_work)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "REPRO_WATCHDOG_HARD_S='abc' is not a valid float" in err
+        assert not (tmp_path / "points").exists()
+
     def test_a_hard_timeout_not_given_follows_the_soft_one(self, capsys, monkeypatch):
         seen = []
 
