@@ -110,7 +110,7 @@ def measure_unicast_samples(
     for size in sizes:
         for h in range(1, (max_hops or n) + 1):
             received: list[float] = []
-            machine = Machine(n, timings, 1, lambda host, worm: received.append(host.sim.now))
+            machine = Machine(n, timings, 1, lambda worm: received.append(worm.t_received))
             machine.send(0, [((1 << h) - 1, size, None)])
             machine.sim.run()
             out.append((size, h, received[0]))

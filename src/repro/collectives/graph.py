@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import mean
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.paths import ResolutionOrder
 from repro.multicast.ports import ALL_PORT, PortModel
 from repro.obs.metrics import MetricsRegistry
 from repro.simulator.message import Worm
-from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
 from repro.simulator.run import Machine
 
@@ -198,29 +197,20 @@ def simulate_comm(
         for d in s.deps:
             dependents.setdefault(d, []).append(s.sid)
 
-    def on_receive(host: HostNode, worm: Worm) -> None:
+    def on_receive(worm: Worm) -> list[tuple[int, int, int]]:
+        """Record the receipt; return the sends it made ready, which the
+        receiver issues (``CommGraph.add`` checks that)."""
         sid = worm.payload
-        received_at[sid] = sim.now
-        node_done[host.address] = sim.now
+        received_at[sid] = node_done[worm.dst] = worm.t_received
         send = graph.sends[sid]
         blocks.setdefault(send.dst, set()).update(send.blocks)
         ready = []
         for dep_sid in dependents.get(sid, ()):
             waiting[dep_sid] -= 1
             if waiting[dep_sid] == 0:
-                ready.append(dep_sid)
-        if ready:
-            _submit(ready, sim.now)
-
-    def _submit(sids: Sequence[int], when: float) -> None:
-        by_src: dict[int, list[int]] = {}
-        for sid in sids:
-            by_src.setdefault(graph.sends[sid].src, []).append(sid)
-        for src, group in by_src.items():
-            machine.node(src).submit_sends(
-                [(graph.sends[sid].dst, graph.sends[sid].size, sid) for sid in group],
-                when,
-            )
+                dep = graph.sends[dep_sid]
+                ready.append((dep.dst, dep.size, dep_sid))
+        return ready
 
     machine = Machine(
         graph.n,
@@ -231,7 +221,12 @@ def simulate_comm(
         trace=trace,
     )
     sim, network = machine.sim, machine.network
-    _submit([s.sid for s in graph.sends if not s.deps], 0.0)
+    first: dict[int, list[tuple[int, int, int]]] = {}
+    for s in graph.sends:
+        if not s.deps:
+            first.setdefault(s.src, []).append((s.dst, s.size, s.sid))
+    for src, sends in first.items():
+        machine.send(src, sends)
     sim.run(max_events=max_events)
     network.assert_quiescent()
 

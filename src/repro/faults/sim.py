@@ -43,7 +43,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.simulator.deadlock import stall_report
 from repro.simulator.message import Worm
 from repro.simulator.network import WormholeNetwork
-from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
 from repro.simulator.run import Machine, _mean, _send_plan
 
@@ -178,17 +177,17 @@ def simulate_degraded_multicast(
         override = route_overrides.pop((u, v), None)
         return override if override is not None else ecube_arcs(u, v, tree.order)
 
-    def on_receive(host: HostNode, worm: Worm) -> None:
-        delays.setdefault(host.address, sim.now)
-        if host.address in forwarded:
-            return  # duplicate receipt (detour overlap): forward once
-        forwarded.add(host.address)
-        sends = plan.get(host.address)
-        if sends:
-            host.submit_sends(sends, sim.now)
+    def on_receive(worm: Worm) -> list[tuple[int, int, None]] | None:
+        node = worm.dst
+        delays.setdefault(node, worm.t_received)
+        if node in forwarded:
+            return None  # duplicate receipt (detour overlap): forward once
+        forwarded.add(node)
+        return plan.get(node)
 
-    def on_aborted(worm: Worm) -> None:
-        machine.node(worm.src).release_port()
+    def on_aborted(machine: Machine, worm: Worm) -> None:
+        """Retry the worm's send after backoff, around every channel
+        known dead now, or give it up."""
         key = (worm.src, worm.dst)
         attempt = attempts.get(key, 0) + 1
         attempts[key] = attempt
@@ -197,7 +196,7 @@ def simulate_degraded_multicast(
             return
         # re-route around every channel known dead *now* (timed faults
         # discovered so far included)
-        path = detour_path(tree.n, worm.src, worm.dst, network.dead_arcs, tree.order)
+        path = detour_path(tree.n, worm.src, worm.dst, machine.network.dead_arcs, tree.order)
         if path is None:
             counters["gave_up"] += 1
             return
@@ -206,7 +205,7 @@ def simulate_degraded_multicast(
             (a, (a ^ b).bit_length() - 1) for a, b in zip(path, path[1:])
         ]
         backoff = min(backoff_us * (2 ** (attempt - 1)), backoff_cap_us)
-        sim.schedule(backoff, machine.send, worm.src, [(worm.dst, size, None)])
+        machine.sim.schedule(backoff, machine.send, worm.src, [(worm.dst, size, None)])
 
     machine = Machine(
         tree.n,

@@ -16,6 +16,9 @@ Two implementations of the sort are provided:
 - :func:`weighted_sort_fast` -- an ``O(m log m)`` reformulation that
   mirrors the distributed version the paper defers to its tech report
   [10]; it produces the identical permutation (property-tested).
+
+W-sort runs the fast one; the literal one is the reference it is
+tested against.
 """
 
 from __future__ import annotations
@@ -94,8 +97,9 @@ def weighted_sort_fast(chain: Sequence[int], n: int) -> list[int]:
     if len(chain) <= 2:
         return list(chain)
     d = list(chain)
-    body = d[1:]
-    if any(body[i] >= body[i + 1] for i in range(len(body) - 1)) or (d[0] > body[0]):
+    # the source below every destination, and the destinations strictly
+    # ascending: the split below needs distinct, sorted addresses
+    if any(d[i] >= d[i + 1] for i in range(len(d) - 1)):
         raise ValueError(
             "weighted_sort_fast requires a dimension-ordered chain "
             "(source first, destinations ascending)"
@@ -131,9 +135,6 @@ class WSort(MulticastAlgorithm):
 
     name = "wsort"
 
-    def __init__(self, fast_sort: bool = True) -> None:
-        self._sort = weighted_sort_fast if fast_sort else weighted_sort
-
     def build_tree(
         self,
         n: int,
@@ -142,7 +143,7 @@ class WSort(MulticastAlgorithm):
         order: ResolutionOrder = ResolutionOrder.DESCENDING,
     ) -> MulticastTree:
         return build_with_order(
-            lambda n_, s_, d_: cube_ordered_tree(n_, s_, d_, reorder=self._sort),
+            lambda n_, s_, d_: cube_ordered_tree(n_, s_, d_, reorder=weighted_sort_fast),
             n,
             source,
             destinations,

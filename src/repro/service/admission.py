@@ -11,6 +11,10 @@ the front door that keeps the backlog bounded:
 * an optional per-client token bucket -- clients above their rate get
   ``429`` with a computed ``Retry-After``.
 
+Per-client state is kept for the :data:`MAX_CLIENTS` most recently seen
+clients (:func:`client_state`), so clients that make up a new id per
+request cannot grow it without bound.
+
 Rejections raise :exc:`Rejected`, which carries exactly what the HTTP
 layer needs (status, reason, retry-after seconds).  Everything here is
 event-loop-local: no locks, because all state is touched from the
@@ -21,19 +25,46 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from contextlib import asynccontextmanager
 from dataclasses import dataclass
-from typing import AsyncIterator
+from typing import AsyncIterator, Callable, TypeVar
 
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
+    "MAX_CLIENTS",
     "AdmissionConfig",
     "AdmissionController",
     "Rejected",
     "TokenBucket",
+    "client_state",
 ]
+
+#: clients whose state (token bucket, usage counters) a service keeps
+MAX_CLIENTS = 4096
+
+_State = TypeVar("_State")
+
+
+def client_state(
+    table: OrderedDict[str, _State], client: str, new: Callable[[], _State]
+) -> _State:
+    """``client``'s entry in ``table``, made by ``new()`` on first sight,
+    and now its most recently seen.
+
+    A new entry past :data:`MAX_CLIENTS` evicts the least recently seen
+    client, which comes back, if it does, as a new client (with a full
+    token bucket and zeroed usage).
+    """
+    state = table.get(client)
+    if state is None:
+        state = table[client] = new()
+        if len(table) > MAX_CLIENTS:
+            table.popitem(last=False)
+    else:
+        table.move_to_end(client)
+    return state
 
 
 class Rejected(Exception):
@@ -111,7 +142,7 @@ class AdmissionController:
         self.metrics = metrics
         self.inflight = 0
         self._waiters: deque[asyncio.Future] = deque()
-        self._buckets: dict[str, TokenBucket] = {}
+        self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
 
     @property
     def queued(self) -> int:
@@ -121,9 +152,9 @@ class AdmissionController:
         rate = self.config.rate_per_client
         if rate is None:
             return
-        bucket = self._buckets.get(client)
-        if bucket is None:
-            bucket = self._buckets[client] = TokenBucket(rate, self.config.burst)
+        bucket = client_state(
+            self._buckets, client, lambda: TokenBucket(rate, self.config.burst)
+        )
         wait = bucket.try_take()
         if wait > 0.0:
             self.metrics.counter("sim.service.rejected_rate").inc()

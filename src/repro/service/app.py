@@ -21,7 +21,8 @@ shutting-down instance from a saturated one.
 Request deadlines: each planning request runs under ``asyncio.wait_for``
 with the service default deadline, or the client's ``X-Deadline-Ms``
 header if smaller; expiry returns ``504``.  Clients are identified by
-the ``X-Client-Id`` header, falling back to the peer address.
+the ``X-Client-Id`` header, falling back to the peer address; usage is
+kept for the most recently seen ``MAX_CLIENTS`` of them.
 
 ``serve_async`` is the long-running entry point behind the ``serve``
 CLI subcommand: it installs a SIGTERM handler that triggers graceful
@@ -35,13 +36,14 @@ import signal
 import sys
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable
 
 from repro.obs.exporters import to_prometheus
 from repro.obs.metrics import SERVICE_LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.parallel.cache import ScheduleCache
-from repro.service.admission import AdmissionConfig, AdmissionController, Rejected
+from repro.service.admission import AdmissionConfig, AdmissionController, Rejected, client_state
 from repro.service.http import HttpServer, Request, Response
 from repro.service.planner import PlannerService, PlanResult
 from repro.service.protocol import ProtocolError, encode_plan_response, parse_plan_request
@@ -124,7 +126,7 @@ class ServiceApp:
         # negative; the unix timestamp is kept for display only.
         self.started_at_unix = time.time()  # repro: lint-ok[REP002] display-only timestamp
         self._started_monotonic = time.monotonic()
-        self._usage: dict[str, _ClientUsage] = {}
+        self._usage: OrderedDict[str, _ClientUsage] = OrderedDict()
         plan = self._plan_endpoint
         self._routes: dict[tuple[str, str], Callable[[Request], Awaitable[Response]]] = {
             ("POST", "/v1/schedule"): lambda req: plan(req, "schedule"),
@@ -156,12 +158,6 @@ class ServiceApp:
 
     def _client_id(self, req: Request) -> str:
         return req.headers.get("x-client-id") or req.client.rsplit(":", 1)[0]
-
-    def _usage_for(self, client: str) -> _ClientUsage:
-        usage = self._usage.get(client)
-        if usage is None:
-            usage = self._usage[client] = _ClientUsage()
-        return usage
 
     def _deadline_s(self, req: Request) -> float:
         deadline = self.config.deadline_ms
@@ -196,7 +192,7 @@ class ServiceApp:
 
     async def _plan_endpoint(self, req: Request, kind: str) -> Response:
         client = self._client_id(req)
-        usage = self._usage_for(client)
+        usage = client_state(self._usage, client, _ClientUsage)
         usage.requests += 1
         usage.bytes_in += len(req.body)
         self.metrics.counter("sim.service.bytes_in").inc(len(req.body))

@@ -28,7 +28,6 @@ from repro.simulator.flitlevel import FlitLevelNetwork
 from repro.simulator.message import Worm, WormState
 from repro.simulator.multirun import ConcurrentResult, simulate_concurrent_multicasts
 from repro.simulator.network import WormholeNetwork
-from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, STEP, Timings
 from repro.simulator.routing import ecube_routing, random_minimal_routing
 from repro.simulator.run import MulticastResult, simulate_multicast
@@ -41,7 +40,6 @@ __all__ = [
     "ChannelTrace",
     "ConcurrentResult",
     "FlitLevelNetwork",
-    "HostNode",
     "LoadedResult",
     "MulticastResult",
     "NCUBE2",

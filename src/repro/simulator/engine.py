@@ -16,7 +16,8 @@ once per event.  :meth:`Simulator.run` is the one loop that fires them.
 Drivers (traffic, multirun, faults, collectives, the flit-level
 reference) post through :meth:`Simulator.schedule` and
 :meth:`Simulator.schedule_at`, which validate the time.  The network
-and host models post on their per-event paths with one append::
+and the host model (:class:`~repro.simulator.run.Machine`) post on
+their per-event paths with one append::
 
     sim._due[sim._now + delay].append((callback, args))
 
@@ -69,7 +70,7 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time (microseconds by convention).
 
-        The network and host models read ``_now`` directly on their
+        The network and the host model read ``_now`` directly on their
         per-event paths, sparing a property call per read.
         """
         return self._now

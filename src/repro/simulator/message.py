@@ -53,16 +53,11 @@ class Worm:
     hop: int = 0
     held: int = 0
 
-    #: retry attempt this worm represents (0 for a first transmission;
-    #: set by fault-aware drivers when they re-inject after an abort)
-    attempt: int = 0
-
     # timestamps (microseconds); -1.0 means "not yet"
     t_created: float = -1.0
     t_injected: float = -1.0
     t_delivered: float = -1.0
     t_received: float = -1.0
-    t_aborted: float = -1.0
 
     # accumulated time the header spent blocked on busy channels
     blocked_time: float = 0.0

@@ -22,7 +22,6 @@ from repro.multicast.ports import ALL_PORT, PortModel
 from repro.obs import trace_spans
 from repro.obs.metrics import MetricsRegistry
 from repro.simulator.message import Worm
-from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
 from repro.simulator.run import Machine, _mean, _send_plan
 
@@ -108,12 +107,10 @@ def simulate_concurrent_multicasts(
         delays: list[dict[int, float]] = [{} for _ in trees]
         plans = [_send_plan(tree, size, ti) for ti, tree in enumerate(trees)]
 
-        def on_receive(host: HostNode, worm: Worm) -> None:
+        def on_receive(worm: Worm) -> list[tuple[int, int, int]] | None:
             ti = worm.payload
-            delays[ti][host.address] = sim.now - starts[ti]
-            sends = plans[ti].get(host.address)
-            if sends:
-                host.submit_sends(sends, sim.now)
+            delays[ti][worm.dst] = worm.t_received - starts[ti]
+            return plans[ti].get(worm.dst)
 
         machine = Machine(n, timings, ports.limit(n), on_receive, order=order)
         sim, network = machine.sim, machine.network

@@ -59,7 +59,8 @@ class WormholeNetwork:
         on_delivered: callback fired when a worm's tail drains at its
             destination router (before the receiving CPU's ``t_recv``).
         on_aborted: callback fired when a worm aborts on a dead channel
-            (see :meth:`fail_arc`); fault-aware drivers hook retries here.
+            (see :meth:`fail_arc`); the host model frees the sender's port
+            here, and the faults driver retries.
 
     Channel failures (see docs/FAULTS.md): arcs marked dead via
     :meth:`fail_arc` take effect at *acquisition* time.  A header that
@@ -183,7 +184,6 @@ class WormholeNetwork:
     def _abort(self, worm: Worm) -> None:
         """Abort a worm on a dead channel: release everything it holds."""
         worm.state = WormState.ABORTED
-        worm.t_aborted = self.sim.now
         self.aborted_count += 1
         held = worm.held
         worm.held = 0

@@ -2,11 +2,12 @@
 
 :class:`Machine` is the one harness every simulate entry point runs on
 (multicast, concurrent multicasts, background traffic, faults,
-collectives, calibration).  It owns the event kernel, the network, and
-the host nodes, wires deliveries to them, and records each finished
-run once into the ``sim.*`` metrics and a telemetry
-:class:`~repro.obs.telemetry.RunRecord`.  An entry point supplies only
-its receive handler, its first injections, and its result type.
+collectives, calibration).  It owns the event kernel and the network,
+runs the host model of every node (CPU setup time, injection ports,
+receive time), and records each finished run once into the ``sim.*``
+metrics and a telemetry :class:`~repro.obs.telemetry.RunRecord`.  An
+entry point supplies only its receive handler, which returns the
+receiver's sends, its first injections, and its result type.
 
 :func:`simulate_multicast` is the bridge between the abstract algorithm
 layer (a :class:`~repro.multicast.base.MulticastTree`) and the timed
@@ -22,13 +23,16 @@ multicast message and its receipt at the destination").
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import repeat
 from math import frexp, isfinite, ldexp
 from statistics import mean
 from time import perf_counter
 from typing import Any, Callable, Iterable
 
+from repro.core.addressing import require_address
 from repro.core.paths import Arc, ResolutionOrder
 from repro.multicast.base import MulticastTree
 from repro.multicast.ports import ALL_PORT, PortModel
@@ -37,30 +41,46 @@ from repro.obs import trace_spans
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunRecord, new_run_id
 from repro.simulator.engine import Simulator
-from repro.simulator.message import Worm
+from repro.simulator.message import Worm, WormState
 from repro.simulator.network import WormholeNetwork
-from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
 
 __all__ = ["Machine", "MulticastResult", "simulate_multicast"]
 
+# bound to a module name: reading a member off an Enum class is slow
+_RECEIVED = WormState.RECEIVED
+
 
 class Machine:
-    """One simulated machine: event kernel, network, and host nodes.
+    """One simulated machine: the event kernel, the network, and the host
+    model of every node.
 
-    Host nodes are built on first use.  When the network delivers a
-    worm, the sender's injection port is freed and the receiver's CPU
-    takes the message, firing ``on_receive`` after ``t_recv``.
+    A node's CPU issues its sends back to back, spending ``t_setup`` on
+    each, from when :meth:`send` makes it ready (or when it frees up, if
+    later); each send then needs one of the node's ``port_limit``
+    injection ports, and waits for one in the node's FIFO queue.  The
+    port model gives a node 1 (one-port), ``k``, or ``n`` (all-port)
+    ports.  A port is held from injection until the worm is delivered
+    or aborts on a dead channel -- the same conservatism as channel
+    release, and exactly what serializes successive sends on a one-port
+    node the way the paper's step model assumes.  The receiving CPU has
+    the message ``t_recv`` after its tail drains; then ``on_receive``
+    returns the receiver's sends, which it issues at once.
 
     Args:
         n: cube dimension.
         timings: cost model.
         port_limit: concurrent injections per node.
-        on_receive: ``(node, worm)`` callback for every received message.
+        on_receive: ``(worm) -> sends or None`` for every received
+            message; ``worm.dst`` is the receiver and ``worm.t_received``
+            the time.
         order: E-cube resolution order.
         trace: record channel occupancies.
-        route, on_aborted: passed to :class:`WormholeNetwork` (the
-            faults driver's detours and retries).
+        route: passed to :class:`WormholeNetwork` (the faults driver's
+            detours).
+        on_aborted: ``(machine, worm)`` callback for a worm aborted on a
+            dead channel, once its sender's port is free (the faults
+            driver's retries).
     """
 
     def __init__(
@@ -68,19 +88,18 @@ class Machine:
         n: int,
         timings: Timings,
         port_limit: int,
-        on_receive: Callable[[HostNode, Worm], None],
+        on_receive: Callable[[Worm], list[tuple[int, int, Any]] | None],
         *,
         order: ResolutionOrder = ResolutionOrder.DESCENDING,
         trace: bool = False,
         route: Callable[[int, int], list[Arc]] | None = None,
-        on_aborted: Callable[[Worm], None] | None = None,
+        on_aborted: Callable[[Machine, Worm], None] | None = None,
     ) -> None:
         self._wall_start = perf_counter()
         self.sim = Simulator()
-        self.port_limit = port_limit
         self.on_receive = on_receive
-        self.nodes: dict[int, HostNode] = {}
-        # Every host holds the network, so a network that held this
+        self.on_aborted = on_aborted
+        # The machine holds the network, so a network that held the
         # machine would close a reference cycle, and a finished run
         # would wait for the cyclic collector; it holds it weakly.
         machine = weakref.ref(self)
@@ -92,26 +111,74 @@ class Machine:
             trace=trace,
             on_delivered=lambda worm: machine()._delivered(worm),
             route=route,
-            on_aborted=on_aborted,
+            on_aborted=lambda worm: machine()._aborted(worm),
         )
-
-    def node(self, address: int) -> HostNode:
-        """The host at ``address``, built on first use."""
-        node = self.nodes.get(address)
-        if node is None:
-            node = self.nodes[address] = HostNode(
-                self.network, address, self.port_limit, self.on_receive
-            )
-        return node
+        # per node: when its CPU is next free, its free ports, and the
+        # sends waiting for a port (a deque built on first use)
+        nodes = 1 << n
+        self._cpu_free_at = [0.0] * nodes
+        self._free_ports = [port_limit] * nodes
+        self._awaiting_port: list[deque[tuple[int, int, Any]] | tuple[()]] = [()] * nodes
 
     def send(self, src: int, sends: list[tuple[int, int, Any]]) -> None:
-        """Queue ``(dst, size, payload)`` sends at ``src``, its CPU ready
-        now; schedulable as an event."""
-        self.node(src).submit_sends(sends, self.sim.now)
+        """Issue ``(dst, size, payload)`` sends at ``src``, its CPU ready
+        now; schedulable as an event.
+
+        Each send enters the network as soon as its setup is done and a
+        port is free.
+        """
+        cpu_free_at = self._cpu_free_at
+        if not (type(src) is int and 0 <= src < len(cpu_free_at)):
+            require_address(src, self.network.n, "worm source")
+        sim = self.sim
+        now = sim._now
+        t_setup = self.network.timings.t_setup
+        t = max(cpu_free_at[src], now)
+        setup_done = partial(self._setup_done, src)
+        due = sim._due
+        for send in sends:
+            t += t_setup
+            # fires at now + (t - now), as schedule_at(t, ...) would
+            due[now + (t - now)].append((setup_done, send))
+        cpu_free_at[src] = t
+
+    def _setup_done(self, src: int, dst: int, size: int, payload: Any) -> None:
+        """Inject the send if a port of ``src`` is free, else queue it
+        for one."""
+        free_ports = self._free_ports
+        if free_ports[src] > 0:
+            free_ports[src] -= 1
+            network = self.network
+            network.inject(network.make_worm(src, dst, size, payload))
+        else:
+            awaiting = self._awaiting_port[src]
+            if not awaiting:
+                awaiting = self._awaiting_port[src] = deque()
+            awaiting.append((dst, size, payload))
+
+    def _release_port(self, src: int) -> None:
+        """Free one of ``src``'s ports; its first waiting send takes it."""
+        self._free_ports[src] += 1
+        awaiting = self._awaiting_port[src]
+        if awaiting:
+            self._setup_done(src, *awaiting.popleft())
 
     def _delivered(self, worm: Worm) -> None:
-        self.nodes[worm.src].release_port()  # the sender built the worm
-        self.node(worm.dst).deliver(worm)
+        self._release_port(worm.src)
+        sim = self.sim
+        sim._due[sim._now + self.network.timings.t_recv].append((self._received, (worm,)))
+
+    def _aborted(self, worm: Worm) -> None:
+        self._release_port(worm.src)
+        if self.on_aborted is not None:
+            self.on_aborted(self, worm)
+
+    def _received(self, worm: Worm) -> None:
+        worm.state = _RECEIVED
+        worm.t_received = self.sim._now
+        sends = self.on_receive(worm)
+        if sends:
+            self.send(worm.dst, sends)
 
     def record(
         self,
@@ -272,11 +339,9 @@ def simulate_multicast(
         delays: dict[int, float] = {}
         plan = _send_plan(tree, size, None)
 
-        def on_receive(host: HostNode, worm: Worm) -> None:
-            now = delays[host.address] = sim._now
-            sends = plan.get(host.address)
-            if sends:
-                host.submit_sends(sends, now)
+        def on_receive(worm: Worm) -> list[tuple[int, int, None]] | None:
+            delays[worm.dst] = worm.t_received
+            return plan.get(worm.dst)
 
         machine = Machine(
             tree.n,

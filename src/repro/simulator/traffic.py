@@ -20,7 +20,6 @@ import numpy as np
 from repro.multicast.base import MulticastTree
 from repro.multicast.ports import ALL_PORT, PortModel
 from repro.simulator.message import Worm
-from repro.simulator.node import HostNode
 from repro.simulator.params import NCUBE2, Timings
 from repro.simulator.run import Machine, _mean, _send_plan
 
@@ -78,14 +77,12 @@ def simulate_multicast_under_load(
     bg_latencies: list[float] = []
     plan = _send_plan(tree, size, "mc")
 
-    def on_receive(host: HostNode, worm: Worm) -> None:
+    def on_receive(worm: Worm) -> list[tuple[int, int, str]] | None:
         if worm.payload == "mc":
-            delays[host.address] = sim.now - start_time
-            sends = plan.get(host.address)
-            if sends:
-                host.submit_sends(sends, sim.now)
-        else:
-            bg_latencies.append(sim.now - worm.t_created)
+            delays[worm.dst] = worm.t_received - start_time
+            return plan.get(worm.dst)
+        bg_latencies.append(worm.t_received - worm.t_created)
+        return None
 
     machine = Machine(tree.n, timings, ports.limit(tree.n), on_receive, order=tree.order)
     sim, network = machine.sim, machine.network

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
+from repro.core.paths import ResolutionOrder
 from repro.multicast import ALL_PORT, WSort
+from repro.multicast._chainloop import build_with_order, cube_ordered_tree
 from repro.multicast.wsort import cube_center, weighted_sort, weighted_sort_fast
 from tests.conftest import multicast_cases
 
@@ -22,6 +24,12 @@ class TestGuards:
     def test_fast_rejects_source_not_minimal(self):
         with pytest.raises(ValueError):
             weighted_sort_fast([5, 1, 3], 4)
+
+    def test_fast_rejects_a_source_repeated_as_first_destination(self):
+        with pytest.raises(
+            ValueError, match="weighted_sort_fast requires a dimension-ordered chain"
+        ):
+            weighted_sort_fast([5, 5, 6], 3)
 
     def test_cube_center_rejects_zero_dim(self):
         with pytest.raises(ValueError):
@@ -44,19 +52,30 @@ class TestCubeCenter:
         assert cube_center(chain, 0, 2, 4) == 3
 
 
+def literal_wsort_tree(n, source, dests, order=ResolutionOrder.DESCENDING):
+    """W-sort's tree, built with the Fig. 7 transcription of the sort."""
+    return build_with_order(
+        lambda n_, s_, d_: cube_ordered_tree(n_, s_, d_, reorder=weighted_sort),
+        n,
+        source,
+        dests,
+        order,
+    )
+
+
 class TestLiteralSortVariant:
-    """WSort(fast_sort=False) exercises the Fig. 7 transcription."""
+    """W-sort's tree built with the Fig. 7 transcription of the sort."""
 
     def test_paper_example(self):
-        sched = WSort(fast_sort=False).schedule(4, 0, [1, 3, 5, 7, 11, 12, 14, 15], ALL_PORT)
+        sched = literal_wsort_tree(4, 0, [1, 3, 5, 7, 11, 12, 14, 15]).schedule(ALL_PORT)
         assert sched.max_step == 2
         assert sched.check_contention().ok
 
     @given(case=multicast_cases(max_n=5))
     def test_both_variants_identical_trees(self, case):
         n, source, dests = case
-        fast = WSort(fast_sort=True).build_tree(n, source, dests)
-        literal = WSort(fast_sort=False).build_tree(n, source, dests)
+        fast = WSort().build_tree(n, source, dests)
+        literal = literal_wsort_tree(n, source, dests)
         assert [(s.src, s.dst) for s in fast.sends] == [
             (s.src, s.dst) for s in literal.sends
         ]

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import asyncio
+from collections import OrderedDict
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import (
+    MAX_CLIENTS,
     AdmissionConfig,
     AdmissionController,
     Rejected,
     TokenBucket,
+    client_state,
 )
 
 
@@ -35,6 +38,19 @@ class TestTokenBucket:
             TokenBucket(rate=0.0, burst=1.0)
         with pytest.raises(ValueError):
             TokenBucket(rate=1.0, burst=0.5)
+
+
+class TestClientState:
+    def test_keeps_the_most_recently_seen_clients(self):
+        table = OrderedDict()
+        for i in range(MAX_CLIENTS):
+            client_state(table, f"c{i}", list)
+        client_state(table, "c0", list)  # seen again: now the most recent
+        for i in range(MAX_CLIENTS, MAX_CLIENTS + 10):
+            client_state(table, f"c{i}", list)
+        assert len(table) == MAX_CLIENTS
+        assert "c0" in table
+        assert [f"c{i}" in table for i in range(1, 12)] == [False] * 10 + [True]
 
 
 class TestAdmissionConfig:
@@ -142,6 +158,22 @@ class TestAdmissionController:
             assert exc_info.value.retry_after_s > 0.0
             # a different client has its own bucket
             async with ctl.slot("cold"):
+                pass
+
+        asyncio.run(scenario())
+
+    def test_token_buckets_are_bounded_and_an_evicted_client_starts_full(self):
+        async def scenario():
+            # one token each, and none accrues during the test
+            ctl = _controller(rate_per_client=1e-9, burst=1.0)
+            for i in range(MAX_CLIENTS + 100):
+                async with ctl.slot(f"client-{i}"):
+                    pass
+            assert len(ctl._buckets) == MAX_CLIENTS
+            with pytest.raises(Rejected):  # still tracked: its bucket is empty
+                async with ctl.slot(f"client-{MAX_CLIENTS + 99}"):
+                    pass
+            async with ctl.slot("client-0"):  # evicted: a new, full bucket
                 pass
 
         asyncio.run(scenario())

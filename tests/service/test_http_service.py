@@ -31,7 +31,9 @@ from repro.parallel.cache import (
 )
 from repro.core.paths import ResolutionOrder
 from repro.multicast.ports import ALL_PORT
-from repro.service import AdmissionConfig, ServiceConfig, ServiceThread
+from repro.service import AdmissionConfig, ServiceApp, ServiceConfig, ServiceThread
+from repro.service.admission import MAX_CLIENTS
+from repro.service.http import Request
 from repro.simulator.params import NCUBE2
 
 
@@ -121,6 +123,29 @@ class TestEndpoints:
         assert usage["cache_hits"] >= 1
         assert usage["bytes_in"] > 0
         assert usage["bytes_out"] > 0
+
+
+class TestUsageBound:
+    def test_usage_keeps_the_most_recently_seen_clients(self):
+        """Each request names a new client and is answered 400; usage is
+        kept for the last MAX_CLIENTS of them only."""
+        app = ServiceApp(ServiceConfig(port=0))
+
+        async def drive():
+            for i in range(MAX_CLIENTS + 50):
+                req = Request("POST", "/v1/schedule", {}, {"x-client-id": f"c{i}"}, b"{}", "")
+                assert (await app.handle(req)).status == 400
+            return await app.handle(Request("GET", "/v1/usage", {}, {}, b"", ""))
+
+        try:
+            response = asyncio.run(drive())
+        finally:
+            app.planner.close()
+        clients = response.payload["clients"]
+        assert len(clients) == MAX_CLIENTS
+        assert "c49" not in clients
+        assert clients["c50"]["errors"] == 1
+        assert clients[f"c{MAX_CLIENTS + 49}"]["requests"] == 1
 
 
 class TestErrors:

@@ -12,6 +12,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from repro.analysis.calibration import measure_unicast_samples
+from repro.collectives.graph import simulate_comm
+from repro.collectives.scatter import scatter_graph
+from repro.faults import FaultScenario, LinkFault, simulate_degraded_multicast
 from repro.multicast import (
     ALL_PORT,
     ONE_PORT,
@@ -21,7 +25,15 @@ from repro.multicast import (
     WSort,
     k_port,
 )
-from repro.simulator import NCUBE2, STEP, Timings, simulate_multicast
+from repro.simulator import (
+    NCUBE2,
+    STEP,
+    Timings,
+    simulate_concurrent_multicasts,
+    simulate_multicast,
+    simulate_multicast_under_load,
+)
+from repro.simulator.network import WormholeNetwork
 from repro.simulator.run import _mean
 from tests.conftest import multicast_cases
 
@@ -186,7 +198,58 @@ class TestFig3dTiming:
         assert res.max_delay < u.max_delay
 
 
+def _degraded_with_failed_links():
+    """A run in which sends abort on a static and a timed dead link and
+    are retried."""
+    tree = WSort().build_tree(6, 0, [5, 13, 21, 31, 38, 42, 57, 63])
+    scenario = FaultScenario(6, links=(LinkFault(0, 5), LinkFault(0, 4, t_fail=50.0)))
+    result = simulate_degraded_multicast(tree, scenario)
+    assert result.retries > 0 and not result.undelivered
+    return result
+
+
+#: every driver that builds a network, each on a small run
+DRIVERS = {
+    "simulate_multicast": lambda: simulate_multicast(WSort().build_tree(4, 0, FIG3_DESTS)),
+    "simulate_concurrent_multicasts": lambda: simulate_concurrent_multicasts(
+        [WSort().build_tree(4, 0, FIG3_DESTS), UCube().build_tree(4, 5, [0, 3, 9, 14])]
+    ),
+    "simulate_multicast_under_load": lambda: simulate_multicast_under_load(
+        WSort().build_tree(4, 0, FIG3_DESTS), background_rate=0.01, horizon=2_000.0
+    ),
+    "simulate_degraded_multicast-fault-free": lambda: simulate_degraded_multicast(
+        WSort().build_tree(4, 0, FIG3_DESTS)
+    ),
+    "simulate_degraded_multicast-failed-links": _degraded_with_failed_links,
+    "simulate_comm": lambda: simulate_comm(scatter_graph(4, 0, 256)),
+    "measure_unicast_samples": lambda: measure_unicast_samples(3, NCUBE2),
+}
+
+
 class TestRunLifetime:
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_every_driver_frees_its_network_on_its_last_reference(self, driver, monkeypatch):
+        """No handler a network holds closes a cycle back to its run:
+        with the cyclic collector off, every network a driver built is
+        gone once its result is."""
+        networks = []
+        init = WormholeNetwork.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            networks.append(weakref.ref(self))
+
+        monkeypatch.setattr(WormholeNetwork, "__init__", recording_init)
+        gc.collect()
+        gc.disable()
+        try:
+            result = DRIVERS[driver]()
+            assert networks
+            del result
+            assert [ref() for ref in networks] == [None] * len(networks)
+        finally:
+            gc.enable()
+
     def test_finished_run_is_freed_without_the_cyclic_collector(self):
         """No reference cycle holds a run's objects: the network goes as
         soon as its result does, while the cyclic collector is off."""

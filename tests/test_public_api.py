@@ -7,6 +7,8 @@ must stay available.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
+_PERFBENCH = _SRC.parent / "perfbench"
 
 #: Refuses every module outside the standard library, the package and
 #: the dependencies pyproject.toml declares, then imports the package
@@ -104,3 +107,46 @@ def test_readme_quickstart_snippet_behaviour():
     assert sched.check_contention()
     res = simulate_multicast(tree, size=4096, timings=NCUBE2, ports=ALL_PORT)
     assert res.total_blocked_time == 0.0
+
+
+def _perfbench_repro_imports() -> list[tuple[str, str, str | None]]:
+    """``(file, module, name)`` for every ``from repro... import name``
+    (``name`` None for ``import repro...``) in perfbench, at module level
+    or inside a function."""
+    found = []
+    for path in sorted(_PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, a.name, None) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                found += [(path.name, node.module, a.name) for a in node.names]
+    return [(where, module, name) for where, module, name in found
+            if module.partition(".")[0] == "repro"]
+
+
+def test_every_repro_name_perfbench_imports_resolves():
+    """The benchmark reaches the program through these names only, some
+    of them imported inside the functions that use them."""
+    imports = _perfbench_repro_imports()
+    assert {"library.py", "traced.py", "figures_trace.py", "sweep_child.py"} <= {
+        where for where, _, _ in imports
+    }
+    missing = []
+    for where, module, name in imports:
+        try:
+            mod = importlib.import_module(module)
+            if name is not None and not hasattr(mod, name):
+                importlib.import_module(f"{module}.{name}")  # a submodule
+        except ImportError as exc:
+            missing.append(f"{where}: from {module} import {name} ({exc})")
+    assert not missing
+
+
+def test_request_keeps_the_positional_fields_perfbench_builds():
+    """perfbench/traced.py builds ``Request(method, path, query, headers,
+    body, client)`` positionally."""
+    from repro.service.http import Request
+
+    assert [f.name for f in dataclasses.fields(Request)] == [
+        "method", "path", "query", "headers", "body", "client"
+    ]
