@@ -71,7 +71,6 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from repro.analysis.experiments import EXPERIMENTS, run_experiment, run_sweep
 from repro.collectives.api import HypercubeCollectives
 from repro.core.addressing import MAX_N
 from repro.core.paths import ResolutionOrder
@@ -155,11 +154,27 @@ def _float_in(low: float, high: float, *, closed: bool) -> Callable[[str], float
 
 
 def _experiment_id(text: str) -> str:
+    from repro.analysis.experiments import EXPERIMENTS
+
     if text not in EXPERIMENTS:
         raise argparse.ArgumentTypeError(
             f"unknown experiment {text!r} (known: {', '.join(EXPERIMENTS)})"
         )
     return text
+
+
+class _ExperimentIdsHelp(argparse.HelpFormatter):
+    """Names the experiment ids in ``experiment --help``; the registry
+    is imported only when the help is shown, so ``serve`` never loads
+    the experiment harness."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        text = super()._get_help_string(action)
+        if action.dest != "id":
+            return text
+        from repro.analysis.experiments import EXPERIMENTS
+
+        return f"{text}: {', '.join(sorted(EXPERIMENTS))}"
 
 
 def _experiment_ids(text: str) -> list[str]:
@@ -174,6 +189,8 @@ def _build_tree(args: argparse.Namespace):
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import EXPERIMENTS
+
     print("algorithms:")
     for name in sorted(ALGORITHMS):
         print(f"  {name}")
@@ -222,6 +239,8 @@ def _resolve_jobs(args: argparse.Namespace) -> int | None:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import run_experiment
+
     if args.jobs is not None or args.cache_dir is not None:  # a sweep context opens
         _env_watchdog("experiment")
     table = run_experiment(args.id, fast=not args.full, jobs=args.jobs, cache_dir=args.cache_dir)
@@ -310,6 +329,7 @@ def _print_digest(registry, out, *, fabric: bool, log: str | None) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import EXPERIMENTS, run_sweep
     from repro.obs.metrics import MetricsRegistry
 
     ids = args.ids or sorted(EXPERIMENTS)
@@ -419,13 +439,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service import AdmissionConfig, ServiceConfig, serve_async
+    from repro.service import AdmissionConfig, ServiceApp, ServiceConfig, serve_async
+    from repro.service.planner import default_workers
 
     try:
         config = ServiceConfig(
             host=args.host,
             port=args.port,
-            workers=args.workers,
+            workers=default_workers() if args.workers is None else args.workers,
             admission=AdmissionConfig(
                 max_inflight=args.max_inflight,
                 max_queue=args.max_queue,
@@ -443,7 +464,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # piped stdout delivers it before the first request arrives)
         print(f"serving on http://{app.host}:{app.port}", flush=True)
 
-    return asyncio.run(serve_async(config, ready=ready))
+    # the app forks its build workers now: after the imports, before
+    # the event loop, the listening socket or any thread exists
+    app = ServiceApp(config)
+    return asyncio.run(serve_async(app, ready=ready))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -753,8 +777,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--timeline", action="store_true", help="draw channel-occupancy timeline")
     p_tree.set_defaults(func=_cmd_tree)
 
-    p_exp = sub.add_parser("experiment", help="reproduce a figure", parents=[figures])
-    p_exp.add_argument("id", choices=sorted(EXPERIMENTS))
+    p_exp = sub.add_parser(
+        "experiment", help="reproduce a figure", parents=[figures],
+        formatter_class=_ExperimentIdsHelp,
+    )
+    p_exp.add_argument("id", type=_experiment_id, metavar="ID", help="experiment id")
     p_exp.add_argument("--plot", action="store_true", help="also draw an ASCII plot")
     p_exp.set_defaults(func=_cmd_experiment)
 
@@ -847,8 +874,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8421, help="listen port (0 = ephemeral)"
     )
     p_serve.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="build executor threads (the service's build concurrency)",
+        "--workers", type=int, default=None, metavar="N",
+        help="build worker processes, forked at start-up (the service's "
+             "build concurrency; default: the CPUs this process may run on)",
     )
     p_serve.add_argument(
         "--max-inflight", type=int, default=64, metavar="N",

@@ -230,6 +230,8 @@ def simulate_degraded_multicast(
     deadlock = stall_report(network)
     if deadline_us is None:
         network.assert_quiescent()
+    else:
+        sim.drop_pending()
 
     reachable = static_view.reachable_from(tree.source)
     unreachable = sorted(

@@ -140,7 +140,11 @@ class ScheduleCache:
     def put(self, key: str, value: object) -> bytes:
         """Store a JSON-safe value under ``key`` and return its stored
         canonical bytes."""
-        raw = canonical_json(value)
+        return self.put_raw(key, canonical_json(value))
+
+    def put_raw(self, key: str, raw: bytes) -> bytes:
+        """Store a value given as its canonical JSON bytes (the planner's
+        build workers encode what they build) and return them."""
         self._remember(key, raw)
         self.puts += 1
         self._count("cache_puts")

@@ -26,7 +26,10 @@ kept for the most recently seen ``MAX_CLIENTS`` of them.
 
 ``serve_async`` is the long-running entry point behind the ``serve``
 CLI subcommand: it installs a SIGTERM handler that triggers graceful
-drain (stop accepting, finish in-flight work, then exit cleanly).
+drain (stop accepting, finish in-flight work, stop the build workers,
+then exit cleanly).  Making a :class:`ServiceApp` forks its build
+workers (:mod:`repro.service.planner`), so it is made before the event
+loop, its socket or any thread exists.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.obs.metrics import SERVICE_LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.parallel.cache import ScheduleCache
 from repro.service.admission import AdmissionConfig, AdmissionController, Rejected, client_state
 from repro.service.http import HttpServer, Request, Response
-from repro.service.planner import PlannerService, PlanResult
+from repro.service.planner import PlannerService, PlanResult, default_workers
 from repro.service.protocol import ProtocolError, encode_plan_response, parse_plan_request
 
 __all__ = ["ServiceApp", "ServiceConfig", "ServiceThread", "serve_async"]
@@ -57,7 +60,8 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8421
-    workers: int = 4
+    #: build processes, forked when the app is made
+    workers: int = field(default_factory=default_workers)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: default per-request deadline; ``X-Deadline-Ms`` can lower it.
     deadline_ms: float = 10_000.0
@@ -301,18 +305,22 @@ class ServiceApp:
 
 
 async def serve_async(
-    config: ServiceConfig,
+    app: ServiceApp,
     ready: Callable[[ServiceApp], None] | None = None,
     stop_event: asyncio.Event | None = None,
 ) -> int:
-    """Run the service until SIGTERM (or ``stop_event``), then drain.
+    """Run ``app`` until SIGTERM (or ``stop_event``), then drain.
 
-    Returns the process exit code (0 for a clean drain).  ``ready`` is
-    called with the started app -- the CLI prints the bound address,
-    tests capture the port.
+    Make the app before the event loop starts, so its build workers
+    fork before any socket or thread exists.  Returns the process exit
+    code (0 for a clean drain).  ``ready`` is called with the started
+    app -- the CLI prints the bound address, tests capture the port.
     """
-    app = ServiceApp(config)
-    await app.start()
+    try:
+        await app.start()
+    except BaseException:
+        app.planner.close()
+        raise
     if ready is not None:
         ready(app)
     stop = stop_event if stop_event is not None else asyncio.Event()
@@ -341,8 +349,10 @@ class ServiceThread:
     """Run a :class:`ServiceApp` on a dedicated event-loop thread.
 
     The in-process harness used by tests and the examples: ``start()``
-    returns once the socket is bound (with the resolved port), ``stop()``
-    drains and joins.  Usable as a context manager.
+    makes the app in the caller's thread -- so its build workers fork
+    before the loop thread starts -- and returns once the socket is
+    bound (with the resolved port); ``stop()`` drains and joins.
+    Usable as a context manager.
     """
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
@@ -353,36 +363,36 @@ class ServiceThread:
         self._ready = threading.Event()
         self._failure: BaseException | None = None
 
-    def _run(self) -> None:
+    def _run(self, app: ServiceApp) -> None:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
         try:
-            self.app = ServiceApp(self.config)
-            loop.run_until_complete(self.app.start())
+            loop.run_until_complete(app.start())
         except BaseException as exc:  # surface bind errors to start()
             self._failure = exc
+            app.planner.close()
             self._ready.set()
             loop.close()
             return
         self._ready.set()
         try:
             loop.run_forever()
-            loop.run_until_complete(self.app.drain())
+            loop.run_until_complete(app.drain())
             loop.run_until_complete(loop.shutdown_default_executor())
         finally:
             loop.close()
 
     def start(self) -> "ServiceThread":
+        self.app = ServiceApp(self.config)
         self._thread = threading.Thread(
-            target=self._run, name="repro-service", daemon=True
+            target=self._run, args=(self.app,), name="repro-service", daemon=True
         )
         self._thread.start()
-        self._ready.wait(timeout=30.0)
+        if not self._ready.wait(timeout=30.0):
+            raise RuntimeError("service thread did not start in time")
         if self._failure is not None:
             raise RuntimeError(f"service failed to start: {self._failure}") from self._failure
-        if self.app is None:
-            raise RuntimeError("service thread did not start in time")
         return self
 
     @property

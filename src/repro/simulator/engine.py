@@ -99,6 +99,14 @@ class Simulator:
         """
         self.schedule(time - self._now, callback, *args)
 
+    def drop_pending(self) -> None:
+        """Forget every pending event.  A driver whose run stopped at a
+        deadline calls it: the events it cut off hold bound methods of
+        the network and the host model, which hold this kernel, so
+        keeping them would make the run a reference cycle."""
+        self._heap.clear()
+        self._due.clear()
+
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Fire events in time order until none is pending, or a limit
         is hit; returns the clock.

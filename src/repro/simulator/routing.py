@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Callable, Protocol
 
-import numpy as np
-
 from repro.core.paths import Arc, ResolutionOrder, ecube_arcs
 
 __all__ = [
@@ -57,6 +55,8 @@ def random_minimal_routing(seed: int = 0) -> RoutingFunction:
     cyclic and concurrent worms can deadlock.  Deterministic for a
     given seed and call sequence.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
 
     def route(src: int, dst: int) -> list[Arc]:

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.multicast.base import MulticastTree
 from repro.multicast.ports import ALL_PORT, PortModel
 from repro.simulator.message import Worm
@@ -69,6 +67,8 @@ def simulate_multicast_under_load(
     for name, value in (("background_rate", background_rate), ("horizon", horizon)):
         if not 0 <= value < math.inf:  # NaN fails it too
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n_nodes = 1 << tree.n
     start_time = horizon / 4

@@ -53,6 +53,21 @@ class TestRep001Determinism:
         assert len(found) == 1
         assert "numpy" in found[0].message
 
+    def test_flags_legacy_numpy_global_rng_imported_in_the_function(self):
+        """numpy is imported where it is used (``repro serve`` never
+        loads it), and the rule still resolves the alias."""
+        found = _findings(
+            """
+            def noise(n):
+                import numpy as np
+
+                return np.random.rand(n)
+            """,
+            "REP001",
+        )
+        assert len(found) == 1
+        assert "numpy.random.rand" in found[0].message
+
     def test_default_rng_is_fine(self):
         assert not _findings(
             """

@@ -9,13 +9,17 @@ coalescing, deadlines, degraded health, and graceful drain.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import gc
 import hashlib
 import http.client
 import json
 import logging
+import os
+import signal
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -31,7 +35,7 @@ from repro.parallel.cache import (
 )
 from repro.core.paths import ResolutionOrder
 from repro.multicast.ports import ALL_PORT
-from repro.service import AdmissionConfig, ServiceApp, ServiceConfig, ServiceThread
+from repro.service import AdmissionConfig, ServiceApp, ServiceConfig, ServiceThread, planner
 from repro.service.admission import MAX_CLIENTS
 from repro.service.http import Request
 from repro.simulator.params import NCUBE2
@@ -487,3 +491,113 @@ class TestDrain:
             svc.stop(timeout=10)
             assert not thread.is_alive()
             assert server.connections == 0
+
+
+def _sockets(pid: int | str) -> set[str]:
+    """The sockets a process holds, as /proc names them (``socket:[N]``)."""
+    found = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        with contextlib.suppress(OSError):  # closed while listing
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+            if target.startswith("socket:"):
+                found.add(target)
+    return found
+
+
+def _listening_socket(svc: ServiceThread) -> str:
+    (listener,) = svc.app.server._server.sockets
+    return f"socket:[{os.fstat(listener.fileno()).st_ino}]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
+class TestBuildWorkers:
+    """Builds run in forked worker processes: they share no socket with
+    the server, a killed one costs only its own build, and stopping the
+    service reaps them all."""
+
+    def test_no_worker_holds_the_listening_socket_or_a_connection(self):
+        with ServiceThread(ServiceConfig(port=0, workers=2)) as svc:
+            before = _sockets("self")
+            with socket.create_connection((svc.host, svc.port), timeout=5) as client:
+                client.sendall(b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+                assert client.recv(4096).startswith(b"HTTP/1.1 200")
+                # both ends of the connection are in this process
+                server_side = _sockets("self") - before | {_listening_socket(svc)}
+                assert len(server_side) == 3
+                for pid in svc.app.planner.worker_pids():
+                    assert not _sockets(pid) & server_side
+
+    def test_killed_worker_answers_500_and_a_replacement_serves_the_next(
+        self, monkeypatch, tmp_path
+    ):
+        """SIGKILL the only worker mid-build: that request answers 500
+        and caches nothing; a spawned replacement, which holds no server
+        socket, builds the next one."""
+        started = tmp_path / "started"
+        build = planner.compute_schedule_table
+
+        def stalled(*args):
+            started.touch()
+            time.sleep(30.0)
+            return build(*args)
+
+        monkeypatch.setattr(planner, "compute_schedule_table", stalled)
+        with ServiceThread(ServiceConfig(port=0, workers=1)) as svc:
+            (victim,) = svc.app.planner.worker_pids()
+            answers = []
+            request = threading.Thread(
+                target=lambda: answers.append(_post(svc, "/v1/schedule", DOC))
+            )
+            request.start()
+            deadline = time.monotonic() + 30
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os.kill(victim, signal.SIGKILL)
+            request.join(timeout=30)
+            [(status, body, _)] = answers
+            assert status == 500
+            assert "died" in body["error"]
+
+            (replacement,) = svc.app.planner.worker_pids()
+            assert replacement != victim
+            status, body, _ = _post(svc, "/v1/schedule", DOC)
+            assert status == 200
+            assert body["source"] == "build"  # the failed build cached nothing
+            assert body["result"] == compute_schedule_table(
+                "wsort", 5, 0, DOC["destinations"], ALL_PORT
+            )
+            assert not _sockets(replacement) & (_sockets("self") | {_listening_socket(svc)})
+            assert svc.app.metrics.counter("sim.service.build_errors").value == 1.0
+
+    def test_killed_worker_fails_only_its_own_build(self, slow_builds):
+        slow_builds(1.0)
+        with ServiceThread(ServiceConfig(port=0, workers=2)) as svc:
+            victim = svc.app.planner.worker_pids()[0]
+            statuses = []
+            requests = [
+                threading.Thread(
+                    target=lambda dests=dests: statuses.append(
+                        _post(svc, "/v1/schedule", dict(DOC, destinations=dests))[0]
+                    )
+                )
+                for dests in ([1, 2, 3], [4, 5, 6])
+            ]
+            for request in requests:
+                request.start()
+            deadline = time.monotonic() + 30
+            while svc.app.planner.inflight_builds() < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.3)  # both builds are now in their workers
+            os.kill(victim, signal.SIGKILL)
+            for request in requests:
+                request.join(timeout=30)
+        assert sorted(statuses) == [200, 500]
+
+    def test_stop_reaps_every_worker(self):
+        svc = ServiceThread(ServiceConfig(port=0, workers=2)).start()
+        pids = svc.app.planner.worker_pids()
+        assert len(pids) == 2
+        svc.stop()
+        for pid in pids:
+            with pytest.raises(ChildProcessError):  # no longer a child of this process
+                os.waitpid(pid, os.WNOHANG)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import tempfile
+import threading
 
 import pytest
 
@@ -14,6 +17,11 @@ from repro.service.planner import PlannerService
 from repro.service.protocol import parse_plan_request
 
 DOC = {"algorithm": "wsort", "n": 6, "source": 0, "destinations": [1, 3, 5, 9, 17, 33]}
+
+
+def _boom(req):
+    """A build that fails in its worker."""
+    raise RuntimeError("kaput")
 
 
 def _planner(**over) -> tuple[PlannerService, MetricsRegistry]:
@@ -105,20 +113,29 @@ class TestCoalescing:
 
 class TestDrain:
     def test_drain_drops_queued_builds_and_waits_for_running_ones(
-        self, slow_builds, monkeypatch
+        self, slow_builds, monkeypatch, tmp_path
     ):
         """Once their waiters are gone, drain cancels the builds: one
         queued behind the only worker never starts, and the running one
-        has finished when drain returns."""
-        started, finished = [], []
+        has finished when drain returns.  The worker is another process,
+        so each build leaves a marker file."""
         slow_builds(0.2)
         build = planner.compute_schedule_table
 
+        def mark(event):
+            os.close(tempfile.mkstemp(prefix=f"{event}-", dir=tmp_path)[0])
+
         def counted(*args):
-            started.append(args)
+            mark("started")
             value = build(*args)
-            finished.append(args)
+            mark("finished")
             return value
+
+        def started():
+            return list(tmp_path.glob("started-*"))
+
+        def finished():
+            return list(tmp_path.glob("finished-*"))
 
         monkeypatch.setattr(planner, "compute_schedule_table", counted)
 
@@ -127,7 +144,7 @@ class TestDrain:
             req_a = parse_plan_request(DOC, "schedule")
             req_b = parse_plan_request(dict(DOC, destinations=[2, 4, 6]), "schedule")
             waiters = [asyncio.ensure_future(svc.schedule(r)) for r in (req_a, req_b)]
-            while not started:  # the first build holds the worker
+            while not started():  # the first build holds the worker
                 await asyncio.sleep(0.01)
             for waiter in waiters:  # as an HTTP drain cancels its connections
                 waiter.cancel()
@@ -136,11 +153,11 @@ class TestDrain:
             return svc.inflight_builds()
 
         assert asyncio.run(scenario()) == 0
-        assert len(started) == 1
-        assert len(finished) == 1
+        assert len(started()) == 1
+        assert len(finished()) == 1
 
     def test_drain_keeps_the_event_loop_running(self, slow_builds):
-        """Waiting for a running build happens off the event loop: a
+        """Waiting for a running build does not block the event loop: a
         ticker task keeps ticking while drain waits for the build."""
         slow_builds(0.5)
 
@@ -165,6 +182,20 @@ class TestDrain:
             return ticks
 
         assert asyncio.run(scenario()) >= 5
+
+
+    def test_an_older_planner_closes_while_a_newer_one_is_open(self):
+        """The workers forked for a newer planner hold no pipe of an
+        older one, so closing the older one does not wait for them."""
+        older = PlannerService(max_workers=1)
+        newer = PlannerService(max_workers=1)
+        closing = threading.Thread(target=older.close, daemon=True)
+        closing.start()
+        closing.join(timeout=10)
+        try:
+            assert not closing.is_alive()
+        finally:
+            newer.close()
 
 
 class TestCacheIntegration:
@@ -246,13 +277,10 @@ class TestBuildErrors:
     def test_build_error_propagates_and_counts(self):
         async def scenario():
             svc, registry = _planner()
-
-            def boom():
-                raise RuntimeError("kaput")
-
+            req = parse_plan_request(DOC, "schedule")
             try:
                 with pytest.raises(RuntimeError, match="kaput"):
-                    await svc._resolve("deadbeef", boom)
+                    await svc._resolve("deadbeef", _boom, req)
                 await asyncio.sleep(0)
             finally:
                 svc.close()

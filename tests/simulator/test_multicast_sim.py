@@ -221,6 +221,10 @@ DRIVERS = {
         WSort().build_tree(4, 0, FIG3_DESTS)
     ),
     "simulate_degraded_multicast-failed-links": _degraded_with_failed_links,
+    # stopped at its deadline with all 21 destinations undelivered
+    "simulate_degraded_multicast-deadline": lambda: simulate_degraded_multicast(
+        WSort().build_tree(6, 0, list(range(3, 64, 3))), deadline_us=100.0
+    ),
     "simulate_comm": lambda: simulate_comm(scatter_graph(4, 0, 256)),
     "measure_unicast_samples": lambda: measure_unicast_samples(3, NCUBE2),
 }

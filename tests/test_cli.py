@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -272,7 +273,7 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("the sweep started despite a bad watchdog value")
 
-        monkeypatch.setattr("repro.cli.run_sweep", no_work)
+        monkeypatch.setattr("repro.analysis.experiments.run_sweep", no_work)
         argv = ["sweep", "fig9", "--jobs", "2"]
         assert main([*argv, "--soft-timeout-s", "-3", "--hard-timeout-s", "-1"]) == 2
         out, err = capsys.readouterr()
@@ -316,7 +317,7 @@ class TestExitCodes:
             seen.append(kwargs["watchdog"])
             return {}
 
-        monkeypatch.setattr("repro.cli.run_sweep", record)
+        monkeypatch.setattr("repro.analysis.experiments.run_sweep", record)
         monkeypatch.setenv("REPRO_WATCHDOG_RETRIES", "5")
         assert main(["sweep", "fig9", "--jobs", "2", "--soft-timeout-s", "200"]) == 0
         (watchdog,) = seen
@@ -446,7 +447,7 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("work started despite a NaN argument")
 
-        monkeypatch.setattr("repro.cli.run_sweep", no_work)
+        monkeypatch.setattr("repro.analysis.experiments.run_sweep", no_work)
         monkeypatch.setattr("repro.parallel.worker._connect", no_work)
         assert main(argv) == 2
         out, err = capsys.readouterr()
@@ -486,7 +487,7 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("work started for a retired option")
 
-        monkeypatch.setattr("repro.cli.run_sweep", no_work)
+        monkeypatch.setattr("repro.analysis.experiments.run_sweep", no_work)
         monkeypatch.setattr("repro.service.serve_async", no_work)
         monkeypatch.setattr("repro.parallel.worker._connect", no_work)
         with pytest.raises(SystemExit) as exc:
@@ -667,6 +668,85 @@ class TestServe:
                 proc.communicate()
         assert proc.returncode == 0
         assert "drained: clean" in err
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
+    def test_sigterm_to_the_process_group_mid_build_drains_clean(self):
+        """systemd stops a service by signalling its whole process group.
+        The build workers, forked before the server opened any socket,
+        ignore the signal; the server drains, answers the request in
+        flight, reaps its workers and exits 0, leaving the group empty."""
+        import json as _json
+        import signal
+        import threading
+        import urllib.request
+
+        def children(pid: int) -> list[int]:
+            found = []
+            for entry in os.listdir("/proc"):
+                try:
+                    with open(f"/proc/{entry}/stat") as f:
+                        fields = f.read().rsplit(")", 1)[1].split()
+                except (OSError, IndexError):  # not a process, or it exited
+                    continue
+                if int(fields[1]) == pid:
+                    found.append(int(entry))
+            return found
+
+        def sockets(pid: int) -> set[str]:
+            links = []
+            for fd in os.listdir(f"/proc/{pid}/fd"):
+                try:
+                    links.append(os.readlink(f"/proc/{pid}/fd/{fd}"))
+                except OSError:
+                    continue
+            return {link for link in links if link.startswith("socket:")}
+
+        env = dict(os.environ, PYTHONPATH=str(_REPO_ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+            start_new_session=True,
+        )
+        answers = []
+        try:
+            base = proc.stdout.readline().strip().split(" on ")[1]
+            workers = children(proc.pid)
+            assert len(workers) == 2
+            # the heaviest request the protocol admits, so the signal
+            # lands while its build runs
+            doc = {"n": 12, "destinations": list(range(1, 4096))}
+            req = urllib.request.Request(
+                base + "/v1/simulate", data=_json.dumps(doc).encode(), method="POST"
+            )
+
+            def send():
+                with urllib.request.urlopen(req, timeout=60) as resp:
+                    answers.append(resp.status)
+
+            client = threading.Thread(target=send)
+            client.start()
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                with urllib.request.urlopen(base + "/health", timeout=10) as resp:
+                    if _json.load(resp)["inflight"]:
+                        break
+            # the server now holds its listening socket and the client's
+            # connection; its workers hold neither
+            server_sockets = sockets(proc.pid)
+            for pid in workers:
+                assert not sockets(pid) & server_sockets
+            os.killpg(proc.pid, signal.SIGTERM)
+            client.join(timeout=60)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup on failure
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert answers == [200]
+        assert proc.returncode == 0, err
+        assert "drained: clean" in err
+        with pytest.raises(ProcessLookupError):  # no process is left in the group
+            os.killpg(proc.pid, 0)
 
 
 class TestTraceSubcommand:

@@ -89,6 +89,34 @@ def test_imports_on_its_declared_dependencies_alone():
     assert proc.returncode == 0, proc.stderr
 
 
+#: The modules ``repro serve`` loads, then the ones its build workers
+#: load while they build each kind of response.
+_SERVE_PATH_IMPORTS = """
+import sys
+import repro.cli, repro.service.app
+from repro.service import planner
+from repro.service.protocol import parse_plan_request
+
+doc = {"algorithm": "wsort", "n": 6, "destinations": [1, 3, 5, 9, 17, 33]}
+for build, kind in ((planner._schedule, "schedule"), (planner._verify, "verify"),
+                    (planner._simulate, "simulate")):
+    build(parse_plan_request(doc, kind))
+heavy = sorted(m for m in sys.modules
+               if m.partition(".")[0] == "numpy" or m.startswith("repro.analysis"))
+assert not heavy, heavy
+"""
+
+
+def test_serve_and_its_builds_import_neither_numpy_nor_the_analysis_harness():
+    """``repro serve`` starts lean, and so do the workers it forks."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERVE_PATH_IMPORTS],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_version():
     import repro
 
